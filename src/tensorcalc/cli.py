@@ -9,9 +9,12 @@ Subcommands:
     audit        run chart invariant checks at random domain points
 
 Exit codes: 0 success; 1 invalid expression (check); 2 parse/usage errors;
-3 binding or shape errors (eval); 4 domain error at every sampled point
-(field-op); 5 audit tolerance breach.
+3 binding or shape errors (eval); 4 every sample point failed (christoffel,
+field-op); 5 audit tolerance breach.
 
+christoffel and field-op evaluate all their sample points as one array
+through the chart layer (curvilinear.ChartPoints, TensorField.evaluate_batch);
+a point that fails is skipped with a warning on stderr, in sampling order.
 Output is deterministic: floats use the shortest round-trip representation,
 JSON keys are sorted, and rows follow the sampling order. The --seed flag
 (default 42) pins the audit's random points.
@@ -28,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import curvilinear, fields, notation
+from . import curvilinear, notation
 from .errors import (
     BindingError,
     DegenerateMetric,
@@ -40,7 +43,7 @@ from .errors import (
     TensorCalcError,
     ValidationError,
 )
-from .fields import DifferentiationScheme, TensorField
+from .fields import DifferentiationScheme, TensorField, _batched, _raise_first
 from .tensors import DenseTensor, Valency
 
 EXIT_OK = 0
@@ -91,23 +94,19 @@ class RunConfig:
             return curvilinear.builtin_chart(self.chart_name)
         raise ParameterError("no chart given; pass --chart or --chart-file")
 
-    def sample_points(self) -> list:
-        """Points from --point flags plus the Cartesian product of --grid."""
-        pts = [np.asarray(p, dtype=float) for p in self.points]
+    def sample_points(self) -> np.ndarray:
+        """(N, 3) points: --point flags, then the --grid product in row-major order."""
+        pts = [np.reshape(self.points, (-1, 3))]
         if self.grid:
             missing = sorted(set(range(3)) - set(self.grid))
             if missing:
                 raise ParameterError(
                     f"grid is missing axis {missing[0] + 1}; give all three axes")
-            axes = []
-            for a in range(3):
-                lo, hi, count = self.grid[a]
-                axes.append(np.linspace(lo, hi, count))
-            for v1 in axes[0]:
-                for v2 in axes[1]:
-                    for v3 in axes[2]:
-                        pts.append(np.array([v1, v2, v3]))
-        if not pts:
+            axes = [np.linspace(*self.grid[a]) for a in range(3)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            pts.append(np.stack([m.ravel() for m in mesh], axis=1))
+        pts = np.concatenate(pts)
+        if not len(pts):
             raise ParameterError("no evaluation points; pass --point or --grid")
         return pts
 
@@ -183,18 +182,21 @@ def load_field(source) -> TensorField:
     ]
     shape = (3,) * valency.order
 
-    def func(y):
-        values = np.array([c(y) for c in components])
-        return values.reshape(shape) if shape else values[0]
+    @_batched
+    def func(points):
+        values = np.empty((len(points), count))
+        for n, component in enumerate(components):
+            values[:, n] = component(points)
+        return values.reshape((len(points),) + shape), {}
 
     return TensorField(valency, func, 3)
 
 
-def _component_paths(valency: Valency):
-    """All (path string, multi-index) pairs in row-major slot order."""
+def _component_paths(valency: Valency) -> list:
+    """Component path strings in row-major slot order."""
     shape = (3,) * valency.order
     if not shape:
-        return [("scalar", ())]
+        return ["scalar"]
     out = []
     for flat in range(3 ** valency.order):
         idx = np.unravel_index(flat, shape)
@@ -205,8 +207,32 @@ def _component_paths(valency: Valency):
             path += "^" + ".".join(str(i + 1) for i in upper)
         if lower:
             path += "_" + ".".join(str(j + 1) for j in lower)
-        out.append((path, tuple(idx)))
+        out.append(path)
     return out
+
+
+def _report_failures(points: np.ndarray, failures: dict) -> bool:
+    """Warn about each failed point in sampling order; True if all failed."""
+    for row, exc in sorted(failures.items()):
+        sys.stderr.write(f"warning: skipping {points[row].tolist()}: {exc}\n")
+    if len(failures) == len(points):
+        sys.stderr.write("error: every sample point failed\n")
+        return True
+    return False
+
+
+def _csv(header: str, points: np.ndarray, table: np.ndarray, keep: np.ndarray,
+         labels: list) -> str:
+    """CSV text with a row per point n and column c where keep[n, c],
+    holding the point's coordinates, labels[c] and table[n, c]."""
+    # {x!r} is _fmt(x) inlined: this formats every row of a large table
+    prefixes = [f"{a!r},{b!r},{c!r}," for a, b, c in points.tolist()]
+    rows, cols = np.nonzero(keep)
+    lines = [header]
+    lines += [f"{prefixes[n]}{labels[c]}{value!r}"
+              for n, c, value in zip(rows.tolist(), cols.tolist(),
+                                     table[rows, cols].tolist())]
+    return "\n".join(lines) + "\n"
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -251,32 +277,26 @@ def cmd_eval(config: RunConfig) -> int:
 
 def cmd_christoffel(config: RunConfig) -> int:
     chart = config.chart()
-    rows = []
-    for point in config.sample_points():
-        try:
-            gamma = curvilinear.christoffel(chart, point)
-        except (DomainError, DegenerateTransition) as exc:
-            sys.stderr.write(f"warning: skipping {point.tolist()}: {exc}\n")
-            continue
-        for k in range(3):
-            for i in range(3):
-                for j in range(3):
-                    value = gamma.values[k, i, j]
-                    if abs(value) > 1e-12:
-                        rows.append((point, k + 1, i + 1, j + 1, value))
+    points = config.sample_points()
+    state = curvilinear.ChartPoints(chart, points, christoffel=True)
+    if _report_failures(points, state.failures):
+        return EXIT_DOMAIN
+    gamma = state.gamma.reshape(len(state.index), 27)
+    nonzero = np.abs(gamma) > 1e-12
+    kij = [(k, i, j) for k in (1, 2, 3) for i in (1, 2, 3) for j in (1, 2, 3)]
     if config.format == "json":
+        rows, cols = np.nonzero(nonzero)
+        ys = state.points.tolist()
         payload = [
-            {"y": point.tolist(), "k": k, "i": i, "j": j, "gamma": value}
-            for point, k, i, j, value in rows
+            {"y": ys[n], "k": kij[c][0], "i": kij[c][1], "j": kij[c][2], "gamma": value}
+            for n, c, value in zip(rows.tolist(), cols.tolist(),
+                                   gamma[rows, cols].tolist())
         ]
         _emit(config, _dump_json(payload))
     else:
-        lines = ["y1,y2,y3,k,i,j,gamma"]
-        for point, k, i, j, value in rows:
-            lines.append(",".join([
-                _fmt(point[0]), _fmt(point[1]), _fmt(point[2]),
-                str(k), str(i), str(j), _fmt(value)]))
-        _emit(config, "\n".join(lines) + "\n")
+        labels = ["%d,%d,%d," % idx for idx in kij]
+        _emit(config, _csv("y1,y2,y3,k,i,j,gamma", state.points, gamma, nonzero,
+                           labels))
     return EXIT_OK
 
 
@@ -302,64 +322,56 @@ def cmd_field_op(config: RunConfig) -> int:
     result = _build_operator(config.op, chart, field_input, config.slot,
                              config.scheme())
     points = config.sample_points()
-    samples = []
-    failures = 0
-    for point in points:
-        try:
-            tensor = result.evaluate(point)
-        except (DomainError, DegenerateTransition, DegenerateMetric) as exc:
-            sys.stderr.write(f"warning: skipping {point.tolist()}: {exc}\n")
-            failures += 1
-            continue
-        samples.append((point, tensor))
-    if failures == len(points):
-        sys.stderr.write("error: every sample point failed\n")
+    values, failures = result.evaluate_batch(points)
+    if _report_failures(points, failures):
         return EXIT_DOMAIN
+    ok = np.ones(len(points), dtype=bool)
+    ok[list(failures)] = False
+    points, values = points[ok], values[ok]
+    if not np.all(np.isfinite(values)):
+        raise ShapeError("tensor components must all be finite")
+    valency = result.valency
     if config.format == "json":
         payload = [
-            {"point": point.tolist(), "tensor": tensor.as_dict()}
-            for point, tensor in samples
+            {"point": point, "tensor": {"r": valency.r, "s": valency.s, "dim": 3,
+                                        "components": components}}
+            for point, components in zip(points.tolist(),
+                                         values.reshape(len(values), -1).tolist())
         ]
         _emit(config, _dump_json(payload))
     else:
-        lines = ["x1,x2,x3,component-path,value"]
-        for point, tensor in samples:
-            for path, idx in _component_paths(tensor.valency):
-                value = tensor.array[idx] if idx else tensor.item()
-                lines.append(",".join([
-                    _fmt(point[0]), _fmt(point[1]), _fmt(point[2]),
-                    path, _fmt(value)]))
-        _emit(config, "\n".join(lines) + "\n")
+        paths = [path + "," for path in _component_paths(valency)]
+        table = values.reshape(len(values), -1)
+        _emit(config, _csv("x1,x2,x3,component-path,value", points, table,
+                           np.ones(table.shape, dtype=bool), paths))
     return EXIT_OK
 
 
 def _audit_checks(chart, points, scheme) -> list:
-    """(name, residual, tolerance) triples for one chart."""
+    """(name, residual, tolerance) triples for one chart.
+
+    The first point that fails a check raises its error, which aborts the
+    audit.
+    """
     analytic = chart.analytic
     jac_tol = 1e-6 if analytic else 1e-4
     sym_tol = 1e-9 if analytic else 1e-5
     conc_tol = 1e-6 if analytic else 1e-4
-    eye = np.eye(chart.dim)
 
-    roundtrip = 0.0
-    jacobian = 0.0
-    symmetry = 0.0
-    for y in points:
-        x = np.asarray(chart.forward(y), dtype=float)
-        roundtrip = max(roundtrip, float(np.max(np.abs(
-            np.asarray(chart.inverse(x), dtype=float) - y))))
-        S = curvilinear.jacobian_direct(chart, y)
-        T = curvilinear.jacobian_inverse(chart, y)
-        jacobian = max(jacobian, float(np.max(np.abs(T @ S - eye))))
-        symmetry = max(symmetry, curvilinear.christoffel(chart, y).symmetry_residual())
+    x = curvilinear._map_rows(chart.forward, points, (chart.dim,), "forward")
+    back = curvilinear._map_rows(chart.inverse, x, (chart.dim,), "inverse")
+    roundtrip = float(np.max(np.abs(back - points), initial=0.0))
+    state = curvilinear.ChartPoints(chart, points, christoffel=True)
+    _raise_first(state.failures)
+    jacobian = float(np.max(state.residual, initial=0.0))
+    symmetry = float(np.max(np.abs(state.gamma - np.swapaxes(state.gamma, 2, 3)),
+                            initial=0.0))
 
-    gfield = TensorField(Valency(0, 2),
-                         lambda y: curvilinear.metric_in_chart(chart, y).matrix)
-    nabla_g = curvilinear.covariant_derivative(chart, gfield, scheme)
-    concordance = 0.0
-    for y in points:
-        concordance = max(concordance, float(np.max(np.abs(
-            nabla_g.evaluate_array(y)))))
+    nabla_g = curvilinear.covariant_derivative(
+        chart, curvilinear.metric_field(chart), scheme)
+    values, failures = nabla_g.evaluate_batch(points)
+    _raise_first(failures)
+    concordance = float(np.max(np.abs(values), initial=0.0))
 
     return [
         ("inverse-roundtrip", roundtrip, 1e-9),

@@ -14,10 +14,20 @@ the frame derivatives, and the covariant derivative corrects the plain
 partial derivative with one Gamma term per slot, keeping tensor character.
 
 Built-in charts (identity, cylindrical, spherical) carry analytic Jacobians
-and analytic Jacobian derivatives. Custom charts may supply only the
-forward/inverse maps; everything else falls back to central finite
-differences. Singular points (cylindrical axis, spherical poles) are
-excluded by domain predicates and fail fast with DomainError.
+and analytic Jacobian derivatives. Their maps and domain predicates
+broadcast over leading axes, as do the maps compiled from JSON coefficient
+tables, so one call covers an (N, 3) array of points; other Python
+callables given to Chart are called once per point. Custom charts may
+supply only the forward/inverse maps; everything else falls back to central
+finite differences, taken for a whole point array at once. Singular points
+(cylindrical axis, spherical poles) are excluded by domain predicates and
+fail fast with DomainError.
+
+ChartPoints computes S, T, the metric and the Christoffel symbols of a
+point array once. The chart operators evaluate a point array in one pass
+through it (TensorField.evaluate_batch); a point that fails, outside the
+domain or at a degenerate transition or metric, fails alone, with the
+exception the single-point call raises.
 """
 
 from __future__ import annotations
@@ -38,35 +48,57 @@ from .fields import (
     DEFAULT_SCHEME,
     DifferentiationScheme,
     TensorField,
-    _hessian,
-    _probe,
-    derivative_table,
+    _batched,
+    _differences,
+    _is_batched,
+    _partials,
+    _point,
+    _raise_first,
 )
 from .frames import Basis
-from .metric import Metric, volume_tensor
+from .metric import Metric, _gram_stack, levi_civita
 from .tensors import (
     NEW_TO_OLD,
     OLD_TO_NEW,
-    DenseTensor,
     TransitionPair,
     Valency,
-    invert_matrix,
+    _invert_stack,
 )
 
 __all__ = [
-    "Chart", "ChristoffelArray", "builtin_chart", "load_chart", "jacobians",
-    "jacobian_direct", "jacobian_inverse", "jacobian_derivative",
-    "moving_frame", "metric_in_chart", "christoffel", "christoffel_alt",
-    "covariant_derivative", "chart_to_chart_transform", "coordinate_line",
-    "gradient_covector_in_chart", "gradient_vector_in_chart",
+    "Chart", "ChartPoints", "ChristoffelArray", "builtin_chart", "load_chart",
+    "jacobians", "jacobian_direct", "jacobian_inverse", "jacobian_derivative",
+    "moving_frame", "metric_in_chart", "metric_field", "christoffel",
+    "christoffel_alt", "covariant_derivative", "chart_to_chart_transform",
+    "coordinate_line", "gradient_covector_in_chart", "gradient_vector_in_chart",
     "divergence_in_chart", "laplacian_in_chart", "rotor_in_chart",
 ]
 
 _EPS = float(np.finfo(float).eps)
-_JAC_STEP = _EPS ** (1.0 / 3.0)
 _DSTEP = 1e-5  # FD step scale for Jacobian derivatives
 FD_CONSISTENCY_TOL = 1e-4
 ANALYTIC_CONSISTENCY_TOL = 1e-6
+
+
+def _map_rows(fn: Callable, points: np.ndarray, shape: tuple, what: str,
+              dtype=float) -> np.ndarray:
+    """A chart callable at every row of an (N, dim) array: (N,) + shape.
+
+    Callables the library marked take the whole array; others are called
+    once per row.
+    """
+    if _is_batched(fn):
+        out = np.asarray(fn(points), dtype=dtype)
+        if out.shape != (len(points),) + shape:
+            raise ShapeError(f"{what} returned shape {out.shape[1:]}, expected {shape}")
+        return out
+    out = np.empty((len(points),) + shape, dtype=dtype)
+    for n, point in enumerate(points):
+        value = np.asarray(fn(point), dtype=dtype)
+        if value.shape != shape:
+            raise ShapeError(f"{what} returned shape {value.shape}, expected {shape}")
+        out[n] = value
+    return out
 
 
 class Chart:
@@ -116,13 +148,16 @@ class Chart:
     def analytic(self) -> bool:
         return self.jac_forward is not None and self.jac_inverse is not None
 
+    def _inside(self, points: np.ndarray) -> np.ndarray:
+        """Domain mask of an (N, dim) array: finite and inside the domain."""
+        inside = np.isfinite(points).all(axis=1)
+        if self.domain is not None and inside.any():
+            inside[inside] = _map_rows(self.domain, points[inside], (), "domain",
+                                       dtype=bool)
+        return inside
+
     def contains(self, y) -> bool:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.dim,):
-            raise ShapeError(f"point shape {y.shape} does not match dim {self.dim}")
-        if not np.all(np.isfinite(y)):
-            return False
-        return True if self.domain is None else bool(self.domain(y))
+        return bool(self._inside(_point(y, self.dim)[None])[0])
 
     def require(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -131,20 +166,26 @@ class Chart:
         return y
 
     def sample_points(self, n: int, rng) -> np.ndarray:
-        """n random domain points inside the chart's sampling box."""
+        """n random domain points inside the chart's sampling box.
+
+        Candidates are drawn uniformly, never more than the points still
+        missing at a time, so the generator ends where drawing one point
+        at a time would leave it. Fails after 100 * max(n, 10) candidates.
+        """
         lo = np.array([b[0] for b in self.sample_bounds])
         hi = np.array([b[1] for b in self.sample_bounds])
-        pts = []
+        limit = 100 * max(n, 10)
+        pts = np.empty((0, self.dim))
         attempts = 0
         while len(pts) < n:
-            y = lo + (hi - lo) * rng.random(self.dim)
-            attempts += 1
-            if self.contains(y):
-                pts.append(y)
-            if attempts > 100 * max(n, 10):
+            block = min(n - len(pts), limit - attempts)
+            if block <= 0:
                 raise DomainError(
                     f"could not sample {n} points inside chart {self.name!r}")
-        return np.array(pts)
+            candidates = lo + (hi - lo) * rng.random((block, self.dim))
+            attempts += block
+            pts = np.concatenate([pts, candidates[self._inside(candidates)]])
+        return pts
 
     def __repr__(self):
         return f"Chart({self.name!r})"
@@ -186,110 +227,125 @@ class ChristoffelArray:
 # -- built-in charts -----------------------------------------------------------
 
 
+def _coords(y) -> tuple:
+    """The three coordinates of a point or of an (..., 3) point array."""
+    y = np.asarray(y, dtype=float)
+    return y[..., 0], y[..., 1], y[..., 2]
+
+
+def _stack(entries, like: np.ndarray, shape: tuple) -> np.ndarray:
+    """like.shape + shape array from row-major entries (arrays like ``like``
+    or scalars)."""
+    out = np.empty(like.shape + (len(entries),))
+    for k, entry in enumerate(entries):
+        out[..., k] = entry
+    return out.reshape(like.shape + shape)
+
+
 def _cylindrical() -> Chart:
+    @_batched
     def forward(y):
-        r, th, z = y
-        return np.array([r * math.cos(th), r * math.sin(th), z])
+        r, th, z = _coords(y)
+        return _stack([r * np.cos(th), r * np.sin(th), z], r, (3,))
 
+    @_batched
     def inverse(x):
-        return np.array([math.hypot(x[0], x[1]), math.atan2(x[1], x[0]), x[2]])
+        x1, x2, x3 = _coords(x)
+        return _stack([np.hypot(x1, x2), np.arctan2(x2, x1), x3], x1, (3,))
 
+    @_batched
     def jac_forward(y):
-        r, th, _ = y
-        c, s = math.cos(th), math.sin(th)
-        return np.array([[c, -r * s, 0.0],
-                         [s, r * c, 0.0],
-                         [0.0, 0.0, 1.0]])
+        r, th, _ = _coords(y)
+        c, s = np.cos(th), np.sin(th)
+        return _stack([c, -r * s, 0.0,
+                       s, r * c, 0.0,
+                       0.0, 0.0, 1.0], r, (3, 3))
 
+    @_batched
     def jac_inverse(y):
-        r, th, _ = y
-        c, s = math.cos(th), math.sin(th)
-        return np.array([[c, s, 0.0],
-                         [-s / r, c / r, 0.0],
-                         [0.0, 0.0, 1.0]])
+        r, th, _ = _coords(y)
+        c, s = np.cos(th), np.sin(th)
+        return _stack([c, s, 0.0,
+                       -s / r, c / r, 0.0,
+                       0.0, 0.0, 1.0], r, (3, 3))
 
+    @_batched
     def jac_forward_partials(y):
-        r, th, _ = y
-        c, s = math.cos(th), math.sin(th)
-        dS = np.zeros((3, 3, 3))
-        # d/dr
-        dS[:, :, 0] = [[0.0, -s, 0.0], [0.0, c, 0.0], [0.0, 0.0, 0.0]]
-        # d/dtheta
-        dS[:, :, 1] = [[-s, -r * c, 0.0], [c, -r * s, 0.0], [0.0, 0.0, 0.0]]
-        return dS
+        r, th, _ = _coords(y)
+        c, s = np.cos(th), np.sin(th)
+        d_r = [0.0, -s, 0.0, 0.0, c, 0.0, 0.0, 0.0, 0.0]
+        d_theta = [-s, -r * c, 0.0, c, -r * s, 0.0, 0.0, 0.0, 0.0]
+        d_z = [0.0] * 9
+        return _stack([e for qi in zip(d_r, d_theta, d_z) for e in qi], r, (3, 3, 3))
+
+    @_batched
+    def domain(y):
+        return _coords(y)[0] > 0.0
 
     return Chart(
         "cylindrical", forward, inverse, jac_forward, jac_inverse,
-        jac_forward_partials,
-        domain=lambda y: y[0] > 0.0,
+        jac_forward_partials, domain=domain,
         sample_bounds=((0.5, 3.0), (-math.pi, math.pi), (-2.0, 2.0)),
     )
 
 
 def _spherical() -> Chart:
     # theta is the polar angle measured from the +z axis, phi the azimuth
+    def angles(y):
+        r, th, ph = _coords(y)
+        return r, np.sin(th), np.cos(th), np.cos(ph), np.sin(ph)
+
+    @_batched
     def forward(y):
-        r, th, ph = y
-        st, ct = math.sin(th), math.cos(th)
-        cp, sp = math.cos(ph), math.sin(ph)
-        return np.array([r * st * cp, r * st * sp, r * ct])
+        r, st, ct, cp, sp = angles(y)
+        return _stack([r * st * cp, r * st * sp, r * ct], r, (3,))
 
+    @_batched
     def inverse(x):
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
+        r = np.linalg.norm(x, axis=-1)
+        if np.any(r == 0.0):
             raise DomainError("origin has no spherical coordinates")
-        return np.array([r, math.acos(max(-1.0, min(1.0, x[2] / r))),
-                         math.atan2(x[1], x[0])])
+        x1, x2, x3 = _coords(x)
+        return _stack([r, np.arccos(np.clip(x3 / r, -1.0, 1.0)), np.arctan2(x2, x1)],
+                      r, (3,))
 
+    @_batched
     def jac_forward(y):
-        r, th, ph = y
-        st, ct = math.sin(th), math.cos(th)
-        cp, sp = math.cos(ph), math.sin(ph)
-        return np.array([
-            [st * cp, r * ct * cp, -r * st * sp],
-            [st * sp, r * ct * sp, r * st * cp],
-            [ct, -r * st, 0.0],
-        ])
+        r, st, ct, cp, sp = angles(y)
+        return _stack([st * cp, r * ct * cp, -r * st * sp,
+                       st * sp, r * ct * sp, r * st * cp,
+                       ct, -r * st, 0.0], r, (3, 3))
 
+    @_batched
     def jac_inverse(y):
-        r, th, ph = y
-        st, ct = math.sin(th), math.cos(th)
-        cp, sp = math.cos(ph), math.sin(ph)
-        return np.array([
-            [st * cp, st * sp, ct],
-            [ct * cp / r, ct * sp / r, -st / r],
-            [-sp / (r * st), cp / (r * st), 0.0],
-        ])
+        r, st, ct, cp, sp = angles(y)
+        return _stack([st * cp, st * sp, ct,
+                       ct * cp / r, ct * sp / r, -st / r,
+                       -sp / (r * st), cp / (r * st), 0.0], r, (3, 3))
 
+    @_batched
     def jac_forward_partials(y):
-        r, th, ph = y
-        st, ct = math.sin(th), math.cos(th)
-        cp, sp = math.cos(ph), math.sin(ph)
-        dS = np.zeros((3, 3, 3))
-        # d/dr
-        dS[:, :, 0] = [
-            [0.0, ct * cp, -st * sp],
-            [0.0, ct * sp, st * cp],
-            [0.0, -st, 0.0],
-        ]
-        # d/dtheta
-        dS[:, :, 1] = [
-            [ct * cp, -r * st * cp, -r * ct * sp],
-            [ct * sp, -r * st * sp, r * ct * cp],
-            [-st, -r * ct, 0.0],
-        ]
-        # d/dphi
-        dS[:, :, 2] = [
-            [-st * sp, -r * ct * sp, -r * st * cp],
-            [st * cp, r * ct * cp, -r * st * sp],
-            [0.0, 0.0, 0.0],
-        ]
-        return dS
+        r, st, ct, cp, sp = angles(y)
+        d_r = [0.0, ct * cp, -st * sp,
+               0.0, ct * sp, st * cp,
+               0.0, -st, 0.0]
+        d_theta = [ct * cp, -r * st * cp, -r * ct * sp,
+                   ct * sp, -r * st * sp, r * ct * cp,
+                   -st, -r * ct, 0.0]
+        d_phi = [-st * sp, -r * ct * sp, -r * st * cp,
+                 st * cp, r * ct * cp, -r * st * sp,
+                 0.0, 0.0, 0.0]
+        # dS[q, i, j] with the derivative index j last
+        return _stack([e for qi in zip(d_r, d_theta, d_phi) for e in qi], r, (3, 3, 3))
+
+    @_batched
+    def domain(y):
+        r, th, _ = _coords(y)
+        return (r > 0.0) & (0.0 < th) & (th < math.pi)
 
     return Chart(
         "spherical", forward, inverse, jac_forward, jac_inverse,
-        jac_forward_partials,
-        domain=lambda y: y[0] > 0.0 and 0.0 < y[1] < math.pi,
+        jac_forward_partials, domain=domain,
         sample_bounds=((0.5, 3.0), (0.3, math.pi - 0.3), (-math.pi, math.pi)),
     )
 
@@ -297,15 +353,21 @@ def _spherical() -> Chart:
 def _identity() -> Chart:
     eye = np.eye(3)
 
-    return Chart(
-        "identity",
-        forward=lambda y: np.asarray(y, dtype=float).copy(),
-        inverse=lambda x: np.asarray(x, dtype=float).copy(),
-        jac_forward=lambda y: eye.copy(),
-        jac_inverse=lambda y: eye.copy(),
-        jac_forward_partials=lambda y: np.zeros((3, 3, 3)),
-        sample_bounds=((-2.0, 2.0),) * 3,
-    )
+    @_batched
+    def same(y):
+        return np.array(y, dtype=float)
+
+    @_batched
+    def unit(y):
+        return np.broadcast_to(eye, np.shape(y)[:-1] + (3, 3)).copy()
+
+    @_batched
+    def flat(y):
+        return np.zeros(np.shape(y)[:-1] + (3, 3, 3))
+
+    return Chart("identity", forward=same, inverse=same, jac_forward=unit,
+                 jac_inverse=unit, jac_forward_partials=flat,
+                 sample_bounds=((-2.0, 2.0),) * 3)
 
 
 _BUILTIN = {"cylindrical": _cylindrical, "spherical": _spherical,
@@ -322,38 +384,191 @@ def builtin_chart(name: str) -> Chart:
     return factory()
 
 
-# -- Jacobi matrices -----------------------------------------------------------
+# -- Jacobi matrices at a point array --------------------------------------------
 
 
-def _fd_jacobian(mapping: Callable, point: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a vector map, column per coordinate."""
-    dim = point.shape[0]
-    jac = np.empty((dim, dim))
-    for j in range(dim):
-        h = _JAC_STEP * max(1.0, abs(point[j]))
-        e = np.zeros(dim)
-        e[j] = 1.0
-        plus = np.asarray(mapping(point + h * e), dtype=float)
-        minus = np.asarray(mapping(point - h * e), dtype=float)
-        jac[:, j] = (plus - minus) / (2.0 * h)
-    return jac
+def _fd_jacobian(mapping: Callable, points: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians of a vector map at every row of points:
+    [n, i, j] = d mapping^i / d p^j."""
+    dim = points.shape[1]
+
+    def rows(probes, t):
+        return _map_rows(mapping, probes, (dim,), "chart map"), {}
+
+    d1, _, _ = _differences(rows, points, None, DEFAULT_SCHEME)
+    return np.swapaxes(d1, 1, 2)
+
+
+def _direct(chart: Chart, y: np.ndarray) -> np.ndarray:
+    """S at every row: analytic when the chart has it, else central FD."""
+    if chart.jac_forward is not None:
+        return _map_rows(chart.jac_forward, y, (chart.dim,) * 2, "jac_forward")
+    return _fd_jacobian(chart.forward, y)
+
+
+def _inverse(chart: Chart, y: np.ndarray) -> np.ndarray:
+    """T at every row: analytic, else central FD on inverse at x(y)."""
+    if chart.jac_inverse is not None:
+        return _map_rows(chart.jac_inverse, y, (chart.dim,) * 2, "jac_inverse")
+    x = _map_rows(chart.forward, y, (chart.dim,), "forward")
+    return _fd_jacobian(chart.inverse, x)
+
+
+def _second_partials(chart: Chart, y: np.ndarray) -> np.ndarray:
+    """dS[n, q, i, j] at every row; see jacobian_derivative."""
+    n, dim = y.shape
+    if chart.jac_forward_partials is not None:
+        return _map_rows(chart.jac_forward_partials, y, (dim,) * 3,
+                         "jac_forward_partials")
+    eye = np.eye(dim)
+    if chart.jac_forward is not None:
+        h = _DSTEP * np.maximum(1.0, np.abs(y))
+        signs = [s * eye[j] for j in range(dim) for s in (1.0, -1.0)]
+        jac = _map_rows(chart.jac_forward, np.concatenate([y + s * h for s in signs]),
+                        (dim, dim), "jac_forward").reshape(dim, 2, n, dim, dim)
+        return np.stack([(jac[j, 0] - jac[j, 1]) / (2.0 * h[:, j, None, None])
+                         for j in range(dim)], axis=-1)
+    # no analytic Jacobian at all: second differences of the forward map
+    h = _EPS ** 0.25 * np.maximum(1.0, np.abs(y))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    signs = [np.zeros(dim)] + [s * eye[i] for i in range(dim) for s in (1.0, -1.0)]
+    signs += [si * eye[i] + sj * eye[j] for i, j in pairs
+              for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
+    f = _map_rows(chart.forward, np.concatenate([y + s * h for s in signs]), (dim,),
+                  "forward").reshape(len(signs), n, dim)
+    dS = np.empty((n, dim, dim, dim))
+    for i in range(dim):
+        hi = h[:, i, None]
+        dS[:, :, i, i] = (f[1 + 2 * i] - 2.0 * f[0] + f[2 + 2 * i]) / (hi * hi)
+    for k, (i, j) in enumerate(pairs):
+        pp, pm, mp, mm = f[1 + 2 * dim + 4 * k:5 + 2 * dim + 4 * k]
+        dS[:, :, i, j] = dS[:, :, j, i] = (pp - pm - mp + mm) / (
+            4.0 * h[:, i, None] * h[:, j, None])
+    return dS
+
+
+class ChartPoints:
+    """Chart quantities at an (N, dim) array of points, each computed once.
+
+    The stages asked for run in a fixed order (domain, metric, transition,
+    Christoffel symbols), each on the rows that passed the ones before it.
+    A row that fails a stage is dropped, and ``failures`` maps its row
+    number to the exception the single-point functions raise there, with
+    the same message: DomainError outside the domain, DegenerateMetric, or
+    DegenerateTransition. ``index`` holds the rows that passed and
+    ``points`` their coordinates; the arrays below have one entry per such
+    row and are None for stages not asked for.
+
+    S, T, residual (transition): Jacobi matrices, and max |T S - I| from T
+        as the chart gives it (T is then re-inverted from S above 1e-10)
+    g, dual, sqrt_det (metric): g = S^T S, its inverse and sqrt(det g)
+    gamma (christoffel, implies transition): gamma[n, k, i, j] with upper
+        index k and lower indices i, j
+    """
+
+    _ROWS = ("index", "points", "S", "T", "residual", "g", "dual", "sqrt_det",
+             "gamma")
+
+    def __init__(self, chart: Chart, points, transition: bool = False,
+                 metric: bool = False, christoffel: bool = False):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != chart.dim:
+            raise ShapeError(f"points shape {points.shape} does not match dim {chart.dim}")
+        self.chart = chart
+        self.count = len(points)
+        self.failures = {}
+        self.index = np.arange(len(points))
+        self.points = points
+        for name in self._ROWS[2:]:
+            setattr(self, name, None)
+        outside = ~chart._inside(points)
+        if outside.any():
+            self._drop({k: DomainError(f"point {points[k].tolist()} outside domain "
+                                       f"of chart {chart.name!r}")
+                        for k in np.flatnonzero(outside)})
+        if metric:
+            self._metric()
+        if transition or christoffel:
+            self._transition()
+        if christoffel:
+            dS = _second_partials(chart, self.points)
+            self.gamma = np.einsum("nkq,nqij->nkij", self.T, dS)
+
+    def _drop(self, errors: dict):
+        """Record errors[k] for every row k listed and drop those rows."""
+        if not errors:
+            return
+        keep = np.ones(len(self.index), dtype=bool)
+        for k, exc in errors.items():
+            self.failures[int(self.index[k])] = exc
+            keep[k] = False
+        for name in self._ROWS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
+
+    def _frame(self) -> np.ndarray:
+        if self.S is None:
+            self.S = _direct(self.chart, self.points)
+        return self.S
+
+    def _metric(self):
+        S = self._frame()
+        self.g, self.dual, self.sqrt_det, failures = _gram_stack(np.swapaxes(S, 1, 2) @ S)
+        self._drop(failures)
+
+    def _transition(self):
+        chart = self.chart
+        S = self._frame()
+        T = _inverse(chart, self.points)
+        tol = ANALYTIC_CONSISTENCY_TOL if chart.analytic else FD_CONSISTENCY_TOL
+        with np.errstate(invalid="ignore", over="ignore"):  # judged just below
+            residual = np.abs(T @ S - np.eye(chart.dim)).max(axis=(1, 2), initial=0.0)
+        self.T, self.residual = T, residual
+        bad = ~(residual <= tol)
+        if bad.any():
+            self._drop({k: DegenerateTransition(
+                f"Jacobi matrices of chart {chart.name!r} at {self.points[k].tolist()} "
+                f"are not mutually inverse (residual {float(residual[k])!r})")
+                for k in np.flatnonzero(bad)})
+        redo = self.residual > 1e-10
+        if redo.any():
+            redo = np.flatnonzero(redo)
+            self.T[redo], failures = _invert_stack(self.S[redo])
+            self._drop({redo[p]: exc for p, exc in failures.items()})
+
+    def finish(self, values: np.ndarray, failures: dict = None):
+        """Values and failures for every input row.
+
+        values has one entry per row that passed the chart stages; failures
+        maps positions among those rows to later errors (field probes).
+        Returns ``(values, failures)`` over all N rows, failed rows NaN, as
+        TensorField.evaluate_batch does.
+        """
+        out = np.full((self.count,) + values.shape[1:], np.nan)
+        out[self.index] = values
+        merged = dict(self.failures)
+        for k, exc in (failures or {}).items():
+            out[self.index[k]] = np.nan
+            merged[int(self.index[k])] = exc
+        return out, dict(sorted(merged.items()))
+
+
+def _at(chart: Chart, y, **stages) -> ChartPoints:
+    """ChartPoints of a single point; raises that point's failure."""
+    state = ChartPoints(chart, _point(y, chart.dim)[None], **stages)
+    _raise_first(state.failures)
+    return state
 
 
 def jacobian_direct(chart: Chart, y) -> np.ndarray:
     """S at y: analytic when the chart has it, else central FD on forward."""
-    y = chart.require(y)
-    if chart.jac_forward is not None:
-        return np.asarray(chart.jac_forward(y), dtype=float)
-    return _fd_jacobian(chart.forward, y)
+    return _direct(chart, chart.require(y)[None])[0]
 
 
 def jacobian_inverse(chart: Chart, y) -> np.ndarray:
     """T at the same point: analytic, else central FD on inverse at x(y)."""
-    y = chart.require(y)
-    if chart.jac_inverse is not None:
-        return np.asarray(chart.jac_inverse(y), dtype=float)
-    x = np.asarray(chart.forward(y), dtype=float)
-    return _fd_jacobian(chart.inverse, x)
+    return _inverse(chart, chart.require(y)[None])[0]
 
 
 def jacobians(chart: Chart, y) -> TransitionPair:
@@ -365,18 +580,8 @@ def jacobians(chart: Chart, y) -> TransitionPair:
     returned pair always satisfies the strict pair invariant: when the
     independently obtained T is not exact enough, S is inverted instead.
     """
-    y = chart.require(y)
-    S = jacobian_direct(chart, y)
-    T = jacobian_inverse(chart, y)
-    tol = ANALYTIC_CONSISTENCY_TOL if chart.analytic else FD_CONSISTENCY_TOL
-    residual = float(np.max(np.abs(T @ S - np.eye(chart.dim))))
-    if not math.isfinite(residual) or residual > tol:
-        raise DegenerateTransition(
-            f"Jacobi matrices of chart {chart.name!r} at {y.tolist()} are not "
-            f"mutually inverse (residual {residual!r})")
-    if residual > 1e-10:
-        T = invert_matrix(S)
-    return TransitionPair(S, T)
+    state = _at(chart, y, transition=True)
+    return TransitionPair(state.S[0], state.T[0])
 
 
 def jacobian_derivative(chart: Chart, y) -> np.ndarray:
@@ -386,46 +591,7 @@ def jacobian_derivative(chart: Chart, y) -> np.ndarray:
     the analytic Jacobian with step 1e-5 * max(1, |y_j|); otherwise direct
     second-difference stencils on the forward map.
     """
-    y = chart.require(y)
-    dim = chart.dim
-    if chart.jac_forward_partials is not None:
-        dS = np.asarray(chart.jac_forward_partials(y), dtype=float)
-        if dS.shape != (dim, dim, dim):
-            raise ShapeError(f"jac_forward_partials returned shape {dS.shape}")
-        return dS
-    if chart.jac_forward is not None:
-        dS = np.empty((dim, dim, dim))
-        for j in range(dim):
-            h = _DSTEP * max(1.0, abs(y[j]))
-            e = np.zeros(dim)
-            e[j] = 1.0
-            dS[:, :, j] = (np.asarray(chart.jac_forward(y + h * e), dtype=float)
-                           - np.asarray(chart.jac_forward(y - h * e), dtype=float)) / (2.0 * h)
-        return dS
-    # no analytic Jacobian at all: second differences of the forward map
-    hstep = _EPS ** 0.25
-    dS = np.empty((dim, dim, dim))
-    f0 = np.asarray(chart.forward(y), dtype=float)
-    steps = [hstep * max(1.0, abs(y[a])) for a in range(dim)]
-    for i in range(dim):
-        hi = steps[i]
-        ei = np.zeros(dim)
-        ei[i] = 1.0
-        dS[:, i, i] = (np.asarray(chart.forward(y + hi * ei), dtype=float)
-                       - 2.0 * f0
-                       + np.asarray(chart.forward(y - hi * ei), dtype=float)) / (hi * hi)
-        for j in range(i + 1, dim):
-            hj = steps[j]
-            ej = np.zeros(dim)
-            ej[j] = 1.0
-            mixed = (np.asarray(chart.forward(y + hi * ei + hj * ej), dtype=float)
-                     - np.asarray(chart.forward(y + hi * ei - hj * ej), dtype=float)
-                     - np.asarray(chart.forward(y - hi * ei + hj * ej), dtype=float)
-                     + np.asarray(chart.forward(y - hi * ei - hj * ej), dtype=float)
-                     ) / (4.0 * hi * hj)
-            dS[:, i, j] = mixed
-            dS[:, j, i] = mixed
-    return dS
+    return _second_partials(chart, chart.require(y)[None])[0]
 
 
 # -- frame, metric, Christoffel -------------------------------------------------
@@ -442,13 +608,21 @@ def metric_in_chart(chart: Chart, y) -> Metric:
     return Metric(S.T @ S)
 
 
+def metric_field(chart: Chart) -> TensorField:
+    """The chart metric g_ij as a (0, 2) field over chart coordinates."""
+
+    @_batched
+    def func(points):
+        state = ChartPoints(chart, points, metric=True)
+        return state.finish(state.g)
+
+    return TensorField(Valency(0, 2), func, chart.dim)
+
+
 def christoffel(chart: Chart, y) -> ChristoffelArray:
     """Gamma^k_ij = sum_q T^k_q dS^q_i/dy^j at y."""
-    y = chart.require(y)
-    T = jacobians(chart, y).T
-    dS = jacobian_derivative(chart, y)
-    gamma = np.einsum("kq,qij->kij", T, dS)
-    return ChristoffelArray(gamma, y)
+    state = _at(chart, y, christoffel=True)
+    return ChristoffelArray(state.gamma[0], state.points[0])
 
 
 def christoffel_alt(chart: Chart, y) -> np.ndarray:
@@ -473,6 +647,39 @@ def christoffel_alt(chart: Chart, y) -> np.ndarray:
 # -- covariant derivative --------------------------------------------------------
 
 
+def _gamma_corrections(gamma: np.ndarray, arr: np.ndarray, r: int, s: int) -> np.ndarray:
+    """Sum of the Gamma terms of nabla_p X at every row: [n, p, slots...].
+
+    Each upper slot adds Gamma^a_pm X^..m.., each lower slot subtracts
+    Gamma^m_pa X_..m.. (the slot's index replaced by the summed m).
+    """
+    slots = "ABCDEFGHIJKL"[:r + s]
+    total = 0.0
+    for a, letter in enumerate(slots):
+        moved = slots[:a] + "m" + slots[a + 1:]
+        if a < r:
+            total = total + np.einsum(f"n{letter}pm,n{moved}->np{slots}", gamma, arr)
+        else:
+            total = total - np.einsum(f"nmp{letter},n{moved}->np{slots}", gamma, arr)
+    return total
+
+
+def _covariant(state: ChartPoints, field: TensorField, t,
+               scheme: DifferentiationScheme):
+    """nabla_p X at the rows of a ChartPoints: ``([n, p, slots...], failures)``.
+
+    The state needs the Christoffel symbols unless the field is a scalar.
+    """
+    r, s = field.valency.r, field.valency.s
+    table, _, failures = _partials(field, state.points, t, scheme)
+    if r + s:
+        arr, more = field.evaluate_batch(state.points, t)
+        table = table + _gamma_corrections(state.gamma, arr, r, s)
+        for row, exc in more.items():
+            failures.setdefault(row, exc)
+    return table, failures
+
+
 def covariant_derivative(chart: Chart, field: TensorField,
                          scheme: DifferentiationScheme | None = None) -> TensorField:
     """Gamma-corrected derivative of a field given in chart coordinates.
@@ -484,25 +691,15 @@ def covariant_derivative(chart: Chart, field: TensorField,
     """
     scheme = scheme if scheme is not None else DEFAULT_SCHEME
     r, s = field.valency.r, field.valency.s
-    out = Valency(r, s + 1)
 
-    def func(y, t=None):
-        y = chart.require(y)
-        table = derivative_table(field, y, t, scheme)  # [p, components]
-        if r + s:
-            arr = field.evaluate_array(y, t)
-            gamma = christoffel(chart, y).values
-            for a in range(r):
-                term = np.tensordot(gamma, arr, axes=([2], [a]))  # (k, p, rest)
-                term = np.moveaxis(term, 1, 0)                    # (p, k, rest)
-                table = table + np.moveaxis(term, 1, 1 + a)
-            for b in range(s):
-                a = r + b
-                term = np.tensordot(gamma, arr, axes=([0], [a]))  # (p, j, rest)
-                table = table - np.moveaxis(term, 1, 1 + a)
-        return np.moveaxis(table, 0, r)
+    @_batched
+    def func(points, t=None):
+        state = ChartPoints(chart, points, christoffel=r + s > 0)
+        table, failures = _covariant(state, field, t, scheme)
+        return state.finish(np.moveaxis(table, 1, 1 + r), failures)
 
-    return TensorField(out, func, field.dim, has_parameter=field.has_parameter)
+    return TensorField(Valency(r, s + 1), func, field.dim,
+                       has_parameter=field.has_parameter)
 
 
 def chart_to_chart_transform(field: TensorField, source: Chart,
@@ -540,12 +737,11 @@ def coordinate_line(chart: Chart, y0, axis: int, values) -> np.ndarray:
     y0 = chart.require(y0)
     if not 1 <= axis <= chart.dim:
         raise ShapeError(f"axis {axis} out of range 1..{chart.dim}")
-    pts = []
-    for v in np.asarray(values, dtype=float):
-        y = y0.copy()
-        y[axis - 1] = v
-        pts.append(np.asarray(chart.forward(chart.require(y)), dtype=float))
-    return np.array(pts)
+    values = np.asarray(values, dtype=float).ravel()
+    ys = np.repeat(y0[None], len(values), axis=0)
+    ys[:, axis - 1] = values
+    _raise_first(ChartPoints(chart, ys).failures)
+    return _map_rows(chart.forward, ys, (chart.dim,), "forward")
 
 
 # -- vector calculus in a chart ---------------------------------------------------
@@ -562,11 +758,15 @@ def gradient_covector_in_chart(chart: Chart, phi: TensorField,
 def gradient_vector_in_chart(chart: Chart, phi: TensorField,
                              scheme: DifferentiationScheme | None = None) -> TensorField:
     """Gradient with the index raised by the chart metric."""
-    covector = gradient_covector_in_chart(chart, phi, scheme)
+    if phi.valency.order != 0:
+        raise ShapeError("gradient needs a scalar field")
+    scheme = scheme if scheme is not None else DEFAULT_SCHEME
 
-    def func(y, t=None):
-        g = metric_in_chart(chart, y)
-        return g.dual @ covector.evaluate_array(y, t)
+    @_batched
+    def func(points, t=None):
+        state = ChartPoints(chart, points, metric=True)
+        covector, failures = _covariant(state, phi, t, scheme)
+        return state.finish(np.einsum("nij,nj->ni", state.dual, covector), failures)
 
     return TensorField(Valency(1, 0), func, phi.dim,
                        has_parameter=phi.has_parameter)
@@ -575,16 +775,20 @@ def gradient_vector_in_chart(chart: Chart, phi: TensorField,
 def divergence_in_chart(chart: Chart, field: TensorField, slot: int = 1,
                         scheme: DifferentiationScheme | None = None) -> TensorField:
     """Contraction of the covariant derivative with an upper slot."""
-    if field.valency.r < 1:
+    r = field.valency.r
+    if r < 1:
         raise ShapeError("divergence needs at least one upper slot")
-    if not 1 <= slot <= field.valency.r:
-        raise ShapeError(f"upper slot {slot} out of range 1..{field.valency.r}")
-    grad = covariant_derivative(chart, field, scheme)
+    if not 1 <= slot <= r:
+        raise ShapeError(f"upper slot {slot} out of range 1..{r}")
+    scheme = scheme if scheme is not None else DEFAULT_SCHEME
 
-    def func(y, t=None):
-        return grad.evaluate(y, t).contract(slot, 1).array
+    @_batched
+    def func(points, t=None):
+        state = ChartPoints(chart, points, christoffel=True)
+        table, failures = _covariant(state, field, t, scheme)  # [n, p, slots...]
+        return state.finish(np.trace(table, axis1=1, axis2=1 + slot), failures)
 
-    return TensorField(Valency(field.valency.r - 1, field.valency.s),
+    return TensorField(Valency(r - 1, field.valency.s),
                        func, field.dim, has_parameter=field.has_parameter)
 
 
@@ -599,14 +803,12 @@ def laplacian_in_chart(chart: Chart, phi: TensorField,
         raise ShapeError("laplacian needs a scalar field")
     scheme = scheme if scheme is not None else DEFAULT_SCHEME
 
-    def func(y, t=None):
-        y = chart.require(y)
-        g = metric_in_chart(chart, y)
-        gamma = christoffel(chart, y).values
-        hess = _hessian(phi, y, t, scheme)
-        first = derivative_table(phi, y, t, scheme)
-        second = hess - np.einsum("nij,n->ij", gamma, first)
-        return float(np.sum(g.dual * second))
+    @_batched
+    def func(points, t=None):
+        state = ChartPoints(chart, points, metric=True, christoffel=True)
+        first, hess, failures = _partials(phi, state.points, t, scheme, second=True)
+        second = hess - np.einsum("nkij,nk->nij", state.gamma, first)
+        return state.finish(np.sum(state.dual * second, axis=(1, 2)), failures)
 
     return TensorField(Valency(0, 0), func, phi.dim,
                        has_parameter=phi.has_parameter)
@@ -620,14 +822,16 @@ def rotor_in_chart(chart: Chart, field: TensorField,
     if field.dim != 3:
         raise ShapeError("rotor is defined for dimension 3")
     scheme = scheme if scheme is not None else DEFAULT_SCHEME
-    grad = covariant_derivative(chart, field, scheme)
+    epsilon = levi_civita()
 
-    def func(y, t=None):
-        y = chart.require(y)
-        g = metric_in_chart(chart, y)
-        omega = volume_tensor(g).array
-        cov = grad.evaluate_array(y, t)  # [k, m] = covariant d_m X^k
-        return np.einsum("ri,ijk,jm,km->r", g.dual, omega, g.dual, cov)
+    @_batched
+    def func(points, t=None):
+        state = ChartPoints(chart, points, metric=True, christoffel=True)
+        table, failures = _covariant(state, field, t, scheme)  # [n, m, k] = nabla_m X^k
+        # omega_ijk = sqrt(det g) epsilon_ijk, both indices raised by g^..
+        low = np.einsum("ijk,njm,nmk->ni", epsilon, state.dual, table)
+        rot = state.sqrt_det[:, None] * np.einsum("nri,ni->nr", state.dual, low)
+        return state.finish(rot, failures)
 
     return TensorField(Valency(1, 0), func, field.dim,
                        has_parameter=field.has_parameter)
@@ -641,7 +845,8 @@ def _compile_component(terms: list, where: str) -> Callable:
 
     Each term is {"coeff": c, "powers": [p1,p2,p3]} with an optional
     "trig": [spec|null, ...] where spec = {"fn": "sin"|"cos", "freq": f}.
-    The term value is c * prod_a y_a**p_a * trig_a(freq_a * y_a).
+    The term value is c * prod_a y_a**p_a * trig_a(freq_a * y_a). The
+    compiled component broadcasts over the leading axes of y.
     """
     compiled = []
     for n, term in enumerate(terms):
@@ -659,23 +864,25 @@ def _compile_component(terms: list, where: str) -> Callable:
             if spec is None:
                 trig_fns.append(None)
                 continue
-            fn = {"sin": math.sin, "cos": math.cos}.get(spec.get("fn"))
+            fn = {"sin": np.sin, "cos": np.cos}.get(spec.get("fn"))
             if fn is None:
                 raise ParameterError(f"{where}: term {n} trig fn must be sin or cos")
             trig_fns.append((fn, float(spec.get("freq", 1.0))))
         compiled.append((coeff, powers, trig_fns))
 
+    @_batched
     def component(y):
-        total = 0.0
+        coords = _coords(y)
+        total = np.zeros(coords[0].shape)
         for coeff, powers, trig_fns in compiled:
             value = coeff
             for a in range(3):
                 if powers[a]:
-                    value *= y[a] ** powers[a]
+                    value = value * coords[a] ** powers[a]
                 if trig_fns[a] is not None:
                     fn, freq = trig_fns[a]
-                    value *= fn(freq * y[a])
-            total += value
+                    value = value * fn(freq * coords[a])
+            total = total + value
         return total
 
     return component
@@ -686,8 +893,9 @@ def _compile_map(spec: list, where: str) -> Callable:
         raise ParameterError(f"{where}: expected three component term lists")
     components = [_compile_component(spec[i], f"{where}[{i}]") for i in range(3)]
 
+    @_batched
     def mapping(p):
-        return np.array([c(p) for c in components])
+        return _stack([c(p) for c in components], _coords(p)[0], (3,))
 
     return mapping
 
@@ -722,13 +930,16 @@ def load_chart(source) -> Chart:
     if len(lo) != 3 or len(hi) != 3:
         raise ParameterError("bounds need three min and three max entries")
 
+    @_batched
     def domain(y):
+        coords = _coords(y)
+        inside = np.ones(coords[0].shape, dtype=bool)
         for a in range(3):
-            if lo[a] is not None and not y[a] > lo[a]:
-                return False
-            if hi[a] is not None and not y[a] < hi[a]:
-                return False
-        return True
+            if lo[a] is not None:
+                inside &= coords[a] > lo[a]
+            if hi[a] is not None:
+                inside &= coords[a] < hi[a]
+        return inside
 
     sample = []
     for a in range(3):

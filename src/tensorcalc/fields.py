@@ -14,10 +14,18 @@ covariant slot comes FIRST among the lower slots.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import metric as metric_mod
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import (
+    DegenerateMetric,
+    DegenerateTransition,
+    DomainError,
+    ParameterError,
+    ShapeError,
+)
 from .tensors import DEFAULT_DIM, DenseTensor, Valency
 
 __all__ = [
@@ -29,6 +37,40 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _FIRST_STEP = _EPS ** (1.0 / 3.0)
 _SECOND_STEP = _EPS ** 0.25
+
+# Errors that belong to one point: in a batch they fail that point only.
+_POINT_ERRORS = (DomainError, DegenerateTransition, DegenerateMetric)
+_BATCHED = "_tensorcalc_batched"
+
+
+def _batched(fn):
+    """Mark a callable the library built as taking a whole point array.
+
+    A marked chart map or domain predicate takes an (..., dim) array and
+    broadcasts over the leading axes. A marked field function takes an
+    (N, dim) array and returns ``(values, failures)`` as
+    TensorField.evaluate_batch does. Unmarked callables are called once per
+    point. functools.wraps copies the mark onto a wrapper.
+    """
+    setattr(fn, _BATCHED, True)
+    return fn
+
+
+def _is_batched(fn) -> bool:
+    return getattr(fn, _BATCHED, False)
+
+
+def _raise_first(failures: dict):
+    """Raise the failure of the lowest row, if any."""
+    if failures:
+        raise failures[min(failures)]
+
+
+def _point(point, dim: int) -> np.ndarray:
+    point = np.asarray(point, dtype=float)
+    if point.shape != (dim,):
+        raise ShapeError(f"point shape {point.shape} does not match dim {dim}")
+    return point
 
 
 class DifferentiationScheme:
@@ -54,15 +96,17 @@ class DifferentiationScheme:
     def __setattr__(self, name, value):
         raise AttributeError("DifferentiationScheme is immutable")
 
-    def first_step(self, coord: float) -> float:
+    def first_step(self, coord):
+        """First-derivative step for each coordinate value (scalar or array)."""
         if self.step is not None:
-            return self.step
-        return _FIRST_STEP * max(1.0, abs(coord))
+            return np.full(np.shape(coord), self.step)
+        return _FIRST_STEP * np.maximum(1.0, np.abs(coord))
 
-    def second_step(self, coord: float) -> float:
+    def second_step(self, coord):
+        """Second-derivative step for each coordinate value (scalar or array)."""
         if self.step is not None:
-            return self.step
-        return _SECOND_STEP * max(1.0, abs(coord))
+            return np.full(np.shape(coord), self.step)
+        return _SECOND_STEP * np.maximum(1.0, np.abs(coord))
 
     def __repr__(self):
         return f"DifferentiationScheme(order={self.order}, step={self.step})"
@@ -133,29 +177,75 @@ class TensorField:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _call(self, func, point: np.ndarray, t):
+    @property
+    def _shape(self) -> tuple:
+        return (self.dim,) * self.valency.order
+
+    def _call(self, func, points: np.ndarray, t):
         if self.has_parameter:
             if t is None:
                 raise ParameterError("field depends on t; pass the parameter value")
-            return func(point, t)
-        return func(point)
+            return func(points, t)
+        return func(points)
+
+    def _rows(self, func, points: np.ndarray, t, shape: tuple, what: str,
+              probing: bool = False):
+        """func at every row of points: ``(values, failures)``.
+
+        A function the library marked takes the whole array. Any other is
+        called once per row; a point error raised there fails that row
+        only. When probing (finite differences), an ArithmeticError or
+        ValueError fails the row too, as a DomainError naming the probe.
+        """
+        if _is_batched(func):
+            values, failures = self._call(func, points, t)
+            values = np.asarray(values, dtype=float)
+            if values.shape != (len(points),) + shape:
+                raise ShapeError(f"{what} returned shape {values.shape[1:]}, "
+                                 f"expected {shape}")
+            return values, failures
+        values = np.full((len(points),) + shape, np.nan)
+        failures = {}
+        for n, point in enumerate(points):
+            try:
+                value = self._call(func, point, t)
+            except _POINT_ERRORS as exc:
+                failures[n] = exc
+                continue
+            except (ArithmeticError, ValueError) as exc:
+                if not probing:
+                    raise
+                failures[n] = DomainError(
+                    f"field evaluation failed at {point.tolist()}: {exc}")
+                continue
+            if isinstance(value, DenseTensor):
+                if value.valency != self.valency or value.dim != self.dim:
+                    raise ShapeError(f"{what} returned a tensor of the wrong valency")
+                value = value.array
+            value = np.asarray(value, dtype=float)
+            if value.shape != shape:
+                raise ShapeError(f"{what} returned shape {value.shape}, expected {shape}")
+            values[n] = value
+        return values, failures
+
+    def evaluate_batch(self, points, t: float | None = None):
+        """Components at every row of an (N, dim) point array.
+
+        Returns ``(values, failures)``. values[n] holds the components at
+        points[n]. failures maps the row of each point whose evaluation
+        raised DomainError, DegenerateTransition or DegenerateMetric to
+        that exception, with the message the single-point call raises; its
+        values row is NaN. Other errors propagate.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ShapeError(f"points shape {points.shape} does not match dim {self.dim}")
+        return self._rows(self._func, points, t, self._shape, "field")
 
     def evaluate_array(self, point, t: float | None = None) -> np.ndarray:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dim,):
-            raise ShapeError(f"point shape {point.shape} does not match dim {self.dim}")
-        value = self._call(self._func, point, t)
-        if isinstance(value, DenseTensor):
-            if value.valency != self.valency or value.dim != self.dim:
-                raise ShapeError("field returned a tensor of the wrong valency")
-            return value.array
-        value = np.asarray(value, dtype=float)
-        shape = (self.dim,) * self.valency.order
-        if value.shape != shape:
-            raise ShapeError(
-                f"field returned shape {value.shape}, expected {shape}"
-            )
-        return value
+        values, failures = self.evaluate_batch(_point(point, self.dim)[None], t)
+        _raise_first(failures)
+        return values[0]
 
     def evaluate(self, point, t: float | None = None) -> DenseTensor:
         return DenseTensor(self.valency, self.dim, self.evaluate_array(point, t))
@@ -165,13 +255,10 @@ class TensorField:
         if self._partials is None:
             return None
         point = np.asarray(point, dtype=float)
-        table = np.asarray(self._call(self._partials, point, t), dtype=float)
-        shape = (self.dim,) + (self.dim,) * self.valency.order
-        if table.shape != shape:
-            raise ShapeError(
-                f"partials returned shape {table.shape}, expected {shape}"
-            )
-        return table
+        values, failures = self._rows(self._partials, point[None], t,
+                                      (self.dim,) + self._shape, "partials")
+        _raise_first(failures)
+        return values[0]
 
     def __repr__(self):
         return (f"TensorField(r={self.valency.r}, s={self.valency.s}, "
@@ -188,34 +275,145 @@ def _probe(evaluate, point: np.ndarray, t):
         raise DomainError(f"field evaluation failed at {point.tolist()}: {exc}") from exc
 
 
-def _first_derivative(evaluate, point: np.ndarray, axis: int, t,
-                      scheme: DifferentiationScheme) -> np.ndarray:
-    h = scheme.first_step(point[axis])
-    e = np.zeros_like(point)
-    e[axis] = 1.0
-    if scheme.order == 2:
-        return (_probe(evaluate, point + h * e, t)
-                - _probe(evaluate, point - h * e, t)) / (2.0 * h)
-    return (-_probe(evaluate, point + 2 * h * e, t)
-            + 8.0 * _probe(evaluate, point + h * e, t)
-            - 8.0 * _probe(evaluate, point - h * e, t)
-            + _probe(evaluate, point - 2 * h * e, t)) / (12.0 * h)
+# -- finite differences ------------------------------------------------------------
+
+# Central-difference stencils (Fornberg 1988, Math. Comp. 51) as a
+# denominator and (offset in steps, integer weight) pairs: the derivative is
+# sum(weight * f(x + offset * h)) / (denominator * h), with h * h for a
+# second derivative. A mixed second partial nests two first-derivative
+# stencils: the outer along axis i with the second-derivative step, the
+# inner along j with the first-derivative step.
+_FIRST_STENCIL = {2: (2.0, ((1, 1), (-1, -1))),
+                  4: (12.0, ((2, -1), (1, 8), (-1, -8), (-2, 1)))}
+_PURE_STENCIL = {2: (1.0, ((1, 1), (0, -2), (-1, 1))),
+                 4: (12.0, ((2, -1), (1, 16), (0, -30), (-1, 16), (-2, -1)))}
 
 
-def _pure_second(evaluate, point: np.ndarray, axis: int, t,
-                 scheme: DifferentiationScheme) -> np.ndarray:
-    h = scheme.second_step(point[axis])
-    e = np.zeros_like(point)
-    e[axis] = 1.0
-    center = _probe(evaluate, point, t)
-    if scheme.order == 2:
-        return (_probe(evaluate, point + h * e, t) - 2.0 * center
-                + _probe(evaluate, point - h * e, t)) / (h * h)
-    return (-_probe(evaluate, point + 2 * h * e, t)
-            + 16.0 * _probe(evaluate, point + h * e, t)
-            - 30.0 * center
-            + 16.0 * _probe(evaluate, point - h * e, t)
-            - _probe(evaluate, point - 2 * h * e, t)) / (12.0 * h * h)
+@functools.lru_cache(maxsize=None)
+def _stencil_table(dim: int, order: int, first: bool, second: bool, fixed: bool):
+    """Distinct probes and weights for the requested partials.
+
+    Steps live in columns of an (N, 1 + 2 dim) array: column 0 is 1.0, then
+    the first-derivative step per axis, then the second-derivative step
+    (the same columns when the step is fixed, so shared probes merge).
+    Probe p sits at x + mult[p] * steps[:, col[p]]. Derivative d is
+    sum_k weight[d, k] * f(probe index[d, k]) / (denom[d] * steps[:, ca[d]]
+    * steps[:, cb[d]]), rows padded with zero weights. Derivatives come in
+    order: first partials per axis, then second partials for ``pairs``.
+    """
+    def first_col(a):
+        return 1 + a
+
+    def second_col(a):
+        return 1 + a if fixed else 1 + dim + a
+
+    probes = {}
+    rows = []
+
+    def probe(moves):
+        key = tuple(moves.get(a, (0, 0)) for a in range(dim))
+        return probes.setdefault(key, len(probes))
+
+    if first:
+        denom, stencil = _FIRST_STENCIL[order]
+        for a in range(dim):
+            rows.append(([(probe({a: (m, first_col(a))}), w) for m, w in stencil],
+                          denom, first_col(a), 0))
+    pairs = []
+    if second:
+        pure_denom, pure = _PURE_STENCIL[order]
+        denom, stencil = _FIRST_STENCIL[order]
+        for i in range(dim):
+            for j in range(i, dim):
+                pairs.append((i, j))
+                if i == j:
+                    terms = [(probe({i: (m, second_col(i))} if m else {}), w)
+                             for m, w in pure]
+                    rows.append((terms, pure_denom, second_col(i), second_col(i)))
+                    continue
+                terms = [(probe({i: (mi, second_col(i)), j: (mj, first_col(j))}), wi * wj)
+                         for mi, wi in stencil for mj, wj in stencil]
+                rows.append((terms, denom * denom, second_col(i), first_col(j)))
+    keys = list(probes)
+    mult = np.array([[m for m, _ in key] for key in keys], dtype=float).reshape(-1, dim)
+    col = np.array([[c for _, c in key] for key in keys], dtype=int).reshape(-1, dim)
+    width = max(len(terms) for terms, *_ in rows)
+    index = np.zeros((len(rows), width), dtype=int)
+    weight = np.zeros((len(rows), width))
+    for d, (terms, *_) in enumerate(rows):
+        index[d, :len(terms)] = [p for p, _ in terms]
+        weight[d, :len(terms)] = [w for _, w in terms]
+    denom = np.array([row[1] for row in rows])
+    ca = np.array([row[2] for row in rows])
+    cb = np.array([row[3] for row in rows])
+    for array in (mult, col, index, weight, denom, ca, cb):
+        array.flags.writeable = False
+    return mult, col, index, weight, denom, ca, cb, tuple(pairs)
+
+
+def _differences(rows, points: np.ndarray, t, scheme: DifferentiationScheme,
+                 first: bool = True, second: bool = False):
+    """Central-difference partials of a function at every row of points.
+
+    ``rows(probes, t)`` evaluates the function at an (M, dim) array and
+    returns ``(values, failures)`` as TensorField.evaluate_batch does; it
+    is called once, on every distinct probe of every point. Returns
+    ``(d1, d2, failures)``: d1[n, q] the partials along q, d2[n, i, j] the
+    second partials (None when not asked for), and failures mapping a
+    point's row to the error at its first failing probe.
+    """
+    n, dim = points.shape
+    mult, col, index, weight, denom, ca, cb, pairs = _stencil_table(
+        dim, scheme.order, first, second, scheme.step is not None)
+    steps = np.concatenate([np.ones((n, 1)), scheme.first_step(points),
+                            scheme.second_step(points)], axis=1)
+    probes = points[:, None, :] + mult * steps[:, col]
+    values, probe_failures = rows(probes.reshape(-1, dim), t)
+    shape = values.shape[1:]
+    per_point = len(mult)
+    values = values.reshape(n, per_point, int(np.prod(shape)))[:, index]  # [n, d, k, c]
+    # cumsum adds in order along k, so each point's result is independent of n
+    total = np.cumsum(weight[:, :, None] * values, axis=2)[:, :, -1]
+    total /= (denom * steps[:, ca] * steps[:, cb])[:, :, None]
+    failures = {}
+    for row in sorted(probe_failures):
+        failures.setdefault(row // per_point, probe_failures[row])
+    d1 = total[:, :dim].reshape((n, dim) + shape) if first else None
+    d2 = None
+    if second:
+        d2 = np.empty((n, dim, dim) + shape)
+        offset = dim if first else 0
+        for d, (i, j) in enumerate(pairs):
+            d2[:, i, j] = d2[:, j, i] = total[:, offset + d].reshape((n,) + shape)
+    return d1, d2, failures
+
+
+def _partials(field: TensorField, points: np.ndarray, t, scheme: DifferentiationScheme,
+              first: bool = True, second: bool = False):
+    """First partials [n, q, ...] and second partials [n, i, j] of a field.
+
+    Analytic when the field carries partials (second partials then
+    difference those once and symmetrise), central differences otherwise.
+    Returns ``(d1, d2, failures)`` as _differences does.
+    """
+    shape = field._shape
+    if field._partials is None:
+        def rows(probes, tau):
+            return field._rows(field._func, probes, tau, shape, "field", probing=True)
+        return _differences(rows, points, t, scheme, first, second)
+    table_shape = (field.dim,) + shape
+    d1, d2, failures = None, None, {}
+    if first:
+        d1, failures = field._rows(field._partials, points, t, table_shape, "partials")
+    if second:
+        def rows(probes, tau):
+            return field._rows(field._partials, probes, tau, table_shape, "partials",
+                               probing=True)
+        d, _, more = _differences(rows, points, t, scheme)
+        d2 = (d + np.swapaxes(d, 1, 2)) / 2.0
+        for row, exc in more.items():
+            failures.setdefault(row, exc)
+    return d1, d2, failures
 
 
 def derivative_table(field: TensorField, point, t=None,
@@ -224,15 +422,9 @@ def derivative_table(field: TensorField, point, t=None,
 
     Analytic when the field carries partials, otherwise central FD.
     """
-    scheme = _scheme(scheme)
-    point = np.asarray(point, dtype=float)
-    table = field.partials_array(point, t)
-    if table is not None:
-        return table
-    return np.stack([
-        _first_derivative(field.evaluate_array, point, q, t, scheme)
-        for q in range(field.dim)
-    ])
+    d1, _, failures = _partials(field, _point(point, field.dim)[None], t, _scheme(scheme))
+    _raise_first(failures)
+    return d1[0]
 
 
 def nabla(field: TensorField, scheme: DifferentiationScheme | None = None) -> TensorField:
@@ -312,32 +504,10 @@ def divergence(field: TensorField, slot: int = 1,
 def _hessian(phi: TensorField, point: np.ndarray, t,
              scheme: DifferentiationScheme) -> np.ndarray:
     """Symmetric table of second partials of a scalar field."""
-    dim = phi.dim
-    hess = np.empty((dim, dim))
-    if phi.partials_array(point, t) is not None:
-        # differentiate the analytic first partials once
-        for i in range(dim):
-            row = _first_derivative(
-                lambda p, tau: phi.partials_array(p, tau), point, i, t, scheme)
-            hess[i, :] = row
-        return (hess + hess.T) / 2.0
-    for i in range(dim):
-        hess[i, i] = _pure_second(phi.evaluate_array, point, i, t, scheme)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            def inner(p, tau, j=j):
-                return _first_derivative(phi.evaluate_array, p, j, tau, scheme)
-            # nested first-derivative stencils, second-derivative step scale
-            hi = scheme.second_step(point[i])
-            e = np.zeros(dim)
-            e[i] = 1.0
-            if scheme.order == 2:
-                val = (inner(point + hi * e, t) - inner(point - hi * e, t)) / (2.0 * hi)
-            else:
-                val = (-inner(point + 2 * hi * e, t) + 8.0 * inner(point + hi * e, t)
-                       - 8.0 * inner(point - hi * e, t) + inner(point - 2 * hi * e, t)) / (12.0 * hi)
-            hess[i, j] = hess[j, i] = float(val)
-    return hess
+    _, d2, failures = _partials(phi, _point(point, phi.dim)[None], t, scheme,
+                                first=False, second=True)
+    _raise_first(failures)
+    return d2[0]
 
 
 def laplacian(g: "metric_mod.Metric", phi: TensorField,

@@ -44,23 +44,16 @@ class Metric:
         g = np.asarray(matrix, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ShapeError(f"metric must be a square matrix, got shape {g.shape}")
-        asym = float(np.max(np.abs(g - g.T))) if g.size else 0.0
-        scale = float(np.max(np.abs(g))) if g.size else 0.0
-        if asym > SYMMETRY_TOL * max(1.0, scale):
-            raise DegenerateMetric(f"metric is not symmetric (deviation {asym!r})")
-        g = (g + g.T) / 2.0
-        try:
-            chol = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise DegenerateMetric("metric is not positive definite")
-        dual = np.linalg.inv(g)
-        det = float(np.prod(np.diagonal(chol))) ** 2
+        g, dual, sqrt_det, failures = _gram_stack(g[None])
+        if failures:
+            raise failures[0]
+        g, dual = g[0], dual[0]
         g.flags.writeable = False
         dual.flags.writeable = False
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "dual", dual)
         object.__setattr__(self, "dim", g.shape[0])
-        object.__setattr__(self, "_sqrt_det", math.sqrt(det))
+        object.__setattr__(self, "_sqrt_det", float(sqrt_det[0]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Metric is immutable")
@@ -95,6 +88,41 @@ class Metric:
 
     def __repr__(self):
         return f"Metric(dim={self.dim})"
+
+
+def _gram_stack(g: np.ndarray):
+    """Metric data for a stack of square matrices g[n].
+
+    Returns ``(g, dual, sqrt_det, failures)``: each matrix symmetrised, its
+    inverse and sqrt(det g), and failures mapping the index of every matrix
+    that is not symmetric positive definite to its DegenerateMetric. A
+    failed matrix is replaced by the identity so that the others go on.
+    """
+    failures = {}
+    gt = np.swapaxes(g, 1, 2)
+    asym = np.abs(g - gt).max(axis=(1, 2), initial=0.0)
+    scale = np.abs(g).max(axis=(1, 2), initial=0.0)
+    g = (g + gt) / 2.0
+    asymmetric = asym > SYMMETRY_TOL * np.maximum(1.0, scale)
+    if asymmetric.any():
+        for n in np.flatnonzero(asymmetric):
+            failures[int(n)] = DegenerateMetric(
+                f"metric is not symmetric (deviation {float(asym[n])!r})")
+            g[n] = np.eye(g.shape[-1])
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        # a stacked factorization fails as a whole: find the culprits
+        chol = np.empty_like(g)
+        for n in range(len(g)):
+            try:
+                chol[n] = np.linalg.cholesky(g[n])
+            except np.linalg.LinAlgError:
+                failures[n] = DegenerateMetric("metric is not positive definite")
+                g[n] = chol[n] = np.eye(g.shape[-1])
+    dual = np.linalg.inv(g)
+    sqrt_det = np.sqrt(np.prod(np.diagonal(chol, axis1=1, axis2=2), axis=1) ** 2)
+    return g, dual, sqrt_det, failures
 
 
 def gram_from_basis(basis: Basis) -> Metric:

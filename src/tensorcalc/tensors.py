@@ -322,6 +322,23 @@ def _apply_to_axis(matrix: np.ndarray, array: np.ndarray, axis: int) -> np.ndarr
     return np.moveaxis(moved, 0, axis)
 
 
+def _invert_stack(matrices: np.ndarray):
+    """Inverses of a stack of square matrices, with invert_matrix's test.
+
+    Returns ``(inverses, failures)``; failures maps the index of every
+    singular matrix to its DegenerateTransition, and its inverse is left NaN.
+    """
+    det = np.linalg.det(matrices)
+    scale = np.prod(np.linalg.norm(matrices, axis=2), axis=1)
+    singular = (scale == 0.0) | (np.abs(det) <= SINGULAR_REL * scale)
+    failures = {int(n): DegenerateTransition(
+        f"matrix is singular within tolerance (det={float(det[n])!r})")
+        for n in np.flatnonzero(singular)}
+    inverses = np.full_like(matrices, np.nan)
+    inverses[~singular] = np.linalg.inv(matrices[~singular])
+    return inverses, failures
+
+
 def invert_matrix(matrix: np.ndarray) -> np.ndarray:
     """Inverse with an explicit scale-aware singularity check.
 
@@ -332,13 +349,10 @@ def invert_matrix(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {matrix.shape}")
-    det = float(np.linalg.det(matrix))
-    scale = float(np.prod(np.linalg.norm(matrix, axis=1)))
-    if scale == 0.0 or abs(det) <= SINGULAR_REL * scale:
-        raise DegenerateTransition(
-            f"matrix is singular within tolerance (det={det!r})"
-        )
-    return np.linalg.inv(matrix)
+    inverses, failures = _invert_stack(matrix[None])
+    if failures:
+        raise failures[0]
+    return inverses[0]
 
 
 class TransitionPair:

@@ -158,6 +158,19 @@ class TestChristoffel:
         # the regular point still contributes rows
         assert len(lines) > 1
 
+    def test_all_points_outside_domain_exits_four(self, capsys):
+        code, out, err = run(capsys, "christoffel", "--chart", "spherical",
+                             "--point", "0,1,1", "--point", "1,0,0.3")
+        assert code == 4
+        assert out == ""
+        assert err.splitlines() == [
+            "warning: skipping [0.0, 1.0, 1.0]: point [0.0, 1.0, 1.0] outside "
+            "domain of chart 'spherical'",
+            "warning: skipping [1.0, 0.0, 0.3]: point [1.0, 0.0, 0.3] outside "
+            "domain of chart 'spherical'",
+            "error: every sample point failed",
+        ]
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "christoffel", "--chart", "cylindrical",
                            "--point", "2,0,0", "--format", "json")
