@@ -23,11 +23,10 @@ JSON keys are sorted, and rows follow the sampling order. The --seed flag
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
-from typing import Optional
 
 import numpy as np
 
@@ -61,54 +60,33 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-@dataclass
-class RunConfig:
-    """Validated bag of options for one command invocation."""
+def _scheme(ns: argparse.Namespace) -> DifferentiationScheme:
+    return DifferentiationScheme(4 if ns.scheme == "central4" else 2, ns.step)
 
-    command: str
-    expr: Optional[str] = None
-    chart_name: Optional[str] = None
-    chart_file: Optional[str] = None
-    bindings_path: Optional[str] = None
-    field_path: Optional[str] = None
-    op: Optional[str] = None
-    slot: int = 1
-    dim: int = 3
-    grid: dict = dataclass_field(default_factory=dict)
-    points: list = dataclass_field(default_factory=list)
-    scheme_order: int = 2
-    step: Optional[float] = None
-    seed: int = 42
-    n_points: int = 100
-    out: Optional[str] = None
-    format: str = "csv"
-    explicit: bool = False
 
-    def scheme(self) -> DifferentiationScheme:
-        return DifferentiationScheme(self.scheme_order, self.step)
+def _chart(ns: argparse.Namespace) -> curvilinear.Chart:
+    if ns.chart_file:
+        return curvilinear.load_chart(ns.chart_file)
+    if ns.chart:
+        return curvilinear.builtin_chart(ns.chart)
+    raise ParameterError("no chart given; pass --chart or --chart-file")
 
-    def chart(self) -> curvilinear.Chart:
-        if self.chart_file:
-            return curvilinear.load_chart(self.chart_file)
-        if self.chart_name:
-            return curvilinear.builtin_chart(self.chart_name)
-        raise ParameterError("no chart given; pass --chart or --chart-file")
 
-    def sample_points(self) -> np.ndarray:
-        """(N, 3) points: --point flags, then the --grid product in row-major order."""
-        pts = [np.reshape(self.points, (-1, 3))]
-        if self.grid:
-            missing = sorted(set(range(3)) - set(self.grid))
-            if missing:
-                raise ParameterError(
-                    f"grid is missing axis {missing[0] + 1}; give all three axes")
-            axes = [np.linspace(*self.grid[a]) for a in range(3)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts.append(np.stack([m.ravel() for m in mesh], axis=1))
-        pts = np.concatenate(pts)
-        if not len(pts):
-            raise ParameterError("no evaluation points; pass --point or --grid")
-        return pts
+def _sample_points(ns: argparse.Namespace) -> np.ndarray:
+    """(N, 3) points: --point flags, then the --grid product in row-major order."""
+    pts = [np.reshape(ns.point, (-1, 3))]
+    if ns.grid:
+        missing = sorted(set(range(3)) - set(ns.grid))
+        if missing:
+            raise ParameterError(
+                f"grid is missing axis {missing[0] + 1}; give all three axes")
+        axes = [np.linspace(*ns.grid[a]) for a in range(3)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts.append(np.stack([m.ravel() for m in mesh], axis=1))
+    pts = np.concatenate(pts)
+    if not len(pts):
+        raise ParameterError("no evaluation points; pass --point or --grid")
+    return pts
 
 
 def _parse_grid_spec(text: str):
@@ -138,9 +116,9 @@ def _parse_point(text: str) -> np.ndarray:
     return np.array(values)
 
 
-def _emit(config: RunConfig, text: str):
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+def _emit(ns: argparse.Namespace, text: str):
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -238,11 +216,11 @@ def _csv(header: str, points: np.ndarray, table: np.ndarray, keep: np.ndarray,
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_check(config: RunConfig) -> int:
+def cmd_check(ns: argparse.Namespace) -> int:
     try:
-        expression = notation.parse(config.expr)
+        expression = notation.parse(ns.expr)
     except ParseError as exc:
-        _emit(config, _dump_json({
+        _emit(ns, _dump_json({
             "verdict": "parse-error",
             "message": str(exc),
             "position": exc.position,
@@ -250,41 +228,41 @@ def cmd_check(config: RunConfig) -> int:
         return EXIT_PARSE
     report = notation.validate(expression)
     text = _dump_json(report.as_dict())
-    if config.explicit and report.is_valid:
-        text += notation.explicit_form(expression, config.dim) + "\n"
-    _emit(config, text)
+    if ns.explicit and report.is_valid:
+        text += notation.explicit_form(expression, ns.dim) + "\n"
+    _emit(ns, text)
     return EXIT_OK if report.is_valid else EXIT_INVALID
 
 
-def cmd_eval(config: RunConfig) -> int:
+def cmd_eval(ns: argparse.Namespace) -> int:
     try:
-        expression = notation.parse(config.expr)
+        expression = notation.parse(ns.expr)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     try:
-        with open(config.bindings_path, "r", encoding="utf-8") as fh:
+        with open(ns.bindings, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         bindings = {name: DenseTensor.from_dict(record)
                     for name, record in raw.items()}
-        result = notation.evaluate(expression, bindings, config.dim)
+        result = notation.evaluate(expression, bindings, ns.dim)
     except (BindingError, ShapeError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BINDING
-    _emit(config, _dump_json(result.as_dict()))
+    _emit(ns, _dump_json(result.as_dict()))
     return EXIT_OK
 
 
-def cmd_christoffel(config: RunConfig) -> int:
-    chart = config.chart()
-    points = config.sample_points()
+def cmd_christoffel(ns: argparse.Namespace) -> int:
+    chart = _chart(ns)
+    points = _sample_points(ns)
     state = curvilinear.ChartPoints(chart, points, christoffel=True)
     if _report_failures(points, state.failures):
         return EXIT_DOMAIN
     gamma = state.gamma.reshape(len(state.index), 27)
     nonzero = np.abs(gamma) > 1e-12
     kij = [(k, i, j) for k in (1, 2, 3) for i in (1, 2, 3) for j in (1, 2, 3)]
-    if config.format == "json":
+    if ns.format == "json":
         rows, cols = np.nonzero(nonzero)
         ys = state.points.tolist()
         payload = [
@@ -292,10 +270,10 @@ def cmd_christoffel(config: RunConfig) -> int:
             for n, c, value in zip(rows.tolist(), cols.tolist(),
                                    gamma[rows, cols].tolist())
         ]
-        _emit(config, _dump_json(payload))
+        _emit(ns, _dump_json(payload))
     else:
         labels = ["%d,%d,%d," % idx for idx in kij]
-        _emit(config, _csv("y1,y2,y3,k,i,j,gamma", state.points, gamma, nonzero,
+        _emit(ns, _csv("y1,y2,y3,k,i,j,gamma", state.points, gamma, nonzero,
                            labels))
     return EXIT_OK
 
@@ -316,12 +294,11 @@ def _build_operator(op: str, chart, field_input: TensorField, slot: int,
     raise ParameterError(f"unknown operator {op!r}; choose from {_FIELD_OPS}")
 
 
-def cmd_field_op(config: RunConfig) -> int:
-    chart = config.chart()
-    field_input = load_field(config.field_path)
-    result = _build_operator(config.op, chart, field_input, config.slot,
-                             config.scheme())
-    points = config.sample_points()
+def cmd_field_op(ns: argparse.Namespace) -> int:
+    chart = _chart(ns)
+    field_input = load_field(ns.field)
+    result = _build_operator(ns.op, chart, field_input, ns.slot, _scheme(ns))
+    points = _sample_points(ns)
     values, failures = result.evaluate_batch(points)
     if _report_failures(points, failures):
         return EXIT_DOMAIN
@@ -331,18 +308,18 @@ def cmd_field_op(config: RunConfig) -> int:
     if not np.all(np.isfinite(values)):
         raise ShapeError("tensor components must all be finite")
     valency = result.valency
-    if config.format == "json":
+    if ns.format == "json":
         payload = [
             {"point": point, "tensor": {"r": valency.r, "s": valency.s, "dim": 3,
                                         "components": components}}
             for point, components in zip(points.tolist(),
                                          values.reshape(len(values), -1).tolist())
         ]
-        _emit(config, _dump_json(payload))
+        _emit(ns, _dump_json(payload))
     else:
         paths = [path + "," for path in _component_paths(valency)]
         table = values.reshape(len(values), -1)
-        _emit(config, _csv("x1,x2,x3,component-path,value", points, table,
+        _emit(ns, _csv("x1,x2,x3,component-path,value", points, table,
                            np.ones(table.shape, dtype=bool), paths))
     return EXIT_OK
 
@@ -381,18 +358,18 @@ def _audit_checks(chart, points, scheme) -> list:
     ]
 
 
-def cmd_audit(config: RunConfig) -> int:
-    chart = config.chart()
-    rng = np.random.default_rng(config.seed)
-    lines = [f"audit of chart '{chart.name}' at {config.n_points} points (seed {config.seed})"]
+def cmd_audit(ns: argparse.Namespace) -> int:
+    chart = _chart(ns)
+    rng = np.random.default_rng(ns.seed)
+    lines = [f"audit of chart '{chart.name}' at {ns.points} points (seed {ns.seed})"]
     breached = False
     try:
-        points = chart.sample_points(config.n_points, rng)
-        checks = _audit_checks(chart, points, config.scheme())
+        points = chart.sample_points(ns.points, rng)
+        checks = _audit_checks(chart, points, _scheme(ns))
     except (DomainError, DegenerateTransition, DegenerateMetric, ShapeError) as exc:
         lines.append(f"check aborted: {exc}")
         lines.append("verdict: FAIL")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(ns, "\n".join(lines) + "\n")
         return EXIT_AUDIT
     for name, residual, tolerance in checks:
         status = "ok" if residual <= tolerance else "BREACH"
@@ -400,13 +377,14 @@ def cmd_audit(config: RunConfig) -> int:
         lines.append(f"{name}: max residual {_fmt(residual)} "
                      f"(tolerance {_fmt(tolerance)}) {status}")
     lines.append("verdict: " + ("FAIL" if breached else "PASS"))
-    _emit(config, "\n".join(lines) + "\n")
+    _emit(ns, "\n".join(lines) + "\n")
     return EXIT_AUDIT if breached else EXIT_OK
 
 
 # -- argument parsing --------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensorcalc",
@@ -475,36 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=ns.command)
-    config.expr = getattr(ns, "expr", None)
-    config.chart_name = getattr(ns, "chart", None)
-    config.chart_file = getattr(ns, "chart_file", None)
-    config.bindings_path = getattr(ns, "bindings", None)
-    config.field_path = getattr(ns, "field", None)
-    config.op = getattr(ns, "op", None)
-    config.slot = getattr(ns, "slot", 1)
-    config.dim = getattr(ns, "dim", 3)
-    config.out = getattr(ns, "out", None)
-    config.format = getattr(ns, "format", "csv")
-    config.explicit = getattr(ns, "explicit", False)
-    config.seed = getattr(ns, "seed", 42)
-    config.n_points = getattr(ns, "points", 100)
-    scheme_name = getattr(ns, "scheme", "central2")
-    config.scheme_order = 4 if scheme_name == "central4" else 2
-    config.step = getattr(ns, "step", None)
-    for spec in getattr(ns, "grid", []):
-        axis, span = _parse_grid_spec(spec)
-        config.grid[axis] = span
-    for text in getattr(ns, "point", []):
-        config.points.append(_parse_point(text))
-    return config
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits on usage errors and --help; keep the int contract
         return int(exc.code) if exc.code else 0
@@ -516,12 +467,11 @@ def main(argv=None) -> int:
         "audit": cmd_audit,
     }
     try:
-        config = _config_from_args(ns)
-        return handlers[ns.command](config)
-    except (ParameterError, FileNotFoundError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except TensorCalcError as exc:
+        if "grid" in ns:  # sampling specs are checked before any other work
+            ns.grid = dict(_parse_grid_spec(spec) for spec in ns.grid)
+            ns.point = [_parse_point(text) for text in ns.point]
+        return handlers[ns.command](ns)
+    except (TensorCalcError, FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

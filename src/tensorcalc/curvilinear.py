@@ -28,6 +28,15 @@ point array once. The chart operators evaluate a point array in one pass
 through it (TensorField.evaluate_batch); a point that fails, outside the
 domain or at a degenerate transition or metric, fails alone, with the
 exception the single-point call raises.
+
+The Cartesian operators (nabla, gradient_covector, gradient_vector,
+divergence, laplacian, rotor, dalembert) are the chart operators on the
+flat chart x = L y of a constant metric g = L^T L, where Gamma = 0; the
+identity chart is the flat chart of the Euclidean metric (L = I).
+
+Dimension: Chart, ChartPoints and the chart operators work in any
+dimension. ChristoffelArray, the coefficient-table charts and fields, and
+the volume tensor of the rotor (Levi-Civita symbol) are 3-D only.
 """
 
 from __future__ import annotations
@@ -51,9 +60,11 @@ from .fields import (
     _batched,
     _differences,
     _is_batched,
+    _parameter_partial,
     _partials,
     _point,
     _raise_first,
+    _scheme,
 )
 from .frames import Basis
 from .metric import Metric, _gram_stack, levi_civita
@@ -72,10 +83,11 @@ __all__ = [
     "christoffel_alt", "covariant_derivative", "chart_to_chart_transform",
     "coordinate_line", "gradient_covector_in_chart", "gradient_vector_in_chart",
     "divergence_in_chart", "laplacian_in_chart", "rotor_in_chart",
+    "nabla", "gradient_covector", "gradient_vector", "divergence", "laplacian",
+    "dalembert", "rotor",
 ]
 
 _EPS = float(np.finfo(float).eps)
-_DSTEP = 1e-5  # FD step scale for Jacobian derivatives
 FD_CONSISTENCY_TOL = 1e-4
 ANALYTIC_CONSISTENCY_TOL = 1e-6
 
@@ -350,28 +362,40 @@ def _spherical() -> Chart:
     )
 
 
-def _identity() -> Chart:
-    eye = np.eye(3)
+def _flat_chart(g: Metric, name: str = "cartesian",
+                sample_bounds: Optional[Sequence] = None) -> Chart:
+    """Affine chart x = L y with L^T L = g, so that g is its metric.
+
+    L is the transposed Cholesky factor of g, so det L > 0 and the chart's
+    sqrt(det g) epsilon is volume_tensor(g). S = L and T = L^-1 at every
+    point, the second partials and the Christoffel symbols vanish, and there
+    is no domain.
+    """
+    L = np.linalg.cholesky(g.matrix).T
+    inv = np.linalg.inv(L)
+
+    def constant(value):
+        @_batched
+        def at(y):
+            return np.broadcast_to(value, np.shape(y)[:-1] + value.shape).copy()
+        return at
 
     @_batched
-    def same(y):
-        return np.array(y, dtype=float)
+    def forward(y):
+        return np.asarray(y, dtype=float) @ L.T
 
     @_batched
-    def unit(y):
-        return np.broadcast_to(eye, np.shape(y)[:-1] + (3, 3)).copy()
+    def inverse(x):
+        return np.asarray(x, dtype=float) @ inv.T
 
-    @_batched
-    def flat(y):
-        return np.zeros(np.shape(y)[:-1] + (3, 3, 3))
-
-    return Chart("identity", forward=same, inverse=same, jac_forward=unit,
-                 jac_inverse=unit, jac_forward_partials=flat,
-                 sample_bounds=((-2.0, 2.0),) * 3)
+    return Chart(name, forward, inverse, constant(L), constant(inv),
+                 constant(np.zeros((g.dim,) * 3)), sample_bounds=sample_bounds,
+                 dim=g.dim)
 
 
 _BUILTIN = {"cylindrical": _cylindrical, "spherical": _spherical,
-            "identity": _identity}
+            "identity": lambda: _flat_chart(Metric.euclidean(3), "identity",
+                                            ((-2.0, 2.0),) * 3)}
 
 
 def builtin_chart(name: str) -> Chart:
@@ -387,16 +411,22 @@ def builtin_chart(name: str) -> Chart:
 # -- Jacobi matrices at a point array --------------------------------------------
 
 
-def _fd_jacobian(mapping: Callable, points: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobians of a vector map at every row of points:
-    [n, i, j] = d mapping^i / d p^j."""
-    dim = points.shape[1]
+def _fd_jacobian(mapping: Callable, points: np.ndarray, shape: tuple | None = None,
+                 what: str = "chart map") -> np.ndarray:
+    """Central-difference derivatives of a map at every row of points, the
+    derivative index last: [n, ..., j] = d mapping(p)[...] / d p^j.
+
+    mapping returns ``shape`` values per point, by default a vector of the
+    point's dimension, so that [n, i, j] is the Jacobian. The step is
+    cbrt(eps) * max(1, |p_j|).
+    """
+    shape = points.shape[1:] if shape is None else shape
 
     def rows(probes, t):
-        return _map_rows(mapping, probes, (dim,), "chart map"), {}
+        return _map_rows(mapping, probes, shape, what), {}
 
     d1, _, _ = _differences(rows, points, None, DEFAULT_SCHEME)
-    return np.swapaxes(d1, 1, 2)
+    return np.moveaxis(d1, 1, -1)
 
 
 def _direct(chart: Chart, y: np.ndarray) -> np.ndarray:
@@ -420,15 +450,10 @@ def _second_partials(chart: Chart, y: np.ndarray) -> np.ndarray:
     if chart.jac_forward_partials is not None:
         return _map_rows(chart.jac_forward_partials, y, (dim,) * 3,
                          "jac_forward_partials")
-    eye = np.eye(dim)
     if chart.jac_forward is not None:
-        h = _DSTEP * np.maximum(1.0, np.abs(y))
-        signs = [s * eye[j] for j in range(dim) for s in (1.0, -1.0)]
-        jac = _map_rows(chart.jac_forward, np.concatenate([y + s * h for s in signs]),
-                        (dim, dim), "jac_forward").reshape(dim, 2, n, dim, dim)
-        return np.stack([(jac[j, 0] - jac[j, 1]) / (2.0 * h[:, j, None, None])
-                         for j in range(dim)], axis=-1)
+        return _fd_jacobian(chart.jac_forward, y, (dim, dim), "jac_forward")
     # no analytic Jacobian at all: second differences of the forward map
+    eye = np.eye(dim)
     h = _EPS ** 0.25 * np.maximum(1.0, np.abs(y))
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     signs = [np.zeros(dim)] + [s * eye[i] for i in range(dim) for s in (1.0, -1.0)]
@@ -588,8 +613,8 @@ def jacobian_derivative(chart: Chart, y) -> np.ndarray:
     """dS[q, i, j] = second partial d^2 x^q / dy^i dy^j of the forward map.
 
     Uses analytic second partials when supplied; otherwise central FD on
-    the analytic Jacobian with step 1e-5 * max(1, |y_j|); otherwise direct
-    second-difference stencils on the forward map.
+    the analytic Jacobian with step cbrt(eps) * max(1, |y_j|); otherwise
+    direct second-difference stencils on the forward map.
     """
     return _second_partials(chart, chart.require(y)[None])[0]
 
@@ -628,20 +653,15 @@ def christoffel(chart: Chart, y) -> ChristoffelArray:
 def christoffel_alt(chart: Chart, y) -> np.ndarray:
     """Alternative route: Gamma^k_ij = -sum_q S^q_i dT^k_q/dy^j.
 
-    dT/dy is taken by central FD on the inverse Jacobian; kept as a raw
-    array for cross-checking the main construction.
+    dT/dy is taken by central FD on the inverse Jacobian with step
+    cbrt(eps) * max(1, |y_j|); kept as a raw array for cross-checking the
+    main construction.
     """
-    y = chart.require(y)
-    S = jacobian_direct(chart, y)
+    y = chart.require(y)[None]
     dim = chart.dim
-    dT = np.empty((dim, dim, dim))
-    for j in range(dim):
-        h = _DSTEP * max(1.0, abs(y[j]))
-        e = np.zeros(dim)
-        e[j] = 1.0
-        dT[:, :, j] = (jacobian_inverse(chart, y + h * e)
-                       - jacobian_inverse(chart, y - h * e)) / (2.0 * h)
-    return -np.einsum("qi,kqj->kij", S, dT)
+    dT = _fd_jacobian(_batched(lambda p: _inverse(chart, p)), y, (dim, dim),
+                      "jac_inverse")
+    return -np.einsum("nqi,nkqj->nkij", _direct(chart, y), dT)[0]
 
 
 # -- covariant derivative --------------------------------------------------------
@@ -685,11 +705,12 @@ def covariant_derivative(chart: Chart, field: TensorField,
     """Gamma-corrected derivative of a field given in chart coordinates.
 
     Valency (r, s) -> (r, s+1) with the new covariant slot first among the
-    lower slots, matching the Cartesian nabla. Each upper slot contributes
-    +Gamma X, each lower slot -Gamma X; in the identity chart all
-    corrections vanish and this is exactly the fields-module nabla.
+    lower slots. Each upper slot contributes +Gamma X, each lower slot
+    -Gamma X; on a flat chart all corrections vanish, leaving the plain
+    partial derivative (nabla).
     """
-    scheme = scheme if scheme is not None else DEFAULT_SCHEME
+    _check_dim(chart, field)
+    scheme = _scheme(scheme)
     r, s = field.valency.r, field.valency.s
 
     @_batched
@@ -747,6 +768,12 @@ def coordinate_line(chart: Chart, y0, axis: int, values) -> np.ndarray:
 # -- vector calculus in a chart ---------------------------------------------------
 
 
+def _check_dim(chart: Chart, field: TensorField):
+    if field.dim != chart.dim:
+        raise ShapeError(f"field of dimension {field.dim} on chart {chart.name!r} "
+                         f"of dimension {chart.dim}")
+
+
 def gradient_covector_in_chart(chart: Chart, phi: TensorField,
                                scheme: DifferentiationScheme | None = None) -> TensorField:
     """Covariant gradient of a scalar; for scalars just the y-partials."""
@@ -760,7 +787,8 @@ def gradient_vector_in_chart(chart: Chart, phi: TensorField,
     """Gradient with the index raised by the chart metric."""
     if phi.valency.order != 0:
         raise ShapeError("gradient needs a scalar field")
-    scheme = scheme if scheme is not None else DEFAULT_SCHEME
+    _check_dim(chart, phi)
+    scheme = _scheme(scheme)
 
     @_batched
     def func(points, t=None):
@@ -780,7 +808,8 @@ def divergence_in_chart(chart: Chart, field: TensorField, slot: int = 1,
         raise ShapeError("divergence needs at least one upper slot")
     if not 1 <= slot <= r:
         raise ShapeError(f"upper slot {slot} out of range 1..{r}")
-    scheme = scheme if scheme is not None else DEFAULT_SCHEME
+    _check_dim(chart, field)
+    scheme = _scheme(scheme)
 
     @_batched
     def func(points, t=None):
@@ -801,7 +830,8 @@ def laplacian_in_chart(chart: Chart, phi: TensorField,
     """
     if phi.valency.order != 0:
         raise ShapeError("laplacian needs a scalar field")
-    scheme = scheme if scheme is not None else DEFAULT_SCHEME
+    _check_dim(chart, phi)
+    scheme = _scheme(scheme)
 
     @_batched
     def func(points, t=None):
@@ -821,7 +851,8 @@ def rotor_in_chart(chart: Chart, field: TensorField,
         raise ShapeError("rotor needs a vector field")
     if field.dim != 3:
         raise ShapeError("rotor is defined for dimension 3")
-    scheme = scheme if scheme is not None else DEFAULT_SCHEME
+    _check_dim(chart, field)
+    scheme = _scheme(scheme)
     epsilon = levi_civita()
 
     @_batched
@@ -835,6 +866,80 @@ def rotor_in_chart(chart: Chart, field: TensorField,
 
     return TensorField(Valency(1, 0), func, field.dim,
                        has_parameter=field.has_parameter)
+
+
+# -- Cartesian operators: the chart operators on a flat chart ----------------------
+
+
+def nabla(field: TensorField, scheme: DifferentiationScheme | None = None) -> TensorField:
+    """Derivative field: valency (r, s+1), new covariant slot first lower.
+
+    Component [i..., q, j...] holds the coordinate derivative along x^q of
+    component [i..., j...]: the covariant derivative on a flat chart.
+    """
+    return covariant_derivative(_flat_chart(Metric.euclidean(field.dim)), field, scheme)
+
+
+def gradient_covector(phi: TensorField,
+                      scheme: DifferentiationScheme | None = None) -> TensorField:
+    """a_q = derivative of the scalar along x^q, as a covector field."""
+    return gradient_covector_in_chart(_flat_chart(Metric.euclidean(phi.dim)), phi, scheme)
+
+
+def gradient_vector(g: Metric, phi: TensorField,
+                    scheme: DifferentiationScheme | None = None) -> TensorField:
+    """Index-raised gradient: component q is sum_i g^{qi} a_i."""
+    return gradient_vector_in_chart(_flat_chart(g), phi, scheme)
+
+
+def divergence(field: TensorField, slot: int = 1,
+               scheme: DifferentiationScheme | None = None) -> TensorField:
+    """Contraction of the derivative slot with the chosen upper slot."""
+    return divergence_in_chart(_flat_chart(Metric.euclidean(field.dim)), field, slot,
+                               scheme)
+
+
+def laplacian(g: Metric, phi: TensorField,
+              scheme: DifferentiationScheme | None = None) -> TensorField:
+    """Scalar field sum_ij g^{ij} (second partial i j of phi)."""
+    return laplacian_in_chart(_flat_chart(g), phi, scheme)
+
+
+def rotor(g: Metric, field: TensorField,
+          scheme: DifferentiationScheme | None = None) -> TensorField:
+    """Curl of a vector field: component r is sum g^{ri} w_ijk g^{jm} d_m X^k.
+
+    With the identity metric this is the familiar determinant rule; the
+    volume tensor w keeps it meaningful in any positively oriented skew
+    basis.
+    """
+    return rotor_in_chart(_flat_chart(g), field, scheme)
+
+
+def dalembert(c: float, phi: TensorField,
+              scheme: DifferentiationScheme | None = None) -> TensorField:
+    """(1/c^2) d2(phi)/dt2 minus the Euclidean laplacian of phi.
+
+    t is the external parameter, not a fourth coordinate. Static fields
+    have zero time derivative, so the operator degenerates to -laplacian.
+    """
+    if not c > 0:
+        raise ParameterError(f"wave speed must be positive, got {c}")
+    scheme = _scheme(scheme)
+    spatial = laplacian(Metric.euclidean(phi.dim), phi, scheme)
+
+    @_batched
+    def func(points, t=None):
+        lap, failures = spatial.evaluate_batch(points, t)
+        if not phi.has_parameter:
+            return -lap, failures
+        ptt, more = _parameter_partial(phi, points, t, scheme, second=True)
+        for row, exc in more.items():
+            failures.setdefault(row, exc)
+        return ptt / (c * c) - lap, dict(sorted(failures.items()))
+
+    return TensorField(Valency(0, 0), func, phi.dim,
+                       has_parameter=phi.has_parameter)
 
 
 # -- custom charts from coefficient tables ----------------------------------------

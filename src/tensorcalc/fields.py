@@ -1,15 +1,14 @@
-"""Tensor fields over Cartesian coordinates and the vector-calculus operators.
+"""Tensor fields and the finite-difference engine.
 
-A TensorField maps a coordinate triple (plus an optional external parameter
+A TensorField maps a coordinate point (plus an optional external parameter
 t) to a DenseTensor of fixed valency. Differentiation is analytic when the
 field supplies its partial derivatives and central finite differences
-otherwise. In this module the covariant derivative is the plain partial
-derivative, which is only valid in Cartesian coordinates with a constant
-metric; curvilinear charts get their Gamma-corrected version in the
-curvilinear module.
+otherwise: one stencil table covers first, pure second and mixed partials,
+and a whole point array is differenced with one call of the field.
 
-The derivative of an (r, s) field has valency (r, s+1) and the new
-covariant slot comes FIRST among the lower slots.
+The vector-calculus operators live in the curvilinear module: the Cartesian
+ones (nabla, gradient, divergence, laplacian, rotor, dalembert) are the
+chart operators on a flat chart, where the Christoffel symbols vanish.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import functools
 
 import numpy as np
 
-from . import metric as metric_mod
 from .errors import (
     DegenerateMetric,
     DegenerateTransition,
@@ -28,11 +26,8 @@ from .errors import (
 )
 from .tensors import DEFAULT_DIM, DenseTensor, Valency
 
-__all__ = [
-    "DifferentiationScheme", "TensorField", "nabla", "parameter_derivative",
-    "gradient_covector", "gradient_vector", "divergence", "laplacian",
-    "dalembert", "rotor",
-]
+__all__ = ["DifferentiationScheme", "TensorField", "derivative_table",
+           "parameter_derivative"]
 
 _EPS = float(np.finfo(float).eps)
 _FIRST_STEP = _EPS ** (1.0 / 3.0)
@@ -120,7 +115,7 @@ def _scheme(scheme) -> DifferentiationScheme:
 
 
 class TensorField:
-    """Field of fixed-valency tensors over Cartesian coordinates.
+    """Field of fixed-valency tensors over a coordinate space.
 
     Parameters
     ----------
@@ -263,16 +258,6 @@ class TensorField:
     def __repr__(self):
         return (f"TensorField(r={self.valency.r}, s={self.valency.s}, "
                 f"dim={self.dim}{', t' if self.has_parameter else ''})")
-
-
-def _probe(evaluate, point: np.ndarray, t):
-    """Evaluate at a displaced probe point, mapping failures to DomainError."""
-    try:
-        return evaluate(point, t)
-    except DomainError:
-        raise
-    except (ArithmeticError, ValueError) as exc:
-        raise DomainError(f"field evaluation failed at {point.tolist()}: {exc}") from exc
 
 
 # -- finite differences ------------------------------------------------------------
@@ -427,78 +412,6 @@ def derivative_table(field: TensorField, point, t=None,
     return d1[0]
 
 
-def nabla(field: TensorField, scheme: DifferentiationScheme | None = None) -> TensorField:
-    """Derivative field: valency (r, s+1), new covariant slot first lower.
-
-    Component [i..., q, j...] holds the coordinate derivative along x^q of
-    component [i..., j...]. Plain partials: valid for Cartesian coordinates
-    only.
-    """
-    scheme = _scheme(scheme)
-    r = field.valency.r
-    out = Valency(field.valency.r, field.valency.s + 1)
-
-    def func(point, t=None):
-        table = derivative_table(field, point, t, scheme)
-        return np.moveaxis(table, 0, r)
-
-    return TensorField(out, func, field.dim, has_parameter=field.has_parameter)
-
-
-def parameter_derivative(field: TensorField, t0: float,
-                         scheme: DifferentiationScheme | None = None) -> TensorField:
-    """d(field)/dt at t = t0, a parameter-free field of the same valency."""
-    scheme = _scheme(scheme)
-    if not field.has_parameter:
-        zero = DenseTensor.zeros(field.valency, field.dim)
-        return TensorField.constant(zero)
-
-    def func(point):
-        h = scheme.first_step(t0)
-        def at(tau):
-            return _probe(field.evaluate_array, np.asarray(point, dtype=float), tau)
-        if scheme.order == 2:
-            return (at(t0 + h) - at(t0 - h)) / (2.0 * h)
-        return (-at(t0 + 2 * h) + 8.0 * at(t0 + h)
-                - 8.0 * at(t0 - h) + at(t0 - 2 * h)) / (12.0 * h)
-
-    return TensorField(field.valency, func, field.dim)
-
-
-def gradient_covector(phi: TensorField,
-                      scheme: DifferentiationScheme | None = None) -> TensorField:
-    """a_q = derivative of the scalar along x^q, as a covector field."""
-    if phi.valency.order != 0:
-        raise ShapeError("gradient needs a scalar field")
-    return nabla(phi, scheme)
-
-
-def gradient_vector(g: "metric_mod.Metric", phi: TensorField,
-                    scheme: DifferentiationScheme | None = None) -> TensorField:
-    """Index-raised gradient: component q is sum_i g^{qi} a_i."""
-    covector = gradient_covector(phi, scheme)
-
-    def func(point, t=None):
-        return g.dual @ covector.evaluate_array(point, t)
-
-    return TensorField(Valency(1, 0), func, phi.dim,
-                       has_parameter=phi.has_parameter)
-
-
-def divergence(field: TensorField, slot: int = 1,
-               scheme: DifferentiationScheme | None = None) -> TensorField:
-    """Contraction of the derivative slot with the chosen upper slot."""
-    if field.valency.r < 1:
-        raise ShapeError("divergence needs at least one upper slot")
-    if not 1 <= slot <= field.valency.r:
-        raise ShapeError(f"upper slot {slot} out of range 1..{field.valency.r}")
-    grad = nabla(field, scheme)
-
-    def func(point, t=None):
-        return grad.evaluate(point, t).contract(slot, 1).array
-
-    return TensorField(Valency(field.valency.r - 1, field.valency.s),
-                       func, field.dim, has_parameter=field.has_parameter)
 
 
 def _hessian(phi: TensorField, point: np.ndarray, t,
@@ -510,74 +423,42 @@ def _hessian(phi: TensorField, point: np.ndarray, t,
     return d2[0]
 
 
-def laplacian(g: "metric_mod.Metric", phi: TensorField,
-              scheme: DifferentiationScheme | None = None) -> TensorField:
-    """Scalar field sum_ij g^{ij} (second partial i j of phi)."""
-    if phi.valency.order != 0:
-        raise ShapeError("laplacian needs a scalar field")
-    scheme = _scheme(scheme)
+def _parameter_partial(field: TensorField, points: np.ndarray, t: float,
+                       scheme: DifferentiationScheme, second: bool = False):
+    """d/dt of a field (d2/dt2 when second) at t, at every row of points.
 
-    def func(point, t=None):
-        hess = _hessian(phi, np.asarray(point, dtype=float), t, scheme)
-        return float(np.sum(g.dual * hess))
-
-    return TensorField(Valency(0, 0), func, phi.dim,
-                       has_parameter=phi.has_parameter)
-
-
-def dalembert(c: float, phi: TensorField,
-              scheme: DifferentiationScheme | None = None) -> TensorField:
-    """(1/c^2) d2(phi)/dt2 minus the Euclidean laplacian of phi.
-
-    t is the external parameter, not a fourth coordinate. Static fields
-    have zero time derivative, so the operator degenerates to -laplacian.
+    The t value is the one-column point array of _differences; each of its
+    probes evaluates the field over all points. Returns ``(values,
+    failures)`` as TensorField.evaluate_batch does, a point failing at its
+    first failing probe.
     """
-    if not c > 0:
-        raise ParameterError(f"wave speed must be positive, got {c}")
+    failures = {}
+
+    def rows(taus, _):
+        values = []
+        for tau in taus[:, 0]:
+            value, more = field._rows(field._func, points, tau, field._shape, "field",
+                                      probing=True)
+            values.append(value)
+            for row, exc in more.items():
+                failures.setdefault(row, exc)
+        return np.stack(values), {}
+
+    d1, d2, _ = _differences(rows, np.array([[float(t)]]), None, scheme,
+                             first=not second, second=second)
+    return (d2[0, 0, 0] if second else d1[0, 0]), dict(sorted(failures.items()))
+
+
+def parameter_derivative(field: TensorField, t0: float,
+                         scheme: DifferentiationScheme | None = None) -> TensorField:
+    """d(field)/dt at t = t0, a parameter-free field of the same valency."""
     scheme = _scheme(scheme)
-    g = metric_mod.Metric.euclidean(phi.dim)
-    lap = laplacian(g, phi, scheme)
+    if not field.has_parameter:
+        zero = DenseTensor.zeros(field.valency, field.dim)
+        return TensorField.constant(zero)
 
-    def func(point, t=None):
-        point = np.asarray(point, dtype=float)
-        spatial = lap.evaluate_array(point, t)
-        if not phi.has_parameter:
-            return -spatial
-        h = scheme.second_step(t)
-        if scheme.order == 2:
-            ptt = (phi.evaluate_array(point, t + h)
-                   - 2.0 * phi.evaluate_array(point, t)
-                   + phi.evaluate_array(point, t - h)) / (h * h)
-        else:
-            ptt = (-phi.evaluate_array(point, t + 2 * h)
-                   + 16.0 * phi.evaluate_array(point, t + h)
-                   - 30.0 * phi.evaluate_array(point, t)
-                   + 16.0 * phi.evaluate_array(point, t - h)
-                   - phi.evaluate_array(point, t - 2 * h)) / (12.0 * h * h)
-        return float(ptt) / (c * c) - spatial
+    @_batched
+    def func(points):
+        return _parameter_partial(field, points, t0, scheme)
 
-    return TensorField(Valency(0, 0), func, phi.dim,
-                       has_parameter=phi.has_parameter)
-
-
-def rotor(g: "metric_mod.Metric", field: TensorField,
-          scheme: DifferentiationScheme | None = None) -> TensorField:
-    """Curl of a vector field: component r is sum g^{ri} w_ijk g^{jm} d_m X^k.
-
-    With the identity metric this is the familiar determinant rule; the
-    volume tensor w keeps it meaningful in any positively oriented skew
-    basis.
-    """
-    if field.valency != Valency(1, 0):
-        raise ShapeError("rotor needs a vector field")
-    if field.dim != 3:
-        raise ShapeError("rotor is defined for dimension 3")
-    scheme = _scheme(scheme)
-    omega = metric_mod.volume_tensor(g).array
-
-    def func(point, t=None):
-        table = derivative_table(field, point, t, scheme)  # [q, k] = d_q X^k
-        return np.einsum("ri,ijk,jm,mk->r", g.dual, omega, g.dual, table)
-
-    return TensorField(Valency(1, 0), func, field.dim,
-                       has_parameter=field.has_parameter)
+    return TensorField(field.valency, func, field.dim)

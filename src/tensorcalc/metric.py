@@ -203,20 +203,15 @@ def volume_tensor(metric: Metric) -> DenseTensor:
     """omega_ijk = sqrt(det g) * epsilon_ijk as a (0,3) tensor."""
     if metric.dim != 3:
         raise UnsupportedDimension("volume tensor needs dimension 3")
-    det = metric.sqrt_det ** 2
-    if det <= 0.0:
-        raise DegenerateMetric("metric determinant must be positive")
     return DenseTensor(Valency(0, 3), 3, metric.sqrt_det * levi_civita())
 
 
 def dual_volume_tensor(metric: Metric) -> DenseTensor:
-    """omega^ijk = sqrt(det g^..) * epsilon^ijk as a (3,0) tensor."""
+    """omega^ijk = sqrt(det g^..) * epsilon^ijk = epsilon^ijk / sqrt(det g),
+    a (3,0) tensor."""
     if metric.dim != 3:
         raise UnsupportedDimension("volume tensor needs dimension 3")
-    dual_det = float(np.linalg.det(metric.dual))
-    if dual_det <= 0.0:
-        raise DegenerateMetric("dual metric determinant must be positive")
-    return DenseTensor(Valency(3, 0), 3, math.sqrt(dual_det) * levi_civita())
+    return DenseTensor(Valency(3, 0), 3, levi_civita() / metric.sqrt_det)
 
 
 def cross_product(metric: Metric, x, y) -> np.ndarray:

@@ -116,6 +116,17 @@ OPERATORS = {
     "nabla": lambda chart, scheme: covariant_derivative(chart, VECTOR, scheme),
     "nabla-g": lambda chart, scheme: covariant_derivative(chart, metric_field(chart), scheme),
 }
+# the Cartesian operators take no chart: the one drawn is not used
+SKEW = tc.Metric([[2.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 1.2]])
+OPERATORS.update({
+    "cartesian-laplace": lambda chart, scheme: tc.laplacian(SKEW, SCALAR, scheme),
+    "cartesian-laplace-plain": lambda chart, scheme: tc.laplacian(SKEW, PLAIN_SCALAR, scheme),
+    "cartesian-grad": lambda chart, scheme: tc.gradient_vector(SKEW, SCALAR, scheme),
+    "cartesian-div": lambda chart, scheme: tc.divergence(VECTOR, 1, scheme),
+    "cartesian-rot": lambda chart, scheme: tc.rotor(SKEW, VECTOR, scheme),
+    "cartesian-nabla": lambda chart, scheme: tc.nabla(VECTOR, scheme),
+    "cartesian-dalembert": lambda chart, scheme: tc.dalembert(1.5, PLAIN_SCALAR, scheme),
+})
 SCHEMES = [DifferentiationScheme(2), DifferentiationScheme(4),
            DifferentiationScheme(2, step=1e-4)]
 

@@ -357,3 +357,44 @@ class TestCovariance:
             lhs = nabla(f_new).evaluate(p_new)
             rhs = nabla(f).evaluate(p_old).transform(pair, "old->new")
             assert np.max(np.abs(lhs.array - rhs.array)) < 1e-6
+
+
+class TestDimensionTwo:
+    # quadratic fields: central differences are exact up to rounding
+    G2 = Metric([[2.0, 0.6], [0.6, 1.0]])
+    A = np.array([[1.5, -0.4], [-0.4, 0.8]])
+    B = np.array([0.3, -1.1])
+    M = np.array([[0.7, 2.0], [-1.3, 0.4]])
+
+    def scalar(self):
+        return TensorField.scalar(lambda p: 0.5 * p @ self.A @ p + self.B @ p, dim=2)
+
+    @pytest.mark.parametrize("scheme", [None, DifferentiationScheme(4),
+                                        DifferentiationScheme(2, step=1e-3)])
+    def test_laplacian_is_the_dual_metric_trace_of_the_hessian(self, rng, scheme):
+        lap = laplacian(self.G2, self.scalar(), scheme)
+        want = np.sum(np.linalg.inv(self.G2.matrix) * self.A)
+        for p in rng.uniform(-2.0, 2.0, size=(5, 2)):
+            assert abs(lap.evaluate(p).item() - want) < 1e-6
+
+    @pytest.mark.parametrize("scheme", [None, DifferentiationScheme(4)])
+    def test_gradient_vector_raises_the_gradient(self, rng, scheme):
+        grad = gradient_vector(self.G2, self.scalar(), scheme)
+        assert grad.valency == Valency(1, 0) and grad.dim == 2
+        for p in rng.uniform(-2.0, 2.0, size=(5, 2)):
+            want = np.linalg.solve(self.G2.matrix, self.A @ p + self.B)
+            assert np.allclose(grad.evaluate(p).array, want, rtol=0.0, atol=1e-7)
+
+    def test_divergence_of_a_linear_field_is_its_trace(self, rng):
+        field = TensorField.vector(lambda p: self.M @ p + self.B, dim=2)
+        div = divergence(field)
+        for p in rng.uniform(-2.0, 2.0, size=(5, 2)):
+            assert abs(div.evaluate(p).item() - np.trace(self.M)) < 1e-8
+
+
+class TestDimensionMismatch:
+    def test_metric_and_field_dimensions_must_agree(self):
+        phi = TensorField.scalar(lambda p: p[0] * p[1], dim=2)
+        for build in (laplacian, gradient_vector):
+            with pytest.raises(ShapeError, match="dimension 2.*dimension 3"):
+                build(EUCLID, phi)
