@@ -42,7 +42,7 @@ from .errors import (
     TensorCalcError,
     ValidationError,
 )
-from .fields import DifferentiationScheme, TensorField, _batched, _raise_first
+from .fields import DifferentiationScheme, TensorField, _batched, _map_rows, _raise_first
 from .tensors import DenseTensor, Valency
 
 EXIT_OK = 0
@@ -335,8 +335,10 @@ def _audit_checks(chart, points, scheme) -> list:
     sym_tol = 1e-9 if analytic else 1e-5
     conc_tol = 1e-6 if analytic else 1e-4
 
-    x = curvilinear._map_rows(chart.forward, points, (chart.dim,), "forward")
-    back = curvilinear._map_rows(chart.inverse, x, (chart.dim,), "inverse")
+    x, failures = _map_rows(chart.forward, points, (chart.dim,), "forward")
+    _raise_first(failures)
+    back, failures = _map_rows(chart.inverse, x, (chart.dim,), "inverse")
+    _raise_first(failures)
     roundtrip = float(np.max(np.abs(back - points), initial=0.0))
     state = curvilinear.ChartPoints(chart, points, christoffel=True)
     _raise_first(state.failures)

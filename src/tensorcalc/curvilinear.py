@@ -26,8 +26,9 @@ fail fast with DomainError.
 ChartPoints computes S, T, the metric and the Christoffel symbols of a
 point array once. The chart operators evaluate a point array in one pass
 through it (TensorField.evaluate_batch); a point that fails, outside the
-domain or at a degenerate transition or metric, fails alone, with the
-exception the single-point call raises.
+domain, at a degenerate transition or metric, or in a chart callable (see
+fields._map_rows), fails alone, with the exception the single-point call
+raises.
 
 The Cartesian operators (nabla, gradient_covector, gradient_vector,
 divergence, laplacian, rotor, dalembert) are the chart operators on the
@@ -52,6 +53,7 @@ from .errors import (
     DomainError,
     ParameterError,
     ShapeError,
+    TensorIndexError,
 )
 from .fields import (
     DEFAULT_SCHEME,
@@ -59,7 +61,8 @@ from .fields import (
     TensorField,
     _batched,
     _differences,
-    _is_batched,
+    _first_row,
+    _map_rows,
     _parameter_partial,
     _partials,
     _point,
@@ -87,30 +90,8 @@ __all__ = [
     "dalembert", "rotor",
 ]
 
-_EPS = float(np.finfo(float).eps)
 FD_CONSISTENCY_TOL = 1e-4
 ANALYTIC_CONSISTENCY_TOL = 1e-6
-
-
-def _map_rows(fn: Callable, points: np.ndarray, shape: tuple, what: str,
-              dtype=float) -> np.ndarray:
-    """A chart callable at every row of an (N, dim) array: (N,) + shape.
-
-    Callables the library marked take the whole array; others are called
-    once per row.
-    """
-    if _is_batched(fn):
-        out = np.asarray(fn(points), dtype=dtype)
-        if out.shape != (len(points),) + shape:
-            raise ShapeError(f"{what} returned shape {out.shape[1:]}, expected {shape}")
-        return out
-    out = np.empty((len(points),) + shape, dtype=dtype)
-    for n, point in enumerate(points):
-        value = np.asarray(fn(point), dtype=dtype)
-        if value.shape != shape:
-            raise ShapeError(f"{what} returned shape {value.shape}, expected {shape}")
-        out[n] = value
-    return out
 
 
 class Chart:
@@ -165,7 +146,7 @@ class Chart:
         inside = np.isfinite(points).all(axis=1)
         if self.domain is not None and inside.any():
             inside[inside] = _map_rows(self.domain, points[inside], (), "domain",
-                                       dtype=bool)
+                                       dtype=bool)[0]
         return inside
 
     def contains(self, y) -> bool:
@@ -226,7 +207,7 @@ class ChristoffelArray:
     def get(self, k: int, i: int, j: int) -> float:
         """Symbol with 1-based indices."""
         if not all(1 <= a <= 3 for a in (k, i, j)):
-            raise ShapeError("Christoffel indices run from 1 to 3")
+            raise TensorIndexError("Christoffel indices run from 1 to 3")
         return float(self.values[k - 1, i - 1, j - 1])
 
     def symmetry_residual(self) -> float:
@@ -412,64 +393,55 @@ def builtin_chart(name: str) -> Chart:
 
 
 def _fd_jacobian(mapping: Callable, points: np.ndarray, shape: tuple | None = None,
-                 what: str = "chart map") -> np.ndarray:
-    """Central-difference derivatives of a map at every row of points, the
-    derivative index last: [n, ..., j] = d mapping(p)[...] / d p^j.
+                 what: str = "chart map", second: bool = False):
+    """Central-difference derivatives of a map at every row of points.
 
-    mapping returns ``shape`` values per point, by default a vector of the
-    point's dimension, so that [n, i, j] is the Jacobian. The step is
-    cbrt(eps) * max(1, |p_j|).
+    Returns ``(values, failures)``, the derivative index last: values[n,
+    ..., j] = d mapping(p)[...] / d p^j. mapping returns ``shape`` values
+    per point, by default a vector of the point's dimension, so that [n, i,
+    j] is the Jacobian; the step is cbrt(eps) * max(1, |p_j|). When second,
+    values[n, q, i, j] = d^2 mapping(p)[q] / d p^i d p^j of a vector map,
+    with the step eps^(1/4) * max(1, |p|) on both axes. A point fails at
+    its first failing probe.
     """
     shape = points.shape[1:] if shape is None else shape
 
-    def rows(probes, t):
-        return _map_rows(mapping, probes, shape, what), {}
+    def rows(probes):
+        return _map_rows(mapping, probes, shape, what, probing=True)
 
-    d1, _, _ = _differences(rows, points, None, DEFAULT_SCHEME)
-    return np.moveaxis(d1, 1, -1)
+    d1, d2, failures = _differences(rows, points, DEFAULT_SCHEME, not second, second)
+    if second:  # contiguous: the Christoffel einsum is several times slower on a view
+        return np.ascontiguousarray(np.moveaxis(d2, -1, 1)), failures
+    return np.moveaxis(d1, 1, -1), failures
 
 
-def _direct(chart: Chart, y: np.ndarray) -> np.ndarray:
-    """S at every row: analytic when the chart has it, else central FD."""
+def _direct(chart: Chart, y: np.ndarray):
+    """S at every row, ``(values, failures)``: analytic when the chart has
+    it, else central FD."""
     if chart.jac_forward is not None:
         return _map_rows(chart.jac_forward, y, (chart.dim,) * 2, "jac_forward")
     return _fd_jacobian(chart.forward, y)
 
 
-def _inverse(chart: Chart, y: np.ndarray) -> np.ndarray:
-    """T at every row: analytic, else central FD on inverse at x(y)."""
+def _inverse(chart: Chart, y: np.ndarray):
+    """T at every row, ``(values, failures)``: analytic, else central FD on
+    inverse at x(y)."""
     if chart.jac_inverse is not None:
         return _map_rows(chart.jac_inverse, y, (chart.dim,) * 2, "jac_inverse")
-    x = _map_rows(chart.forward, y, (chart.dim,), "forward")
-    return _fd_jacobian(chart.inverse, x)
+    x, failures = _map_rows(chart.forward, y, (chart.dim,), "forward")
+    T, more = _fd_jacobian(chart.inverse, x)
+    return T, {**more, **failures}
 
 
-def _second_partials(chart: Chart, y: np.ndarray) -> np.ndarray:
-    """dS[n, q, i, j] at every row; see jacobian_derivative."""
-    n, dim = y.shape
+def _second_partials(chart: Chart, y: np.ndarray):
+    """dS[n, q, i, j] at every row, ``(values, failures)``; see
+    jacobian_derivative."""
+    dim = chart.dim
     if chart.jac_forward_partials is not None:
-        return _map_rows(chart.jac_forward_partials, y, (dim,) * 3,
-                         "jac_forward_partials")
+        return _map_rows(chart.jac_forward_partials, y, (dim,) * 3, "jac_forward_partials")
     if chart.jac_forward is not None:
         return _fd_jacobian(chart.jac_forward, y, (dim, dim), "jac_forward")
-    # no analytic Jacobian at all: second differences of the forward map
-    eye = np.eye(dim)
-    h = _EPS ** 0.25 * np.maximum(1.0, np.abs(y))
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    signs = [np.zeros(dim)] + [s * eye[i] for i in range(dim) for s in (1.0, -1.0)]
-    signs += [si * eye[i] + sj * eye[j] for i, j in pairs
-              for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
-    f = _map_rows(chart.forward, np.concatenate([y + s * h for s in signs]), (dim,),
-                  "forward").reshape(len(signs), n, dim)
-    dS = np.empty((n, dim, dim, dim))
-    for i in range(dim):
-        hi = h[:, i, None]
-        dS[:, :, i, i] = (f[1 + 2 * i] - 2.0 * f[0] + f[2 + 2 * i]) / (hi * hi)
-    for k, (i, j) in enumerate(pairs):
-        pp, pm, mp, mm = f[1 + 2 * dim + 4 * k:5 + 2 * dim + 4 * k]
-        dS[:, :, i, j] = dS[:, :, j, i] = (pp - pm - mp + mm) / (
-            4.0 * h[:, i, None] * h[:, j, None])
-    return dS
+    return _fd_jacobian(chart.forward, y, what="forward", second=True)
 
 
 class ChartPoints:
@@ -516,8 +488,9 @@ class ChartPoints:
         if transition or christoffel:
             self._transition()
         if christoffel:
-            dS = _second_partials(chart, self.points)
+            dS, failures = _second_partials(chart, self.points)
             self.gamma = np.einsum("nkq,nqij->nkij", self.T, dS)
+            self._drop(failures)
 
     def _drop(self, errors: dict):
         """Record errors[k] for every row k listed and drop those rows."""
@@ -534,7 +507,8 @@ class ChartPoints:
 
     def _frame(self) -> np.ndarray:
         if self.S is None:
-            self.S = _direct(self.chart, self.points)
+            self.S, failures = _direct(self.chart, self.points)
+            self._drop(failures)
         return self.S
 
     def _metric(self):
@@ -544,12 +518,14 @@ class ChartPoints:
 
     def _transition(self):
         chart = self.chart
-        S = self._frame()
-        T = _inverse(chart, self.points)
+        self._frame()
+        self.T, failures = _inverse(chart, self.points)
+        self._drop(failures)
+        S, T = self.S, self.T
         tol = ANALYTIC_CONSISTENCY_TOL if chart.analytic else FD_CONSISTENCY_TOL
         with np.errstate(invalid="ignore", over="ignore"):  # judged just below
             residual = np.abs(T @ S - np.eye(chart.dim)).max(axis=(1, 2), initial=0.0)
-        self.T, self.residual = T, residual
+        self.residual = residual
         bad = ~(residual <= tol)
         if bad.any():
             self._drop({k: DegenerateTransition(
@@ -588,12 +564,12 @@ def _at(chart: Chart, y, **stages) -> ChartPoints:
 
 def jacobian_direct(chart: Chart, y) -> np.ndarray:
     """S at y: analytic when the chart has it, else central FD on forward."""
-    return _direct(chart, chart.require(y)[None])[0]
+    return _first_row(*_direct(chart, chart.require(y)[None]))
 
 
 def jacobian_inverse(chart: Chart, y) -> np.ndarray:
     """T at the same point: analytic, else central FD on inverse at x(y)."""
-    return _inverse(chart, chart.require(y)[None])[0]
+    return _first_row(*_inverse(chart, chart.require(y)[None]))
 
 
 def jacobians(chart: Chart, y) -> TransitionPair:
@@ -614,9 +590,10 @@ def jacobian_derivative(chart: Chart, y) -> np.ndarray:
 
     Uses analytic second partials when supplied; otherwise central FD on
     the analytic Jacobian with step cbrt(eps) * max(1, |y_j|); otherwise
-    direct second-difference stencils on the forward map.
+    central second differences of the forward map, pure and mixed, with
+    step eps^(1/4) * max(1, |y_j|) along every axis.
     """
-    return _second_partials(chart, chart.require(y)[None])[0]
+    return _first_row(*_second_partials(chart, chart.require(y)[None]))
 
 
 # -- frame, metric, Christoffel -------------------------------------------------
@@ -659,9 +636,9 @@ def christoffel_alt(chart: Chart, y) -> np.ndarray:
     """
     y = chart.require(y)[None]
     dim = chart.dim
-    dT = _fd_jacobian(_batched(lambda p: _inverse(chart, p)), y, (dim, dim),
-                      "jac_inverse")
-    return -np.einsum("nqi,nkqj->nkij", _direct(chart, y), dT)[0]
+    dT = _first_row(*_fd_jacobian(_batched(lambda p: _inverse(chart, p)), y, (dim, dim),
+                                  "jac_inverse"))
+    return -np.einsum("qi,kqj->kij", _first_row(*_direct(chart, y)), dT)
 
 
 # -- covariant derivative --------------------------------------------------------
@@ -762,7 +739,9 @@ def coordinate_line(chart: Chart, y0, axis: int, values) -> np.ndarray:
     ys = np.repeat(y0[None], len(values), axis=0)
     ys[:, axis - 1] = values
     _raise_first(ChartPoints(chart, ys).failures)
-    return _map_rows(chart.forward, ys, (chart.dim,), "forward")
+    values, failures = _map_rows(chart.forward, ys, (chart.dim,), "forward")
+    _raise_first(failures)
+    return values
 
 
 # -- vector calculus in a chart ---------------------------------------------------

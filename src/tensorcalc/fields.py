@@ -61,6 +61,55 @@ def _raise_first(failures: dict):
         raise failures[min(failures)]
 
 
+def _first_row(values, failures: dict):
+    """Row 0 of a one-point batch, raising its failure if it has one."""
+    _raise_first(failures)
+    return values[0]
+
+
+def _map_rows(fn, points: np.ndarray, shape: tuple, what: str, args: tuple = (),
+              probing: bool = False, valency=None, dtype=float):
+    """fn(point, *args) at every row of an (N, dim) array: ``(values, failures)``.
+
+    values has shape (N,) + shape. A callable the library marked takes the
+    whole array and returns its values, or ``(values, failures)`` as
+    TensorField.evaluate_batch does. Any other is called once per row: a
+    point error raised there fails that row only, and when probing (finite
+    differences) so does an ArithmeticError or ValueError, as a DomainError
+    naming the probe. A failed row is NaN (False for a bool dtype). A
+    DenseTensor returned for a row must have the given valency.
+    """
+    if _is_batched(fn):
+        values = fn(points, *args)
+        values, failures = values if isinstance(values, tuple) else (values, {})
+        values = np.asarray(values, dtype=dtype)
+        if values.shape != (len(points),) + shape:
+            raise ShapeError(f"{what} returned shape {values.shape[1:]}, expected {shape}")
+        return values, failures
+    values = np.full((len(points),) + shape, np.nan if dtype is float else 0, dtype=dtype)
+    failures = {}
+    for n, point in enumerate(points):
+        try:
+            value = fn(point, *args)
+        except _POINT_ERRORS as exc:
+            failures[n] = exc
+            continue
+        except (ArithmeticError, ValueError) as exc:
+            if not probing:
+                raise
+            failures[n] = DomainError(f"{what} evaluation failed at {point.tolist()}: {exc}")
+            continue
+        if isinstance(value, DenseTensor):
+            if value.valency != valency or value.dim != len(point):
+                raise ShapeError(f"{what} returned a tensor of the wrong valency")
+            value = value.array
+        value = np.asarray(value, dtype=dtype)
+        if value.shape != shape:
+            raise ShapeError(f"{what} returned shape {value.shape}, expected {shape}")
+        values[n] = value
+    return values, failures
+
+
 def _point(point, dim: int) -> np.ndarray:
     point = np.asarray(point, dtype=float)
     if point.shape != (dim,):
@@ -176,52 +225,13 @@ class TensorField:
     def _shape(self) -> tuple:
         return (self.dim,) * self.valency.order
 
-    def _call(self, func, points: np.ndarray, t):
-        if self.has_parameter:
-            if t is None:
-                raise ParameterError("field depends on t; pass the parameter value")
-            return func(points, t)
-        return func(points)
-
-    def _rows(self, func, points: np.ndarray, t, shape: tuple, what: str,
-              probing: bool = False):
-        """func at every row of points: ``(values, failures)``.
-
-        A function the library marked takes the whole array. Any other is
-        called once per row; a point error raised there fails that row
-        only. When probing (finite differences), an ArithmeticError or
-        ValueError fails the row too, as a DomainError naming the probe.
-        """
-        if _is_batched(func):
-            values, failures = self._call(func, points, t)
-            values = np.asarray(values, dtype=float)
-            if values.shape != (len(points),) + shape:
-                raise ShapeError(f"{what} returned shape {values.shape[1:]}, "
-                                 f"expected {shape}")
-            return values, failures
-        values = np.full((len(points),) + shape, np.nan)
-        failures = {}
-        for n, point in enumerate(points):
-            try:
-                value = self._call(func, point, t)
-            except _POINT_ERRORS as exc:
-                failures[n] = exc
-                continue
-            except (ArithmeticError, ValueError) as exc:
-                if not probing:
-                    raise
-                failures[n] = DomainError(
-                    f"field evaluation failed at {point.tolist()}: {exc}")
-                continue
-            if isinstance(value, DenseTensor):
-                if value.valency != self.valency or value.dim != self.dim:
-                    raise ShapeError(f"{what} returned a tensor of the wrong valency")
-                value = value.array
-            value = np.asarray(value, dtype=float)
-            if value.shape != shape:
-                raise ShapeError(f"{what} returned shape {value.shape}, expected {shape}")
-            values[n] = value
-        return values, failures
+    def _args(self, t) -> tuple:
+        """The arguments after the point: (t,) when the field depends on t."""
+        if not self.has_parameter:
+            return ()
+        if t is None:
+            raise ParameterError("field depends on t; pass the parameter value")
+        return (t,)
 
     def evaluate_batch(self, points, t: float | None = None):
         """Components at every row of an (N, dim) point array.
@@ -235,12 +245,11 @@ class TensorField:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ShapeError(f"points shape {points.shape} does not match dim {self.dim}")
-        return self._rows(self._func, points, t, self._shape, "field")
+        return _map_rows(self._func, points, self._shape, "field", self._args(t),
+                         valency=self.valency)
 
     def evaluate_array(self, point, t: float | None = None) -> np.ndarray:
-        values, failures = self.evaluate_batch(_point(point, self.dim)[None], t)
-        _raise_first(failures)
-        return values[0]
+        return _first_row(*self.evaluate_batch(_point(point, self.dim)[None], t))
 
     def evaluate(self, point, t: float | None = None) -> DenseTensor:
         return DenseTensor(self.valency, self.dim, self.evaluate_array(point, t))
@@ -250,10 +259,8 @@ class TensorField:
         if self._partials is None:
             return None
         point = np.asarray(point, dtype=float)
-        values, failures = self._rows(self._partials, point[None], t,
-                                      (self.dim,) + self._shape, "partials")
-        _raise_first(failures)
-        return values[0]
+        return _first_row(*_map_rows(self._partials, point[None], (self.dim,) + self._shape,
+                                     "partials", self._args(t), valency=self.valency))
 
     def __repr__(self):
         return (f"TensorField(r={self.valency.r}, s={self.valency.s}, "
@@ -266,8 +273,8 @@ class TensorField:
 # denominator and (offset in steps, integer weight) pairs: the derivative is
 # sum(weight * f(x + offset * h)) / (denominator * h), with h * h for a
 # second derivative. A mixed second partial nests two first-derivative
-# stencils: the outer along axis i with the second-derivative step, the
-# inner along j with the first-derivative step.
+# stencils, along i and along j, both with the second-derivative step: its
+# round-off eps / (h_i h_j) then stays near sqrt(eps), as for a pure one.
 _FIRST_STENCIL = {2: (2.0, ((1, 1), (-1, -1))),
                   4: (12.0, ((2, -1), (1, 8), (-1, -8), (-2, 1)))}
 _PURE_STENCIL = {2: (1.0, ((1, 1), (0, -2), (-1, 1))),
@@ -281,10 +288,12 @@ def _stencil_table(dim: int, order: int, first: bool, second: bool, fixed: bool)
     Steps live in columns of an (N, 1 + 2 dim) array: column 0 is 1.0, then
     the first-derivative step per axis, then the second-derivative step
     (the same columns when the step is fixed, so shared probes merge).
-    Probe p sits at x + mult[p] * steps[:, col[p]]. Derivative d is
-    sum_k weight[d, k] * f(probe index[d, k]) / (denom[d] * steps[:, ca[d]]
-    * steps[:, cb[d]]), rows padded with zero weights. Derivatives come in
-    order: first partials per axis, then second partials for ``pairs``.
+    There are ``count`` probes, all at x except for ``moves`` = (probe,
+    axis, mult, col): move k shifts probe[k] along axis[k] by mult[k] *
+    steps[:, col[k]]. Derivative d is sum_k weight[d, k] * f(probe
+    index[d, k]) / (denom[d] * steps[:, ca[d]] * steps[:, cb[d]]), rows
+    padded with zero weights. The first partials are derivatives 0..dim-1;
+    derivative second[i, j] is the second partial along i and j.
     """
     def first_col(a):
         return 1 + a
@@ -295,8 +304,8 @@ def _stencil_table(dim: int, order: int, first: bool, second: bool, fixed: bool)
     probes = {}
     rows = []
 
-    def probe(moves):
-        key = tuple(moves.get(a, (0, 0)) for a in range(dim))
+    def probe(offsets):
+        key = tuple(offsets.get(a, (0, 0)) for a in range(dim))
         return probes.setdefault(key, len(probes))
 
     if first:
@@ -304,24 +313,25 @@ def _stencil_table(dim: int, order: int, first: bool, second: bool, fixed: bool)
         for a in range(dim):
             rows.append(([(probe({a: (m, first_col(a))}), w) for m, w in stencil],
                           denom, first_col(a), 0))
-    pairs = []
+    second_rows = np.zeros((dim, dim), dtype=int)
     if second:
         pure_denom, pure = _PURE_STENCIL[order]
         denom, stencil = _FIRST_STENCIL[order]
         for i in range(dim):
             for j in range(i, dim):
-                pairs.append((i, j))
+                second_rows[i, j] = second_rows[j, i] = len(rows)
                 if i == j:
                     terms = [(probe({i: (m, second_col(i))} if m else {}), w)
                              for m, w in pure]
                     rows.append((terms, pure_denom, second_col(i), second_col(i)))
                     continue
-                terms = [(probe({i: (mi, second_col(i)), j: (mj, first_col(j))}), wi * wj)
+                terms = [(probe({i: (mi, second_col(i)), j: (mj, second_col(j))}), wi * wj)
                          for mi, wi in stencil for mj, wj in stencil]
-                rows.append((terms, denom * denom, second_col(i), first_col(j)))
-    keys = list(probes)
-    mult = np.array([[m for m, _ in key] for key in keys], dtype=float).reshape(-1, dim)
-    col = np.array([[c for _, c in key] for key in keys], dtype=int).reshape(-1, dim)
+                rows.append((terms, denom * denom, second_col(i), second_col(j)))
+    moved = [(p, a, m, c) for p, key in enumerate(probes)
+             for a, (m, c) in enumerate(key) if m]
+    moves = tuple(np.array([move[k] for move in moved], dtype=float if k == 2 else int)
+                  for k in range(4))
     width = max(len(terms) for terms, *_ in rows)
     index = np.zeros((len(rows), width), dtype=int)
     weight = np.zeros((len(rows), width))
@@ -331,45 +341,46 @@ def _stencil_table(dim: int, order: int, first: bool, second: bool, fixed: bool)
     denom = np.array([row[1] for row in rows])
     ca = np.array([row[2] for row in rows])
     cb = np.array([row[3] for row in rows])
-    for array in (mult, col, index, weight, denom, ca, cb):
+    for array in moves + (index, weight, denom, ca, cb, second_rows):
         array.flags.writeable = False
-    return mult, col, index, weight, denom, ca, cb, tuple(pairs)
+    return len(probes), moves, index, weight, denom, ca, cb, second_rows
 
 
-def _differences(rows, points: np.ndarray, t, scheme: DifferentiationScheme,
+def _differences(rows, points: np.ndarray, scheme: DifferentiationScheme,
                  first: bool = True, second: bool = False):
     """Central-difference partials of a function at every row of points.
 
-    ``rows(probes, t)`` evaluates the function at an (M, dim) array and
+    ``rows(probes)`` evaluates the function at an (M, dim) array and
     returns ``(values, failures)`` as TensorField.evaluate_batch does; it
-    is called once, on every distinct probe of every point. Returns
-    ``(d1, d2, failures)``: d1[n, q] the partials along q, d2[n, i, j] the
-    second partials (None when not asked for), and failures mapping a
-    point's row to the error at its first failing probe.
+    is called once, on every distinct probe of every point, probe-major
+    (row p * N + m is probe p of point m). Returns ``(d1, d2, failures)``:
+    d1[n, q] the partials along q, d2[n, i, j] the second partials (None
+    when not asked for), and failures mapping a point's row to the error at
+    its first failing probe.
     """
     n, dim = points.shape
-    mult, col, index, weight, denom, ca, cb, pairs = _stencil_table(
-        dim, scheme.order, first, second, scheme.step is not None)
+    count, (probe, axis, mult, col), index, weight, denom, ca, cb, second_rows = (
+        _stencil_table(dim, scheme.order, first, second, scheme.step is not None))
     steps = np.concatenate([np.ones((n, 1)), scheme.first_step(points),
                             scheme.second_step(points)], axis=1)
-    probes = points[:, None, :] + mult * steps[:, col]
-    values, probe_failures = rows(probes.reshape(-1, dim), t)
+    # every probe coordinate is x + offset * h, offset 0 on the axes it keeps
+    probes = np.repeat(points[None] + 0.0, count, axis=0)  # [p, n, dim]
+    probes[probe, :, axis] += mult[:, None] * steps[:, col].T
+    values, probe_failures = rows(probes.reshape(-1, dim))
     shape = values.shape[1:]
-    per_point = len(mult)
-    values = values.reshape(n, per_point, int(np.prod(shape)))[:, index]  # [n, d, k, c]
-    # cumsum adds in order along k, so each point's result is independent of n
-    total = np.cumsum(weight[:, :, None] * values, axis=2)[:, :, -1]
-    total /= (denom * steps[:, ca] * steps[:, cb])[:, :, None]
+    values = values.reshape(count, n, int(np.prod(shape)))
+    # terms are added one at a time in stencil order, so each point's result
+    # does not depend on n
+    total = weight[:, 0, None, None] * values[index[:, 0]]  # [d, n, c]
+    for k in range(1, index.shape[1]):
+        total += weight[:, k, None, None] * values[index[:, k]]
+    total /= (denom[:, None] * steps[:, ca].T * steps[:, cb].T)[:, :, None]
     failures = {}
-    for row in sorted(probe_failures):
-        failures.setdefault(row // per_point, probe_failures[row])
+    for row in sorted(probe_failures, key=lambda row: (row % n, row)):
+        failures.setdefault(row % n, probe_failures[row])
+    total = total.swapaxes(0, 1)  # [n, d, c]
     d1 = total[:, :dim].reshape((n, dim) + shape) if first else None
-    d2 = None
-    if second:
-        d2 = np.empty((n, dim, dim) + shape)
-        offset = dim if first else 0
-        for d, (i, j) in enumerate(pairs):
-            d2[:, i, j] = d2[:, j, i] = total[:, offset + d].reshape((n,) + shape)
+    d2 = total[:, second_rows].reshape((n, dim, dim) + shape) if second else None
     return d1, d2, failures
 
 
@@ -381,20 +392,22 @@ def _partials(field: TensorField, points: np.ndarray, t, scheme: Differentiation
     difference those once and symmetrise), central differences otherwise.
     Returns ``(d1, d2, failures)`` as _differences does.
     """
-    shape = field._shape
+    args = field._args(t)
     if field._partials is None:
-        def rows(probes, tau):
-            return field._rows(field._func, probes, tau, shape, "field", probing=True)
-        return _differences(rows, points, t, scheme, first, second)
-    table_shape = (field.dim,) + shape
+        def rows(probes):
+            return _map_rows(field._func, probes, field._shape, "field", args,
+                             probing=True, valency=field.valency)
+        return _differences(rows, points, scheme, first, second)
+    table_shape = (field.dim,) + field._shape
     d1, d2, failures = None, None, {}
     if first:
-        d1, failures = field._rows(field._partials, points, t, table_shape, "partials")
+        d1, failures = _map_rows(field._partials, points, table_shape, "partials", args,
+                                 valency=field.valency)
     if second:
-        def rows(probes, tau):
-            return field._rows(field._partials, probes, tau, table_shape, "partials",
-                               probing=True)
-        d, _, more = _differences(rows, points, t, scheme)
+        def rows(probes):
+            return _map_rows(field._partials, probes, table_shape, "partials", args,
+                             probing=True, valency=field.valency)
+        d, _, more = _differences(rows, points, scheme)
         d2 = (d + np.swapaxes(d, 1, 2)) / 2.0
         for row, exc in more.items():
             failures.setdefault(row, exc)
@@ -434,17 +447,17 @@ def _parameter_partial(field: TensorField, points: np.ndarray, t: float,
     """
     failures = {}
 
-    def rows(taus, _):
+    def rows(taus):
         values = []
         for tau in taus[:, 0]:
-            value, more = field._rows(field._func, points, tau, field._shape, "field",
-                                      probing=True)
+            value, more = _map_rows(field._func, points, field._shape, "field", (tau,),
+                                    probing=True, valency=field.valency)
             values.append(value)
             for row, exc in more.items():
                 failures.setdefault(row, exc)
         return np.stack(values), {}
 
-    d1, d2, _ = _differences(rows, np.array([[float(t)]]), None, scheme,
+    d1, d2, _ = _differences(rows, np.array([[float(t)]]), scheme,
                              first=not second, second=second)
     return (d2[0, 0, 0] if second else d1[0, 0]), dict(sorted(failures.items()))
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateTransition, ShapeError
+from .errors import DegenerateTransition, ParameterError, ShapeError
 from .tensors import (
     DEFAULT_DIM,
     NEW_TO_OLD,
@@ -175,7 +175,7 @@ def transform_vector(x, pair: TransitionPair, direction: str = OLD_TO_NEW) -> np
         return pair.T @ x
     if direction == NEW_TO_OLD:
         return pair.S @ x
-    raise ShapeError(f"unknown direction {direction!r}")
+    raise ParameterError(f"unknown direction {direction!r}")
 
 
 def transform_covector(a, pair: TransitionPair, direction: str = OLD_TO_NEW) -> np.ndarray:
@@ -185,7 +185,7 @@ def transform_covector(a, pair: TransitionPair, direction: str = OLD_TO_NEW) -> 
         return pair.S.T @ a
     if direction == NEW_TO_OLD:
         return pair.T.T @ a
-    raise ShapeError(f"unknown direction {direction!r}")
+    raise ParameterError(f"unknown direction {direction!r}")
 
 
 def transform_operator(F, pair: TransitionPair, direction: str = OLD_TO_NEW) -> np.ndarray:
@@ -195,7 +195,7 @@ def transform_operator(F, pair: TransitionPair, direction: str = OLD_TO_NEW) -> 
         return pair.T @ F @ pair.S
     if direction == NEW_TO_OLD:
         return pair.S @ F @ pair.T
-    raise ShapeError(f"unknown direction {direction!r}")
+    raise ParameterError(f"unknown direction {direction!r}")
 
 
 def transform_bilinear(a, pair: TransitionPair, direction: str = OLD_TO_NEW) -> np.ndarray:
@@ -205,7 +205,7 @@ def transform_bilinear(a, pair: TransitionPair, direction: str = OLD_TO_NEW) -> 
         return pair.S.T @ a @ pair.S
     if direction == NEW_TO_OLD:
         return pair.T.T @ a @ pair.T
-    raise ShapeError(f"unknown direction {direction!r}")
+    raise ParameterError(f"unknown direction {direction!r}")
 
 
 # -- scalar-valued pairings and operator algebra -------------------------------

@@ -455,8 +455,9 @@ def evaluate(expression: IndexExpression,
 def explicit_form(expression: IndexExpression, dim: int = DEFAULT_DIM) -> str:
     """Render the equation with the implicit sums spelled out."""
     pieces = []
+    term_indices = validate(expression).term_indices
     for n, term in enumerate(expression.rhs):
-        classified = validate(expression).term_indices[n]
+        classified = term_indices[n]
         prefix = ""
         for letter in classified.summation:
             prefix += f"sum_{{{letter}=1..{dim}}} "

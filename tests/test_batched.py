@@ -236,6 +236,43 @@ def test_failing_probe_fails_only_its_point():
     assert abs(values[0] + 1.0) < 1e-4 and abs(values[2] + 0.25) < 1e-4
 
 
+def _one_sided_chart():
+    """Identity maps as plain callables; the inverse rejects x1 <= 0.
+
+    Only the finite-difference probes of the inverse cross x1 = 0 at a
+    point just right of it, so that point fails and its neighbours do not.
+    """
+    def inverse(x):
+        if x[0] <= 0.0:
+            raise DomainError(f"x1 = {x[0]!r} is not positive")
+        return x
+
+    return Chart("one-sided", lambda y: y, inverse)
+
+
+def test_failing_chart_callable_fails_only_its_point():
+    chart = _one_sided_chart()
+    points = np.array([[1.0, 0.0, 0.0], [1e-9, 0.0, 0.0], [0.5, 0.3, -0.2],
+                       [-1.0, 0.2, 0.0]])
+    state = ChartPoints(chart, points, christoffel=True)
+    assert sorted(state.failures) == [1, 3]
+    assert state.index.tolist() == [0, 2]
+    laplace = laplacian_in_chart(chart, PLAIN_SCALAR)
+    values, failures = laplace.evaluate_batch(points)
+    assert list(failures) == [1, 3]
+    for n, y in enumerate(points):
+        gamma, error = _single(lambda p: tc.christoffel(chart, p).values, y)
+        want, lap_error = _single(laplace.evaluate_array, y)
+        if error is None:
+            k = state.index.tolist().index(n)
+            _assert_close(state.gamma[k], gamma)
+            _assert_close(values[n], want)
+        else:
+            _assert_same_failure(state.failures[n], error)
+            _assert_same_failure(failures[n], lap_error)
+            assert np.isnan(values[n])
+
+
 def _closed_form(name, y):
     r, th = y[0], y[1]
     gamma = np.zeros((3, 3, 3))

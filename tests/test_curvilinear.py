@@ -12,6 +12,7 @@ from tensorcalc import (
     Metric,
     ParameterError,
     TensorField,
+    TensorIndexError,
     Valency,
     builtin_chart,
     chart_to_chart_transform,
@@ -33,6 +34,8 @@ from tensorcalc import (
     nabla,
     rotor_in_chart,
 )
+
+from test_batched import A as TABLE_A, B as TABLE_B, TABLE_CONFIG
 
 CYL = builtin_chart("cylindrical")
 SPH = builtin_chart("spherical")
@@ -202,6 +205,31 @@ class TestChristoffel:
                 got = jacobian_derivative(stripped, y)
                 want = jacobian_derivative(chart, y)
                 assert np.max(np.abs(got - want)) < 1e-5
+
+    def test_get_rejects_indices_outside_one_to_three(self):
+        got = christoffel(CYL, [2.0, 0.7, 0.0])
+        for k, i, j in ((0, 1, 1), (1, 4, 1), (1, 1, -1)):
+            with pytest.raises(TensorIndexError):
+                got.get(k, i, j)
+
+    @pytest.mark.parametrize("name", ["cylindrical", "spherical", "table"])
+    def test_second_differences_of_forward_map_match_closed_forms(self, name, rng):
+        # with only forward/inverse maps, jacobian_derivative is the second
+        # difference of the forward map
+        if name == "table":
+            chart = load_chart(TABLE_CONFIG)
+        else:
+            full = builtin_chart(name)
+            chart = tc.Chart(name + "-maps", full.forward, full.inverse,
+                             domain=full.domain, sample_bounds=full.sample_bounds)
+        for y in chart.sample_points(50, rng):
+            if name == "table":  # x = (y1 + a sin y2, y2, y3 + b y1^2)
+                want = np.zeros((3, 3, 3))
+                want[0, 1, 1] = -TABLE_A * math.sin(y[1])
+                want[2, 0, 0] = 2.0 * TABLE_B
+            else:
+                want = full.jac_forward_partials(y)
+            assert np.max(np.abs(jacobian_derivative(chart, y) - want)) < 1e-6
 
 
 class TestCovariantDerivative:

@@ -97,6 +97,37 @@ class TestScheme:
         assert e4b < e2b
 
 
+class TestSecondPartials:
+    @staticmethod
+    def trig_polynomial(p):
+        return (1.3 * p[0] ** 2 * np.sin(2.0 * p[1]) - 0.4 * p[0] * p[2]
+                + 0.8 * p[1] * np.cos(p[0]) * np.sin(p[2]))
+
+    @staticmethod
+    def hessian(p):
+        c0, s0, c2, s2 = np.cos(p[0]), np.sin(p[0]), np.cos(p[2]), np.sin(p[2])
+        h01 = 5.2 * p[0] * np.cos(2.0 * p[1]) - 0.8 * s0 * s2
+        h02 = -0.4 - 0.8 * p[1] * s0 * c2
+        h12 = 0.8 * c0 * c2
+        return np.array([[2.6 * np.sin(2.0 * p[1]) - 0.8 * p[1] * c0 * s2, h01, h02],
+                         [h01, -5.2 * p[0] ** 2 * np.sin(2.0 * p[1]), h12],
+                         [h02, h12, -0.8 * p[1] * c0 * s2]])
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_mixed_partials_match_closed_form(self, rng, order):
+        # both axes of a mixed stencil take the second-derivative step, so
+        # its round-off stays near sqrt(eps) as for the pure ones
+        phi = TensorField.scalar(self.trig_polynomial)
+        scheme = DifferentiationScheme(order)
+        mixed = ~np.eye(3, dtype=bool)
+        worst = 0.0
+        for p in rng.uniform(-2.0, 2.0, size=(1000, 3)):
+            want = self.hessian(p)[mixed]
+            got = tc.fields._hessian(phi, p, None, scheme)[mixed]
+            worst = max(worst, np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+        assert worst < 2e-7
+
+
 class TestNabla:
     def test_constant_field_has_zero_derivative(self, rng):
         f = TensorField.constant(

@@ -12,6 +12,7 @@ from tensorcalc import (
     CartesianSystem,
     DegenerateTransition,
     DenseTensor,
+    ParameterError,
     TransitionPair,
     change_point_coordinates,
     compose_transitions,
@@ -104,6 +105,16 @@ class TestSpecializedLaws:
                 tc.transform_bilinear(b, pair, direction),
                 DenseTensor.from_array(b, 0, 2).transform(pair, direction).array,
                 atol=1e-12)
+
+    def test_unknown_direction_rejected(self, rng):
+        # as DenseTensor.transform does
+        pair = random_pair(rng)
+        for transform, arg in ((tc.transform_vector, np.ones(3)),
+                               (tc.transform_covector, np.ones(3)),
+                               (tc.transform_operator, np.eye(3)),
+                               (tc.transform_bilinear, np.eye(3))):
+            with pytest.raises(ParameterError):
+                transform(arg, pair, "sideways")
 
     def test_operator_determinant_invariant(self, rng):
         for _ in range(10):
