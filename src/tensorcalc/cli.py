@@ -14,10 +14,18 @@ field-op); 5 audit tolerance breach.
 
 christoffel and field-op evaluate all their sample points as one array
 through the chart layer (curvilinear.ChartPoints, TensorField.evaluate_batch);
-a point that fails is skipped with a warning on stderr, in sampling order.
+a point that fails, or whose field-op value is not finite, is skipped with a
+warning on stderr, in sampling order.
 Output is deterministic: floats use the shortest round-trip representation,
 JSON keys are sorted, and rows follow the sampling order. The --seed flag
 (default 42) pins the audit's random points.
+
+Both commands write CSV through _csv, which memoises the text of each
+distinct nonzero float for the length of one table: a grid of n^3 points
+has only 3n distinct coordinates, and Christoffel symbols repeat along
+coordinates they do not depend on, so most values are formatted once.
+Zeros bypass the memo, since 0.0 and -0.0 are equal keys but print
+differently.
 """
 
 from __future__ import annotations
@@ -203,13 +211,20 @@ def _csv(header: str, points: np.ndarray, table: np.ndarray, keep: np.ndarray,
          labels: list) -> str:
     """CSV text with a row per point n and column c where keep[n, c],
     holding the point's coordinates, labels[c] and table[n, c]."""
-    # {x!r} is _fmt(x) inlined: this formats every row of a large table
-    prefixes = [f"{a!r},{b!r},{c!r}," for a, b, c in points.tolist()]
+    memo = {}
+    get = memo.get
+
+    def texts(values: list) -> list:
+        # zeros skip the memo: 0.0 == -0.0 but their reprs differ
+        return [(get(v) or memo.setdefault(v, repr(v))) if v else repr(v)
+                for v in values]
+
+    prefixes = [f"{a},{b},{c}," for a, b, c in zip(*map(texts, points.T.tolist()))]
     rows, cols = np.nonzero(keep)
     lines = [header]
-    lines += [f"{prefixes[n]}{labels[c]}{value!r}"
-              for n, c, value in zip(rows.tolist(), cols.tolist(),
-                                     table[rows, cols].tolist())]
+    lines += [f"{prefixes[n]}{labels[c]}{text}"
+              for n, c, text in zip(rows.tolist(), cols.tolist(),
+                                    texts(table[rows, cols].tolist()))]
     return "\n".join(lines) + "\n"
 
 
@@ -299,14 +314,14 @@ def cmd_field_op(ns: argparse.Namespace) -> int:
     field_input = load_field(ns.field)
     result = _build_operator(ns.op, chart, field_input, ns.slot, _scheme(ns))
     points = _sample_points(ns)
-    values, failures = result.evaluate_batch(points)
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite row below
+        values, failures = result.evaluate_batch(points)
+    ok = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    for row in np.flatnonzero(~ok).tolist():
+        failures.setdefault(row, DomainError("tensor components must all be finite"))
     if _report_failures(points, failures):
         return EXIT_DOMAIN
-    ok = np.ones(len(points), dtype=bool)
-    ok[list(failures)] = False
     points, values = points[ok], values[ok]
-    if not np.all(np.isfinite(values)):
-        raise ShapeError("tensor components must all be finite")
     valency = result.valency
     if ns.format == "json":
         payload = [

@@ -28,6 +28,7 @@ letters; the result's slots follow the left side's index order.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -197,7 +198,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Factor(None, float(tok.text), (), (tok.start, tok.end))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok.text!r} is out of range", tok.start)
+            return Factor(None, value, (), (tok.start, tok.end))
         if tok.kind != "name":
             raise ParseError(f"expected a symbol or number, found {tok.text or 'end of input'!r}",
                              tok.start)

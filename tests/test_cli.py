@@ -2,11 +2,14 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensorcalc.cli import main
+from tensorcalc.cli import _csv, main
 
 
 def run(capsys, *argv):
@@ -361,3 +364,102 @@ class TestDeterminism:
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def _csv_oracle(header, points, table, keep, labels):
+    """The CSV writer before its repr memo: one repr per printed float."""
+    prefixes = [f"{a!r},{b!r},{c!r}," for a, b, c in points.tolist()]
+    rows, cols = np.nonzero(keep)
+    lines = [header]
+    lines += [f"{prefixes[n]}{labels[c]}{value!r}"
+              for n, c, value in zip(rows.tolist(), cols.tolist(),
+                                     table[rows, cols].tolist())]
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0, 2.0, 1e16, -3.0,
+                0.1, float("inf"), float("-inf"), float("nan")]
+
+
+@st.composite
+def _csv_inputs(draw):
+    """A table drawn from a small pool of values, so most values repeat."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                                   st.floats(),
+                                   st.floats(-1e-307, 1e-307),
+                                   st.integers(-10**6, 10**6).map(float)),
+                         min_size=1, max_size=6))
+    n = draw(st.integers(0, 12))
+    cols = draw(st.integers(1, 4))
+    values = np.array(pool)
+
+    def pick(width):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                              min_size=n * width, max_size=n * width))
+        return values[picks].reshape(n, width)
+
+    points, table = pick(3), pick(cols)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=n * cols,
+                                  max_size=n * cols)), dtype=bool).reshape(n, cols)
+    if n:
+        keep[draw(st.integers(0, n - 1))] = False  # at least one empty row
+    return points, table, keep, [f"c{c}," for c in range(cols)]
+
+
+class TestCsvFormatter:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_csv_inputs())
+    def test_matches_one_repr_per_float(self, inputs):
+        points, table, keep, labels = inputs
+        assert (_csv("h", points, table, keep, labels)
+                == _csv_oracle("h", points, table, keep, labels))
+
+    def test_signed_zero_coordinates_keep_their_sign(self, capsys, tmp_path):
+        field = tmp_path / "f.json"
+        field.write_text(json.dumps({
+            "r": 0, "s": 0,
+            "components": [[{"coeff": 1.0, "powers": [1, 1, 1]}]],
+        }))
+        code, out, _ = run(capsys, "field-op", "grad", "--chart", "identity",
+                           "--field", str(field),
+                           "--point=-0.0,1,1", "--point", "0.0,1,1")
+        assert code == 0
+        prefixes = [line.rsplit(",", 2)[0] for line in out.splitlines()[1:]]
+        assert prefixes == ["-0.0,1.0,1.0"] * 3 + ["0.0,1.0,1.0"] * 3
+
+
+class TestNonFiniteFieldValues:
+    OVERFLOWING = {"r": 0, "s": 0,
+                   "components": [[{"coeff": 1e308, "powers": [3, 0, 0]}]]}
+
+    def test_overflowing_point_is_skipped(self, capsys, tmp_path):
+        field = tmp_path / "f.json"
+        field.write_text(json.dumps(self.OVERFLOWING))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning
+            code, out, err = run(capsys, "field-op", "grad", "--chart",
+                                 "identity", "--field", str(field),
+                                 "--point", "10,0,0", "--point", "0.5,0,0")
+        assert code == 0
+        assert err == ("warning: skipping [10.0, 0.0, 0.0]: "
+                       "tensor components must all be finite\n")
+        lines = out.splitlines()
+        assert [line.split(",")[:4] for line in lines[1:]] == [
+            ["0.5", "0.0", "0.0", path] for path in ("^1", "^2", "^3")]
+        assert float(lines[1].split(",")[4]) == pytest.approx(7.5e307, rel=1e-6)
+
+    def test_every_point_overflowing_exits_four(self, capsys, tmp_path):
+        field = tmp_path / "f.json"
+        field.write_text(json.dumps(self.OVERFLOWING))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "field-op", "grad", "--chart",
+                                 "identity", "--field", str(field),
+                                 "--point", "10,0,0")
+        assert code == 4
+        assert out == ""
+        assert err.splitlines() == [
+            "warning: skipping [10.0, 0.0, 0.0]: "
+            "tensor components must all be finite",
+            "error: every sample point failed"]
