@@ -18,11 +18,20 @@ Validation applies the two classical well-formedness rules. Within each
 term an index letter occurring once is free and occurring twice is a
 summation index, which must pair one upper with one lower entry (rule 5.2);
 three or more entries are rejected. Free letters must agree in identity and
-level across every term and across both sides (rule 5.1). Violations carry
-spans into the original text.
+level across every term and across both sides (rule 5.1); a letter repeated
+on the left side breaks rule 5.1 too, since every left-side index names a
+slot of the result. Violations carry spans into the original text.
 
 Evaluation binds names to DenseTensors and sums products over summation
 letters; the result's slots follow the left side's index order.
+
+Each expression is compiled once. Constructing an IndexExpression (which
+``parse`` does) classifies the indices of every term a single time and
+stores a private plan on it: the validation report and, for a valid
+expression, each term's coefficient, einsum subscripts and the valency each
+symbol must be bound to. ``validate`` returns the stored report, and
+``evaluate`` and ``explicit_form`` read the plan without classifying again.
+The plan lives on the expression; nothing is cached across expressions.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,11 +57,12 @@ UPPER = "upper"
 LOWER = "lower"
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
+    \s+
   | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z][A-Za-z0-9]*)
   | (?P<op>[\^_{}*+=\-])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -92,6 +102,11 @@ class IndexExpression:
     text: str
     lhs: Factor
     rhs: tuple[Term, ...]
+
+    def __post_init__(self):
+        # the plan is derived from the fields, so it takes no part in
+        # equality, hashing or repr
+        object.__setattr__(self, "_plan", _compile(self))
 
 
 @dataclass(frozen=True)
@@ -137,212 +152,221 @@ class ValidationReport:
 
 # -- lexer / parser ------------------------------------------------------------
 
-
-class _Token:
-    __slots__ = ("kind", "text", "start", "end")
-
-    def __init__(self, kind, text, start, end):
-        self.kind = kind
-        self.text = text
-        self.start = start
-        self.end = end
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.text!r}, {self.start})"
+# Tokens are (kind, text, start, end) tuples; an operator's kind is its text.
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     # the typographic minus sign maps 1:1 onto '-', keeping offsets intact
-    normalized = text.replace("−", "-")
     tokens = []
-    pos = 0
-    while pos < len(normalized):
-        match = _TOKEN_RE.match(normalized, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {normalized[pos]!r}", pos)
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text.replace("−", "-")):
         kind = match.lastgroup
-        if kind == "ws":
+        if kind is None:        # whitespace
             continue
-        text_piece = match.group()
-        if kind == "op":
-            kind = text_piece
-        tokens.append(_Token(kind, text_piece, match.start(), match.end()))
-    tokens.append(_Token("end", "", len(normalized), len(normalized)))
+        piece = match.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {piece!r}", match.start())
+        tokens.append((piece if kind == "op" else kind, piece,
+                       match.start(), match.end()))
+    tokens.append(("end", "", len(text), len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _expected(kind: str, token) -> ParseError:
+    return ParseError(f"expected {kind!r}, found {token[1] or 'end of input'!r}",
+                      token[2])
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+# factor = NUMBER | NAME indices; returns the factor and the next position
+def _factor(tokens, i: int) -> tuple[Factor, int]:
+    kind, text, start, end = tokens[i]
+    if kind == "number":
+        value = float(text)
+        if not math.isfinite(value):
+            raise ParseError(f"number {text!r} is out of range", start)
+        return Factor(None, value, (), (start, end)), i + 1
+    if kind != "name":
+        raise ParseError(f"expected a symbol or number, found {text or 'end of input'!r}",
+                         start)
+    occurrences: list[IndexOccurrence] = []
+    i += 1
+    kind = tokens[i][0]
+    if kind == "^":
+        i = _index_group(tokens, i + 1, UPPER, occurrences)
+        kind = tokens[i][0]
+    if kind == "_":
+        i = _index_group(tokens, i + 1, LOWER, occurrences)
+        kind = tokens[i][0]
+    if occurrences:
+        if kind == "^":
+            raise ParseError("upper indices must precede lower indices", tokens[i][2])
+        end = occurrences[-1].span[1]
+    return Factor(text, None, tuple(occurrences), (start, end)), i
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.start)
-        return self.advance()
 
-    # factor = NUMBER | NAME indices
-    def factor(self) -> Factor:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            value = float(tok.text)
-            if not math.isfinite(value):
-                raise ParseError(f"number {tok.text!r} is out of range", tok.start)
-            return Factor(None, value, (), (tok.start, tok.end))
-        if tok.kind != "name":
-            raise ParseError(f"expected a symbol or number, found {tok.text or 'end of input'!r}",
-                             tok.start)
-        self.advance()
-        occurrences: list[IndexOccurrence] = []
-        end = tok.end
-        if self.peek().kind == "^":
-            self.advance()
-            occurrences += self.index_group(UPPER)
-            end = occurrences[-1].span[1]
-        if self.peek().kind == "_":
-            self.advance()
-            occurrences += self.index_group(LOWER)
-            end = occurrences[-1].span[1]
-        if self.peek().kind == "^" and occurrences:
-            raise ParseError("upper indices must precede lower indices",
-                             self.peek().start)
-        return Factor(tok.text, None, tuple(occurrences), (tok.start, end))
+# group = letter | '{' letter+ '}'; appends to ``out``, returns the next position
+def _index_group(tokens, i: int, level: str, out: list) -> int:
+    kind, text, start, end = tokens[i]
+    if kind == "{":
+        first = len(out)
+        i += 1
+        while tokens[i][0] == "name":
+            _, text, start, _ = tokens[i]
+            for off, ch in enumerate(text, start):
+                if not ch.isalpha():
+                    raise ParseError(f"index letters must be alphabetic, found {ch!r}", off)
+                out.append(IndexOccurrence(ch, level, (off, off + 1)))
+            i += 1
+        if tokens[i][0] != "}":
+            raise _expected("}", tokens[i])
+        if len(out) == first:
+            raise ParseError("empty index group", tokens[i][2])
+        return i + 1
+    if kind == "name" and len(text) == 1:
+        out.append(IndexOccurrence(text, level, (start, end)))
+        return i + 1
+    if kind == "name":
+        raise ParseError("multi-letter index groups need braces", start)
+    raise ParseError(f"expected an index letter, found {text or 'end of input'!r}", start)
 
-    def index_group(self, level: str) -> list[IndexOccurrence]:
-        tok = self.peek()
-        if tok.kind == "{":
-            self.advance()
-            letters: list[IndexOccurrence] = []
-            while self.peek().kind == "name":
-                name_tok = self.advance()
-                for off, ch in enumerate(name_tok.text):
-                    if not ch.isalpha():
-                        raise ParseError(f"index letters must be alphabetic, found {ch!r}",
-                                         name_tok.start + off)
-                    letters.append(IndexOccurrence(
-                        ch, level, (name_tok.start + off, name_tok.start + off + 1)))
-            closing = self.expect("}")
-            if not letters:
-                raise ParseError("empty index group", closing.start)
-            return letters
-        if tok.kind == "name" and len(tok.text) == 1:
-            self.advance()
-            return [IndexOccurrence(tok.text, level, (tok.start, tok.end))]
-        if tok.kind == "name":
-            raise ParseError("multi-letter index groups need braces", tok.start)
-        raise ParseError(f"expected an index letter, found {tok.text or 'end of input'!r}",
-                         tok.start)
 
-    # term = factor (factor | '*' factor)*
-    def term(self, sign: float) -> Term:
-        first = self.factor()
-        factors = [first]
+# side = term (('+' | '-') term)*;  term = factor (factor | '*' factor)*
+def _side(tokens, i: int) -> tuple[list[Term], int]:
+    terms = []
+    sign = 1.0
+    kind = tokens[i][0]
+    if kind == "+" or kind == "-":
+        sign = -1.0 if kind == "-" else 1.0
+        i += 1
+    while True:
+        factor, i = _factor(tokens, i)
+        factors = [factor]
         while True:
-            tok = self.peek()
-            if tok.kind == "*":
-                self.advance()
-                factors.append(self.factor())
-            elif tok.kind in ("name", "number"):
-                factors.append(self.factor())
+            kind = tokens[i][0]
+            if kind == "*":
+                factor, i = _factor(tokens, i + 1)
+            elif kind == "name" or kind == "number":
+                factor, i = _factor(tokens, i)
             else:
                 break
-        return Term(sign, tuple(factors), (first.span[0], factors[-1].span[1]))
-
-    def side(self) -> list[Term]:
-        terms = []
-        sign = 1.0
-        tok = self.peek()
-        if tok.kind in ("+", "-"):
-            self.advance()
-            sign = -1.0 if tok.kind == "-" else 1.0
-        terms.append(self.term(sign))
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            terms.append(self.term(-1.0 if op.kind == "-" else 1.0))
-        return terms
-
-    def expression(self) -> IndexExpression:
-        lhs_terms = self.side()
-        eq = self.expect("=")
-        if len(lhs_terms) != 1 or len(lhs_terms[0].factors) != 1:
-            raise ParseError("left side must be a single symbol", lhs_terms[0].span[0])
-        lhs_term = lhs_terms[0]
-        lhs = lhs_term.factors[0]
-        if lhs.is_number:
-            raise ParseError("left side must be a symbol, not a number", lhs.span[0])
-        if lhs_term.sign < 0:
-            raise ParseError("left side cannot carry a sign", lhs_term.span[0])
-        rhs = self.side()
-        trailing = self.peek()
-        if trailing.kind == "=":
-            raise ParseError("only one '=' is allowed", trailing.start)
-        if trailing.kind != "end":
-            raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.start)
-        return IndexExpression(self.text, lhs, tuple(rhs))
+            factors.append(factor)
+        terms.append(Term(sign, tuple(factors), (factors[0].span[0], factors[-1].span[1])))
+        if kind != "+" and kind != "-":
+            return terms, i
+        sign = -1.0 if kind == "-" else 1.0
+        i += 1
 
 
 def parse(text: str) -> IndexExpression:
-    """Parse one equation in index notation into an AST with source spans."""
+    """Parse one equation in index notation into an AST with source spans.
+
+    The returned expression carries its validated plan (see the module
+    docstring), so the later calls on it do not classify indices again.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text).expression()
+    tokens = _tokenize(text)
+    lhs_terms, i = _side(tokens, 0)
+    if tokens[i][0] != "=":
+        raise _expected("=", tokens[i])
+    if len(lhs_terms) != 1 or len(lhs_terms[0].factors) != 1:
+        raise ParseError("left side must be a single symbol", lhs_terms[0].span[0])
+    lhs_term = lhs_terms[0]
+    lhs = lhs_term.factors[0]
+    if lhs.is_number:
+        raise ParseError("left side must be a symbol, not a number", lhs.span[0])
+    if lhs_term.sign < 0:
+        raise ParseError("left side cannot carry a sign", lhs_term.span[0])
+    rhs, i = _side(tokens, i + 1)
+    kind, piece, start, _ = tokens[i]
+    if kind == "=":
+        raise ParseError("only one '=' is allowed", start)
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {piece!r}", start)
+    return IndexExpression(text, lhs, tuple(rhs))
 
 
-# -- validation ----------------------------------------------------------------
+# -- validation and the plan ---------------------------------------------------
 
 
-def _classify_term(factors, violations) -> TermIndices:
+class _Plan(NamedTuple):
+    """What the later calls need of an expression, worked out at parse time.
+
+    ``terms`` is empty unless the report is valid. Each entry holds the
+    term's coefficient (sign times its numbers), its einsum subscripts
+    ending in the output subscript, and the (name, r, s) each symbol must
+    be bound to. ``valency`` is the result's (r, s).
+    """
+    report: ValidationReport
+    terms: tuple[tuple[float, str, tuple[tuple[str, int, int], ...]], ...]
+    valency: tuple[int, int]
+
+
+def _compile_term(sign: float, factors, violations):
+    """Classify one term's letters (rule 5.2) and gather its einsum operands.
+
+    Returns the TermIndices and (coefficient, subscripts, (name, r, s) per
+    symbol); a symbol's subscript lists its upper letters, then its lower.
+    """
+    coeff = sign
+    subscripts = []
+    needs = []
     occurrences: dict[str, list[IndexOccurrence]] = {}
-    order: list[str] = []
     for factor in factors:
+        if factor.value is not None:
+            coeff *= factor.value
+            continue
+        upper = lower = ""
         for occ in factor.indices:
-            if occ.letter not in occurrences:
-                occurrences[occ.letter] = []
-                order.append(occ.letter)
-            occurrences[occ.letter].append(occ)
+            letter = occ.letter
+            if occ.level == UPPER:
+                upper += letter
+            else:
+                lower += letter
+            if letter in occurrences:
+                occurrences[letter].append(occ)
+            else:
+                occurrences[letter] = [occ]
+        subscripts.append(upper + lower)
+        needs.append((factor.name, len(upper), len(lower)))
     free: list[tuple[str, str]] = []
     summation: list[str] = []
-    for letter in order:
-        occs = occurrences[letter]
+    for letter, occs in occurrences.items():
         if len(occs) == 1:
             free.append((letter, occs[0].level))
         elif len(occs) == 2:
-            levels = {occs[0].level, occs[1].level}
-            if levels == {UPPER, LOWER}:
+            if occs[0].level != occs[1].level:
                 summation.append(letter)
             else:
-                level = occs[0].level
                 violations.append(Violation(
                     "5.2", letter, occs[1].span,
-                    f"summation index '{letter}' has two {level} entries; "
+                    f"summation index '{letter}' has two {occs[0].level} entries; "
                     f"it needs one upper and one lower"))
         else:
             violations.append(Violation(
                 "5.2", letter, occs[2].span,
                 f"index '{letter}' has {len(occs)} entries in one term; "
                 f"a summation index must have exactly two"))
-    return TermIndices(tuple(free), tuple(summation))
+    return (TermIndices(tuple(free), tuple(summation)),
+            (coeff, ",".join(subscripts), tuple(needs)))
 
 
-def validate(expression: IndexExpression) -> ValidationReport:
-    """Check the free/summation index rules; violations are data, not errors."""
+def _compile(expression: IndexExpression) -> _Plan:
+    """Classify every term's indices once, apply rules 5.1 and 5.2, and plan."""
     violations: list[Violation] = []
-    lhs_indices = _classify_term([expression.lhs], violations)
-    term_indices = [_classify_term(term.factors, violations)
-                    for term in expression.rhs]
+    lhs = expression.lhs
+    lhs_indices, (_, out_subscript, ((_, out_r, out_s),)) = _compile_term(
+        1.0, (lhs,), violations)
+    # an upper/lower pair on the left side would be a summation there, but
+    # the left side names the result's slots, so every letter must be free
+    for letter in lhs_indices.summation:
+        second = [occ.span for occ in lhs.indices if occ.letter == letter][1]
+        violations.append(Violation(
+            "5.1", letter, second,
+            f"index '{letter}' repeats on the left side; "
+            f"every left-side index must be free"))
+    compiled = [_compile_term(term.sign, term.factors, violations)
+                for term in expression.rhs]
+    term_indices = tuple(classified for classified, _ in compiled)
 
     # rule 5.1: every term, and the left side, must expose the same free
     # letters on the same levels
@@ -350,6 +374,8 @@ def validate(expression: IndexExpression) -> ValidationReport:
     ref_label = "the left side"
     for term, classified in zip(expression.rhs, term_indices):
         current = dict(classified.free)
+        if current == reference:
+            continue
         for letter, level in current.items():
             if letter not in reference:
                 span = _find_occurrence(term.factors, letter)
@@ -368,9 +394,13 @@ def validate(expression: IndexExpression) -> ValidationReport:
                     "5.1", letter, term.span,
                     f"free index '{letter}' is missing from this term"))
 
-    verdict = "valid" if not violations else "invalid"
-    return ValidationReport(verdict, tuple(violations), lhs_indices,
-                            tuple(term_indices))
+    report = ValidationReport("invalid" if violations else "valid",
+                              tuple(violations), lhs_indices, term_indices)
+    if violations:
+        return _Plan(report, (), (out_r, out_s))
+    return _Plan(report, tuple((coeff, subscripts + "->" + out_subscript, needs)
+                               for _, (coeff, subscripts, needs) in compiled),
+                 (out_r, out_s))
 
 
 def _find_occurrence(factors, letter: str) -> tuple[int, int]:
@@ -379,6 +409,14 @@ def _find_occurrence(factors, letter: str) -> tuple[int, int]:
             if occ.letter == letter:
                 return occ.span
     return (0, 0)
+
+
+def validate(expression: IndexExpression) -> ValidationReport:
+    """Report on the free/summation index rules; violations are data, not errors.
+
+    The report was computed when the expression was built.
+    """
+    return expression._plan.report
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -393,73 +431,55 @@ def evaluate(expression: IndexExpression,
     1..dim. Symbol factors must be bound to DenseTensors whose valency
     matches their written index pattern.
     """
-    report = validate(expression)
-    if not report.is_valid:
-        first = report.violations[0]
+    plan = expression._plan
+    if not plan.report.is_valid:
+        first = plan.report.violations[0]
         raise ValidationError(
             f"expression is not well-formed: {first.message} "
             f"(rule {first.rule}, offsets {first.span[0]}..{first.span[1]})")
 
-    lhs = expression.lhs
-    out_upper = lhs.upper_letters()
-    out_lower = lhs.lower_letters()
-    out_letters = out_upper + out_lower
-    if len(set(out_letters)) != len(out_letters):
-        raise ValidationError("left side repeats an index letter")
-
-    out_subscript = "".join(out_letters)
-    result = np.zeros((dim,) * len(out_letters))
-    for term in expression.rhs:
-        coeff = term.sign
-        subscripts = []
+    out_r, out_s = plan.valency
+    result = np.zeros((dim,) * (out_r + out_s))
+    for coeff, subscripts, needs in plan.terms:
         arrays = []
-        for factor in term.factors:
-            if factor.is_number:
-                coeff *= factor.value
-                continue
-            if factor.name not in bindings:
-                raise BindingError(f"symbol {factor.name!r} is not bound")
-            tensor = bindings[factor.name]
-            upper = factor.upper_letters()
-            lower = factor.lower_letters()
+        for name, r, s in needs:
+            if name not in bindings:
+                raise BindingError(f"symbol {name!r} is not bound")
+            tensor = bindings[name]
             if not isinstance(tensor, DenseTensor):
                 if isinstance(tensor, dict):
                     tensor = DenseTensor.from_dict(tensor)
                 else:
                     # raw array: take the written index picture as the valency
                     arr = np.asarray(tensor, dtype=float)
-                    if arr.ndim != len(upper) + len(lower):
+                    if arr.ndim != r + s:
                         raise ShapeError(
-                            f"symbol {factor.name!r} is written with "
-                            f"{len(upper) + len(lower)} indices but bound to a "
-                            f"rank-{arr.ndim} array")
+                            f"symbol {name!r} is written with {r + s} indices "
+                            f"but bound to a rank-{arr.ndim} array")
                     side = arr.shape[0] if arr.ndim else dim
-                    tensor = DenseTensor(
-                        Valency(len(upper), len(lower)), side, arr)
-            if tensor.valency != Valency(len(upper), len(lower)):
+                    tensor = DenseTensor(Valency(r, s), side, arr)
+            valency = tensor.valency
+            if valency.r != r or valency.s != s:
                 raise ShapeError(
-                    f"symbol {factor.name!r} is written with valency "
-                    f"({len(upper)},{len(lower)}) but bound to a "
-                    f"({tensor.valency.r},{tensor.valency.s}) tensor")
+                    f"symbol {name!r} is written with valency ({r},{s}) but "
+                    f"bound to a ({valency.r},{valency.s}) tensor")
             if tensor.dim != dim:
                 raise ShapeError(
-                    f"symbol {factor.name!r} has dim {tensor.dim}, expected {dim}")
-            subscripts.append("".join(upper + lower))
+                    f"symbol {name!r} has dim {tensor.dim}, expected {dim}")
             arrays.append(tensor.array)
         if arrays:
-            value = coeff * np.einsum(
-                ",".join(subscripts) + "->" + out_subscript, *arrays)
+            value = coeff * np.einsum(subscripts, *arrays)
         else:
-            value = coeff * np.ones((dim,) * len(out_letters))
+            value = coeff * np.ones((dim,) * (out_r + out_s))
         result = result + value
 
-    return DenseTensor(Valency(len(out_upper), len(out_lower)), dim, result)
+    return DenseTensor(Valency(out_r, out_s), dim, result)
 
 
 def explicit_form(expression: IndexExpression, dim: int = DEFAULT_DIM) -> str:
     """Render the equation with the implicit sums spelled out."""
     pieces = []
-    term_indices = validate(expression).term_indices
+    term_indices = expression._plan.report.term_indices
     for n, term in enumerate(expression.rhs):
         classified = term_indices[n]
         prefix = ""

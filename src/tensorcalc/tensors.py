@@ -300,10 +300,10 @@ class DenseTensor:
     def from_dict(cls, data: dict) -> "DenseTensor":
         try:
             r, s, dim = int(data["r"]), int(data["s"]), int(data["dim"])
-            components = data["components"]
+            components = np.asarray(data["components"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ShapeError(f"malformed tensor record: {exc}") from exc
-        return cls(Valency(r, s), dim, np.asarray(components, dtype=float))
+        return cls(Valency(r, s), dim, components)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
@@ -317,9 +317,12 @@ def _apply_to_axis(matrix: np.ndarray, array: np.ndarray, axis: int) -> np.ndarr
     """Contract ``matrix``'s second index against one axis of ``array``.
 
     Result keeps the axis in place: out[..., i, ...] = sum_h M[i, h] a[..., h, ...].
+    Viewing ``array`` as (lead, dim, rest) puts that axis in the middle, where
+    one broadcast matmul contracts it without moving any axis.
     """
-    moved = np.tensordot(matrix, array, axes=([1], [axis]))
-    return np.moveaxis(moved, 0, axis)
+    shape = array.shape
+    lead = math.prod(shape[:axis])
+    return np.matmul(matrix, array.reshape(lead, shape[axis], -1)).reshape(shape)
 
 
 def _invert_stack(matrices: np.ndarray):

@@ -463,3 +463,22 @@ class TestNonFiniteFieldValues:
             "warning: skipping [10.0, 0.0, 0.0]: "
             "tensor components must all be finite",
             "error: every sample point failed"]
+
+
+class TestMalformedTensorRecord:
+    @pytest.mark.parametrize("components, message", [
+        ([1, 2, "x"], "malformed tensor record: could not convert string to float: 'x'"),
+        ({"a": 1}, "malformed tensor record: float() argument must be"),
+        (None, "components of shape () do not fit a (1,0) tensor over dim 3"),
+    ], ids=["string", "object", "null"])
+    def test_eval_exits_three_with_an_error_line(self, capsys, tmp_path,
+                                                 components, message):
+        bindings = tmp_path / "b.json"
+        bindings.write_text(json.dumps({
+            "A": {"r": 1, "s": 0, "dim": 3, "components": components}}))
+        code, out, err = run(capsys, "eval", "y^i = A^i",
+                             "--bindings", str(bindings))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1
