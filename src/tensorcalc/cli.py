@@ -163,7 +163,7 @@ def load_field(source) -> TensorField:
         raise ParameterError(
             f"field spec needs {count} component term lists for valency ({r},{s})")
     components = [
-        curvilinear._compile_component(table, f"component {n}")
+        curvilinear._compile_component(table, f"field component {n}")
         for n, table in enumerate(component_tables)
     ]
     shape = (3,) * valency.order
@@ -258,6 +258,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     try:
         with open(ns.bindings, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise BindingError("bindings file must hold a JSON object")
         bindings = {name: DenseTensor.from_dict(record)
                     for name, record in raw.items()}
         result = notation.evaluate(expression, bindings, ns.dim)

@@ -14,14 +14,15 @@ the frame derivatives, and the covariant derivative corrects the plain
 partial derivative with one Gamma term per slot, keeping tensor character.
 
 Built-in charts (identity, cylindrical, spherical) carry analytic Jacobians
-and analytic Jacobian derivatives. Their maps and domain predicates
-broadcast over leading axes, as do the maps compiled from JSON coefficient
-tables, so one call covers an (N, 3) array of points; other Python
-callables given to Chart are called once per point. Custom charts may
-supply only the forward/inverse maps; everything else falls back to central
-finite differences, taken for a whole point array at once. Singular points
-(cylindrical axis, spherical poles) are excluded by domain predicates and
-fail fast with DomainError.
+and analytic Jacobian derivatives, and so do charts loaded from JSON
+coefficient tables: their Jacobians and second partials are the tables
+differentiated term by term. These maps and domain predicates broadcast
+over leading axes, so one call covers an (N, 3) array of points; other
+Python callables given to Chart are called once per point. A chart built
+from Python callables may supply only the forward/inverse maps; everything
+else then falls back to central finite differences, taken for a whole point
+array at once. Singular points (cylindrical axis, spherical poles) are
+excluded by domain predicates and fail fast with DomainError.
 
 ChartPoints computes S, T, the metric and the Christoffel symbols of a
 point array once. The chart operators evaluate a point array in one pass
@@ -44,6 +45,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -922,66 +925,244 @@ def dalembert(c: float, phi: TensorField,
 
 
 # -- custom charts from coefficient tables ----------------------------------------
+#
+# A parsed term is (coeff, factors): the value coeff * prod(factors) with
+# factors ("pow", a, p) = y_a**p (p >= 1), ("sin", a, f) = sin(f y_a) and
+# ("cos", a, f) = cos(f y_a), in axis order and each power before the trig
+# factor of its axis. The grammar is closed under d/dy_b (power rule,
+# sin' = cos, cos' = -sin), so the Jacobian and the second partials of a
+# table map are tables of the same grammar.
+
+_TRIG = {"sin": np.sin, "cos": np.cos}
+_NO_POWERS = (0, 0, 0)
+_NO_TRIG = (None, None, None)
+# the second partials (q, i, j) with i <= j, and the one each (q, i, j) reads
+_PAIRS = [(q, i, j) for q in range(3) for i in range(3) for j in range(i, 3)]
+_SYMMETRIC = np.array([_PAIRS.index((q, min(i, j), max(i, j)))
+                       for q in range(3) for i in range(3) for j in range(3)])
 
 
-def _compile_component(terms: list, where: str) -> Callable:
-    """Compile one coordinate map component from its coefficient table.
+def _finite(value) -> bool:
+    """Is value a finite real number (not a bool)?"""
+    if type(value) not in (float, int) and (
+            not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_))):
+        return False
+    return abs(value) <= sys.float_info.max
+
+
+def _count(value) -> bool:
+    """Is value a non-negative integer (an integral float counts)?"""
+    if type(value) is int:
+        return value >= 0
+    return _finite(value) and value >= 0 and float(value).is_integer()
+
+
+def _parse_terms(terms, where: str) -> list:
+    """The parsed terms of one component's coefficient table.
 
     Each term is {"coeff": c, "powers": [p1,p2,p3]} with an optional
-    "trig": [spec|null, ...] where spec = {"fn": "sin"|"cos", "freq": f}.
-    The term value is c * prod_a y_a**p_a * trig_a(freq_a * y_a). The
-    compiled component broadcasts over the leading axes of y.
+    "trig": [spec|null, ...] where spec = {"fn": "sin"|"cos", "freq": f},
+    the value c * prod_a y_a**p_a * trig_a(freq_a * y_a). A malformed table
+    raises ParameterError naming ``where`` and the term.
     """
-    compiled = []
+    if not isinstance(terms, (list, tuple)):
+        raise ParameterError(f"{where}: expected a term list, got {terms!r}")
+    parsed = []
     for n, term in enumerate(terms):
         if not isinstance(term, dict) or "coeff" not in term:
             raise ParameterError(f"{where}: term {n} needs a 'coeff'")
-        coeff = float(term["coeff"])
-        powers = [int(p) for p in term.get("powers", [0, 0, 0])]
-        if len(powers) != 3 or any(p < 0 for p in powers):
-            raise ParameterError(f"{where}: term {n} powers must be three counts")
-        trig = term.get("trig", [None, None, None])
-        if len(trig) != 3:
+        coeff = term["coeff"]
+        if not _finite(coeff):
+            raise ParameterError(
+                f"{where}: term {n} coeff must be a finite number, got {coeff!r}")
+        powers = term.get("powers", _NO_POWERS)
+        if powers is not _NO_POWERS and not (
+                isinstance(powers, (list, tuple)) and len(powers) == 3
+                and all(map(_count, powers))):
+            raise ParameterError(
+                f"{where}: term {n} powers must be three counts, got {powers!r}")
+        trig = term.get("trig")
+        if trig is None:
+            trig = _NO_TRIG
+        elif not isinstance(trig, (list, tuple)) or len(trig) != 3:
             raise ParameterError(f"{where}: term {n} trig must have three entries")
-        trig_fns = []
-        for spec in trig:
-            if spec is None:
-                trig_fns.append(None)
+        factors = []
+        for a in range(3):
+            if powers[a]:
+                factors.append(("pow", a, int(powers[a])))
+            if trig[a] is not None:
+                factors.append(_trig_factor(trig[a], a, where, n))
+        parsed.append((float(coeff), tuple(factors)))
+    return parsed
+
+
+def _trig_factor(spec, a: int, where: str, n: int) -> tuple:
+    if not isinstance(spec, dict):
+        raise ParameterError(
+            f"{where}: term {n} trig entries must be null or objects, got {spec!r}")
+    if spec.get("fn") not in ("sin", "cos"):
+        raise ParameterError(f"{where}: term {n} trig fn must be sin or cos")
+    freq = spec.get("freq", 1.0)
+    if not _finite(freq):
+        raise ParameterError(
+            f"{where}: term {n} trig freq must be a finite number, got {freq!r}")
+    return spec["fn"], a, float(freq)
+
+
+def _column(factor: tuple, coords: tuple):
+    fn, a, param = factor
+    if fn == "pow":
+        return coords[a] ** param
+    return _TRIG[fn](param * coords[a])
+
+
+def _values(tables: list) -> Callable:
+    """Evaluator y -> [value of each parsed table].
+
+    Each term multiplies its coefficient by its factors in order and the
+    terms are summed from zero in table order. Map and field values keep
+    this rounding order; _polynomial's matrix-product sums would change
+    their last bits.
+    """
+    def evaluate(y):
+        coords = _coords(y)
+        out = []
+        for terms in tables:
+            total = np.zeros(coords[0].shape)
+            for coeff, factors in terms:
+                value = coeff
+                for factor in factors:
+                    value = value * _column(factor, coords)
+                total = total + value
+            out.append(total)
+        return out
+
+    return evaluate
+
+
+def _derivative(terms: list, b: int) -> list:
+    """d/dy_b of parsed terms by the product rule: one term per factor on
+    axis b, so at most two per term."""
+    out = []
+    for coeff, factors in terms:
+        for k, (fn, a, param) in enumerate(factors):
+            if a != b:
                 continue
-            fn = {"sin": np.sin, "cos": np.cos}.get(spec.get("fn"))
-            if fn is None:
-                raise ParameterError(f"{where}: term {n} trig fn must be sin or cos")
-            trig_fns.append((fn, float(spec.get("freq", 1.0))))
-        compiled.append((coeff, powers, trig_fns))
+            if fn == "pow":
+                lowered = (("pow", b, param - 1),) if param > 1 else ()
+                out.append((coeff * param, factors[:k] + lowered + factors[k + 1:]))
+            elif param:
+                turned = ("cos" if fn == "sin" else "sin", b, param)
+                out.append(((param if fn == "sin" else -param) * coeff,
+                            factors[:k] + (turned,) + factors[k + 1:]))
+    return out
+
+
+def _polynomial(tables: list, shape: tuple, layout: np.ndarray | None = None) -> Callable:
+    """Batched evaluator of parsed tables: y (..., 3) -> (..., *shape).
+
+    Output entry e is table layout[e] (table e without a layout). Each call
+    evaluates every distinct factor once on the coordinate vectors, forms
+    each distinct monomial as the product of its gathered factor rows, and
+    sums the monomials of all tables with one matrix product.
+    """
+    monomials, coeffs = {}, []
+    for e, terms in enumerate(tables):
+        for coeff, factors in terms:
+            coeffs.append((monomials.setdefault(factors, len(monomials)), e, coeff))
+    # factor row 0 is the constant 1 that pads the shorter monomials
+    columns = {}
+    width = max(map(len, monomials), default=0) or 1
+    gather = np.array([[columns.setdefault(f, len(columns) + 1) for f in m]
+                       + [0] * (width - len(m)) for m in monomials],
+                      dtype=np.intp).reshape(len(monomials), width)
+    m, e, c = np.array(coeffs, dtype=float).reshape(-1, 3).T
+    weights = np.bincount((m * len(tables) + e).astype(np.intp), weights=c,
+                          minlength=len(monomials) * len(tables))
+    weights = weights.reshape(len(monomials), len(tables))
+    factors = list(columns)
+
+    @_batched
+    def evaluate(y):
+        coords = _coords(y)
+        lead = coords[0].shape
+        rows = np.empty((len(factors) + 1,) + lead)
+        rows[0] = 1.0
+        for k, factor in enumerate(factors, 1):
+            rows[k] = _column(factor, coords)
+        out = rows[gather].prod(axis=1).reshape(len(gather), rows[0].size).T @ weights
+        if layout is not None:
+            out = out[:, layout]
+        return out.reshape(lead + shape)
+
+    return evaluate
+
+
+def _lazy(build: Callable) -> Callable:
+    """Batched callable that builds its evaluator with build() on first use."""
+    evaluator = None
+
+    @_batched
+    def call(y):
+        nonlocal evaluator
+        if evaluator is None:
+            evaluator = build()
+        return evaluator(y)
+
+    return call
+
+
+def _compile_component(terms: list, where: str) -> Callable:
+    """Compile one coordinate map or field component from its coefficient
+    table (grammar: see _parse_terms).
+
+    The compiled component broadcasts over the leading axes of y.
+    """
+    evaluate = _values([_parse_terms(terms, where)])
 
     @_batched
     def component(y):
-        coords = _coords(y)
-        total = np.zeros(coords[0].shape)
-        for coeff, powers, trig_fns in compiled:
-            value = coeff
-            for a in range(3):
-                if powers[a]:
-                    value = value * coords[a] ** powers[a]
-                if trig_fns[a] is not None:
-                    fn, freq = trig_fns[a]
-                    value = value * fn(freq * coords[a])
-            total = total + value
-        return total
+        return evaluate(y)[0]
 
     return component
 
 
-def _compile_map(spec: list, where: str) -> Callable:
+def _compile_map(spec: list, where: str) -> tuple:
+    """Compile a map y -> x from its three component tables.
+
+    Returns batched callables ``(mapping, jacobian, partials)``: the map,
+    J[..., i, j] = dx^i/dy^j and dJ[..., q, i, j] = d^2 x^q / dy^i dy^j,
+    with dJ symmetric in i, j bit for bit. The derivative tables are built
+    on the first call of each.
+    """
     if not isinstance(spec, list) or len(spec) != 3:
         raise ParameterError(f"{where}: expected three component term lists")
-    components = [_compile_component(spec[i], f"{where}[{i}]") for i in range(3)]
+    tables = [_parse_terms(spec[i], f"{where}[{i}]") for i in range(3)]
+    evaluate = _values(tables)
 
     @_batched
     def mapping(p):
-        return _stack([c(p) for c in components], _coords(p)[0], (3,))
+        return _stack(evaluate(p), _coords(p)[0], (3,))
 
-    return mapping
+    def jacobian():
+        return _polynomial([_derivative(terms, j) for terms in tables for j in range(3)],
+                           (3, 3))
+
+    def partials():
+        return _polynomial([_derivative(_derivative(tables[q], i), j) for q, i, j in _PAIRS],
+                           (3, 3, 3), _SYMMETRIC)
+
+    return mapping, _lazy(jacobian), _lazy(partials)
+
+
+def _bound(values, name: str, which: str) -> list:
+    if not isinstance(values, (list, tuple)) or len(values) != 3:
+        raise ParameterError("bounds need three min and three max entries")
+    for v in values:
+        if v is not None and not _finite(v):
+            raise ParameterError(
+                f"chart {name!r} bounds {which} must be finite numbers or null, got {v!r}")
+    return [None if v is None else float(v) for v in values]
 
 
 def load_chart(source) -> Chart:
@@ -990,8 +1171,11 @@ def load_chart(source) -> Chart:
     ``source`` may be a path, a JSON string, or an already-parsed dict. The
     config must define "forward" and "inverse" as three term lists each;
     optional "bounds" {"min": [...], "max": [...]} (null entries mean
-    unbounded) both restrict the domain and set the sampling box. Jacobians
-    are taken by central finite differences.
+    unbounded) both restrict the domain and set the sampling box. The
+    chart is analytic: S and the second partials are the differentiated
+    forward tables, and T is the differentiated inverse table taken at
+    x(y), never the inverse of S, so the transition check still compares
+    two independent maps.
     """
     if isinstance(source, dict):
         config = source
@@ -1002,17 +1186,22 @@ def load_chart(source) -> Chart:
         else:
             with open(text, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
-    if "forward" not in config or "inverse" not in config:
+    if not isinstance(config, dict) or "forward" not in config or "inverse" not in config:
         raise ParameterError("chart config needs 'forward' and 'inverse' maps")
     name = str(config.get("name", "custom"))
-    forward = _compile_map(config["forward"], f"chart {name!r} forward")
-    inverse = _compile_map(config["inverse"], f"chart {name!r} inverse")
+    forward, jac_forward, jac_forward_partials = _compile_map(
+        config["forward"], f"chart {name!r} forward")
+    inverse, jac_inverse_at_x, _ = _compile_map(config["inverse"], f"chart {name!r} inverse")
+
+    @_batched
+    def jac_inverse(y):
+        return jac_inverse_at_x(forward(y))
 
     bounds = config.get("bounds") or {}
-    lo = bounds.get("min", [None, None, None])
-    hi = bounds.get("max", [None, None, None])
-    if len(lo) != 3 or len(hi) != 3:
-        raise ParameterError("bounds need three min and three max entries")
+    if not isinstance(bounds, dict):
+        raise ParameterError("bounds must be an object with 'min' and 'max' lists")
+    lo = _bound(bounds.get("min", [None, None, None]), name, "min")
+    hi = _bound(bounds.get("max", [None, None, None]), name, "max")
 
     @_batched
     def domain(y):
@@ -1027,14 +1216,13 @@ def load_chart(source) -> Chart:
 
     sample = []
     for a in range(3):
-        a_lo = -1.0 if lo[a] is None else float(lo[a])
-        a_hi = 1.0 if hi[a] is None else float(hi[a])
+        a_lo = -1.0 if lo[a] is None else lo[a]
+        a_hi = 1.0 if hi[a] is None else hi[a]
         span = a_hi - a_lo
         if not span > 0:
             raise ParameterError("bounds must leave an open interval per axis")
         sample.append((a_lo + 0.1 * span, a_hi - 0.1 * span))
 
-    has_domain = any(b is not None for b in list(lo) + list(hi))
-    return Chart(name, forward, inverse,
-                 domain=domain if has_domain else None,
-                 sample_bounds=sample)
+    has_domain = any(b is not None for b in lo + hi)
+    return Chart(name, forward, inverse, jac_forward, jac_inverse, jac_forward_partials,
+                 domain=domain if has_domain else None, sample_bounds=sample)

@@ -482,3 +482,67 @@ class TestMalformedTensorRecord:
         assert out == ""
         assert err.startswith("error: " + message)
         assert err.count("\n") == 1
+
+
+class TestEvalBindingsShape:
+    def test_bindings_file_holding_a_list_exits_three(self, capsys, tmp_path):
+        bindings = tmp_path / "b.json"
+        bindings.write_text("[1, 2]")
+        code, out, err = run(capsys, "eval", "y = c", "--bindings", str(bindings))
+        assert code == 3
+        assert out == ""
+        assert err == "error: bindings file must hold a JSON object\n"
+
+
+# (case, bad term list, words the error line must contain)
+MALFORMED_TERMS = [
+    ("trig-not-object",
+     [{"coeff": 1.0, "powers": [1, 0, 0]},
+      {"coeff": 1.0, "trig": ["sin", None, None]}],
+     ["term 1", "trig entries must be null or objects"]),
+    ("coeff-not-numeric",
+     [{"coeff": "one", "powers": [1, 0, 0]}],
+     ["term 0", "coeff must be a finite number"]),
+    ("freq-not-numeric",
+     [{"coeff": 1.0, "powers": [1, 0, 0]},
+      {"coeff": 0.5, "trig": [None, {"fn": "sin", "freq": [2]}, None]}],
+     ["term 1", "trig freq must be a finite number"]),
+    ("terms-not-a-list", 5, ["expected a term list"]),
+    ("fractional-power",
+     [{"coeff": 1.0, "powers": [1.5, 0, 0]}],
+     ["term 0", "powers must be three counts"]),
+]
+
+
+class TestMalformedTables:
+    """A malformed coefficient table is a ParameterError naming the map,
+    the component and the term: an error line and exit 2."""
+
+    @pytest.mark.parametrize("terms, words", [case[1:] for case in MALFORMED_TERMS],
+                             ids=[case[0] for case in MALFORMED_TERMS])
+    def test_chart_file(self, capsys, tmp_path, terms, words):
+        config = json.loads(json.dumps(SHEAR_CONFIG))
+        config["forward"][0] = terms
+        path = tmp_path / "chart.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "christoffel", "--chart-file", str(path),
+                             "--point", "0.5,0.5,0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: chart 'shear' forward[0]: ")
+        assert err.count("\n") == 1
+        assert all(word in err for word in words)
+
+    @pytest.mark.parametrize("terms, words", [case[1:] for case in MALFORMED_TERMS],
+                             ids=[case[0] for case in MALFORMED_TERMS])
+    def test_field(self, capsys, tmp_path, terms, words):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"r": 1, "s": 0, "components": [
+            [{"coeff": 1.0, "powers": [1, 0, 0]}], terms, []]}))
+        code, out, err = run(capsys, "field-op", "div", "--chart", "identity",
+                             "--field", str(path), "--point", "0.5,0.5,0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: field component 1: ")
+        assert err.count("\n") == 1
+        assert all(word in err for word in words)
