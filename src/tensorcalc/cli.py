@@ -20,12 +20,19 @@ Output is deterministic: floats use the shortest round-trip representation,
 JSON keys are sorted, and rows follow the sampling order. The --seed flag
 (default 42) pins the audit's random points.
 
-Both commands write CSV through _csv, which memoises the text of each
-distinct nonzero float for the length of one table: a grid of n^3 points
-has only 3n distinct coordinates, and Christoffel symbols repeat along
-coordinates they do not depend on, so most values are formatted once.
-Zeros bypass the memo, since 0.0 and -0.0 are equal keys but print
-differently.
+Both commands write CSV through _csv, which runs no Python per row. A grid
+of n^3 points has only 3n distinct coordinates, and Christoffel symbols
+repeat along coordinates they do not depend on, so _csv sorts the printed
+floats by bit pattern and calls repr once per distinct pattern (0.0 and
+-0.0 differ in bits, so each keeps its sign). _csv_rows builds one text
+prefix per point and puts the prefix, label and value texts of every row
+into one list, allocated before the gathers that fill it, and _csv joins
+that list in C and prepends the header. christoffel drops its Christoffel
+arrays before the join, so their memory is free when the ~5 MB text of a
+20^3 table is allocated. Without that, a process that runs many such
+tables (perfbench runs the CLI in-process) ended some runs 15-20 MB higher
+in peak RSS than others, depending on where the allocator had put each
+text.
 """
 
 from __future__ import annotations
@@ -50,7 +57,8 @@ from .errors import (
     TensorCalcError,
     ValidationError,
 )
-from .fields import DifferentiationScheme, TensorField, _batched, _map_rows, _raise_first
+from .fields import (DifferentiationScheme, TensorField, _batched, _map_rows, _raise_first,
+                     _reprs, _row_texts)
 from .tensors import DenseTensor, Valency
 
 EXIT_OK = 0
@@ -199,33 +207,41 @@ def _component_paths(valency: Valency) -> list:
 
 def _report_failures(points: np.ndarray, failures: dict) -> bool:
     """Warn about each failed point in sampling order; True if all failed."""
-    for row, exc in sorted(failures.items()):
-        sys.stderr.write(f"warning: skipping {points[row].tolist()}: {exc}\n")
-    if len(failures) == len(points):
-        sys.stderr.write("error: every sample point failed\n")
-        return True
-    return False
+    if not failures:
+        return False
+    rows = sorted(failures)
+    text = "".join(f"warning: skipping {point}: {failures[row]}\n"
+                   for row, point in zip(rows, _row_texts(points[rows])))
+    every = len(failures) == len(points)
+    if every:
+        text += "error: every sample point failed\n"
+    sys.stderr.write(text)
+    return every
 
 
 def _csv(header: str, points: np.ndarray, table: np.ndarray, keep: np.ndarray,
          labels: list) -> str:
     """CSV text with a row per point n and column c where keep[n, c],
     holding the point's coordinates, labels[c] and table[n, c]."""
-    memo = {}
-    get = memo.get
+    return header + "".join(_csv_rows(points, table, keep, labels))
 
-    def texts(values: list) -> list:
-        # zeros skip the memo: 0.0 == -0.0 but their reprs differ
-        return [(get(v) or memo.setdefault(v, repr(v))) if v else repr(v)
-                for v in values]
 
-    prefixes = [f"{a},{b},{c}," for a, b, c in zip(*map(texts, points.T.tolist()))]
-    rows, cols = np.nonzero(keep)
-    lines = [header]
-    lines += [f"{prefixes[n]}{labels[c]}{text}"
-              for n, c, text in zip(rows.tolist(), cols.tolist(),
-                                    texts(table[rows, cols].tolist()))]
-    return "\n".join(lines) + "\n"
+def _csv_rows(points: np.ndarray, table: np.ndarray, keep: np.ndarray,
+              labels: list) -> list:
+    """The texts that follow the header in _csv: prefix, label and value of
+    each row, then the final newline. The gathers are freed on return."""
+    parts = [None] * (3 * np.count_nonzero(keep) + 1)
+    parts[-1] = "\n"
+    rows, cols = keep.nonzero()
+    size = points.size
+    texts = _reprs(np.concatenate((points.ravel(), table[rows, cols])))
+    y = texts[:size].tolist()
+    prefixes = np.array([f"\n{a},{b},{c}," for a, b, c in zip(y[0::3], y[1::3], y[2::3])],
+                        dtype=object)
+    parts[0:-1:3] = prefixes[rows].tolist()
+    parts[1:-1:3] = np.asarray(labels, dtype=object)[cols].tolist()
+    parts[2:-1:3] = texts[size:].tolist()
+    return parts
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -290,8 +306,9 @@ def cmd_christoffel(ns: argparse.Namespace) -> int:
         _emit(ns, _dump_json(payload))
     else:
         labels = ["%d,%d,%d," % idx for idx in kij]
-        _emit(ns, _csv("y1,y2,y3,k,i,j,gamma", state.points, gamma, nonzero,
-                           labels))
+        parts = _csv_rows(state.points, gamma, nonzero, labels)
+        del state, gamma, nonzero  # free the Christoffel arrays before the join
+        _emit(ns, "y1,y2,y3,k,i,j,gamma" + "".join(parts))
     return EXIT_OK
 
 

@@ -70,6 +70,7 @@ from .fields import (
     _partials,
     _point,
     _raise_first,
+    _row_texts,
     _scheme,
 )
 from .frames import Basis
@@ -483,9 +484,9 @@ class ChartPoints:
             setattr(self, name, None)
         outside = ~chart._inside(points)
         if outside.any():
-            self._drop({k: DomainError(f"point {points[k].tolist()} outside domain "
-                                       f"of chart {chart.name!r}")
-                        for k in np.flatnonzero(outside)})
+            outside = outside.nonzero()[0]
+            self._drop({k: DomainError(f"point {y} outside domain of chart {chart.name!r}")
+                        for k, y in zip(outside.tolist(), _row_texts(points[outside]))})
         if metric:
             self._metric()
         if transition or christoffel:
@@ -499,10 +500,10 @@ class ChartPoints:
         """Record errors[k] for every row k listed and drop those rows."""
         if not errors:
             return
+        rows = np.fromiter(errors, dtype=np.intp, count=len(errors))
+        self.failures.update(zip(self.index[rows].tolist(), errors.values()))
         keep = np.ones(len(self.index), dtype=bool)
-        for k, exc in errors.items():
-            self.failures[int(self.index[k])] = exc
-            keep[k] = False
+        keep[rows] = False
         for name in self._ROWS:
             value = getattr(self, name)
             if value is not None:
@@ -531,10 +532,12 @@ class ChartPoints:
         self.residual = residual
         bad = ~(residual <= tol)
         if bad.any():
+            bad = bad.nonzero()[0]
             self._drop({k: DegenerateTransition(
-                f"Jacobi matrices of chart {chart.name!r} at {self.points[k].tolist()} "
-                f"are not mutually inverse (residual {float(residual[k])!r})")
-                for k in np.flatnonzero(bad)})
+                f"Jacobi matrices of chart {chart.name!r} at {y} "
+                f"are not mutually inverse (residual {value!r})")
+                for k, y, value in zip(bad.tolist(), _row_texts(self.points[bad]),
+                                       residual[bad].tolist())})
         redo = self.residual > 1e-10
         if redo.any():
             redo = np.flatnonzero(redo)
@@ -552,9 +555,10 @@ class ChartPoints:
         out = np.full((self.count,) + values.shape[1:], np.nan)
         out[self.index] = values
         merged = dict(self.failures)
-        for k, exc in (failures or {}).items():
-            out[self.index[k]] = np.nan
-            merged[int(self.index[k])] = exc
+        if failures:
+            rows = self.index[np.fromiter(failures, dtype=np.intp, count=len(failures))]
+            out[rows] = np.nan
+            merged.update(zip(rows.tolist(), failures.values()))
         return out, dict(sorted(merged.items()))
 
 

@@ -117,6 +117,30 @@ def _point(point, dim: int) -> np.ndarray:
     return point
 
 
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """repr(v) for each v of a float64 array, as an object array; repr runs
+    once per distinct bit pattern, found by sorting the int64 view."""
+    order = values.view(np.int64).argsort()
+    ordered = values[order]
+    bits = ordered.view(np.int64)
+    first = np.empty(len(values), dtype=bool)  # first of a run of equal bits
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    # runs are numbered from 1, so the texts start with a placeholder
+    texts = np.array([None] + [repr(v) for v in ordered[first].tolist()], dtype=object)
+    out = np.empty(len(values), dtype=object)
+    out[order] = texts[np.add.accumulate(first, dtype=np.intp)]
+    return out
+
+
+def _row_texts(points: np.ndarray) -> list:
+    """str(row.tolist()) for each row of a 2-D float64 array, the form error
+    messages give a point in, with repr run once per distinct coordinate."""
+    width = points.shape[1]
+    texts = _reprs(points.ravel()).tolist()
+    return ["[" + ", ".join(texts[n:n + width]) + "]" for n in range(0, len(texts), width)]
+
+
 class DifferentiationScheme:
     """Central finite-difference configuration.
 

@@ -300,6 +300,8 @@ class DenseTensor:
     def from_dict(cls, data: dict) -> "DenseTensor":
         try:
             r, s, dim = int(data["r"]), int(data["s"]), int(data["dim"])
+            if data["components"] is None:  # np.asarray would make it a NaN scalar
+                raise ValueError("components is null")
             components = np.asarray(data["components"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ShapeError(f"malformed tensor record: {exc}") from exc

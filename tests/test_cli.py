@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorcalc import DenseTensor, ShapeError
 from tensorcalc.cli import _csv, main
+from tensorcalc.fields import _row_texts
 
 
 def run(capsys, *argv):
@@ -429,6 +431,82 @@ class TestCsvFormatter:
         assert prefixes == ["-0.0,1.0,1.0"] * 3 + ["0.0,1.0,1.0"] * 3
 
 
+def _csv_per_row(header, points, table, keep, labels):
+    """One f-string per printed row, straight from the CSV layout."""
+    lines = [header]
+    values = table.tolist()
+    for n, (x, y, z) in enumerate(points.tolist()):
+        for c, label in enumerate(labels):
+            if keep[n, c]:
+                lines.append(f"{x!r},{y!r},{z!r},{label}{values[n][c]!r}")
+    return "\n".join(lines) + "\n"
+
+
+# repr switches to exponent notation at 1e16 and below 1e-4
+_SWITCH_FLOATS = [1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf),
+                  1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+                  -1e16, -1e-4, 9999999999999998.0, 0.00011]
+_SPECIAL_FLOATS = [0.0, -0.0, float("inf"), float("-inf"), 5e-324, -5e-324,
+                   1e-310, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+                   float("nan"), -float("nan")]
+
+
+@st.composite
+def _csv_tables(draw):
+    """A table and keep mask over a small pool of values, so values repeat."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_SWITCH_FLOATS + _SPECIAL_FLOATS),
+                                   st.floats(allow_nan=False)),
+                         min_size=1, max_size=8))
+    if draw(st.booleans()):  # both signs of each value, zeros included
+        pool += [-v for v in pool]
+    n = draw(st.one_of(st.just(1), st.integers(0, 8)))
+    width = draw(st.integers(1, 5))
+    values = np.array(pool, dtype=float)
+
+    def pick(cols):
+        return values[draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * cols,
+                                    max_size=n * cols))].reshape(n, cols)
+
+    points, table = pick(3), pick(width)
+    mask = draw(st.sampled_from(["empty", "full", "partial"]))
+    if mask == "partial":
+        keep = np.array(draw(st.lists(st.booleans(), min_size=n * width,
+                                      max_size=n * width)), dtype=bool).reshape(n, width)
+    else:
+        keep = np.full((n, width), mask == "full")
+    labels = draw(st.lists(st.sampled_from(["^1,", "_2.3,", "1,2,3,", "scalar,", ""]),
+                           min_size=width, max_size=width))
+    return points, table, keep, labels
+
+
+class TestCsvRows:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_csv_tables())
+    def test_matches_a_per_row_reference(self, inputs):
+        points, table, keep, labels = inputs
+        assert (_csv("x1,x2,x3,c,v", points, table, keep, labels)
+                == _csv_per_row("x1,x2,x3,c,v", points, table, keep, labels))
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=_csv_tables())
+    def test_lines_of_a_point_do_not_depend_on_the_other_points(self, inputs):
+        points, table, keep, labels = inputs
+        lines = _csv("h", points, table, keep, labels).splitlines()[1:]
+        start = 0
+        for n in range(len(points)):
+            alone = _csv("h", points[n:n + 1], table[n:n + 1], keep[n:n + 1],
+                         labels).splitlines()[1:]
+            assert lines[start:start + len(alone)] == alone
+            start += len(alone)
+        assert start == len(lines)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=_csv_tables())
+    def test_row_texts_match_the_list_form_of_a_point(self, inputs):
+        points = inputs[0]
+        assert _row_texts(points) == [str(row) for row in points.tolist()]
+
+
 class TestNonFiniteFieldValues:
     OVERFLOWING = {"r": 0, "s": 0,
                    "components": [[{"coeff": 1e308, "powers": [3, 0, 0]}]]}
@@ -469,8 +547,8 @@ class TestMalformedTensorRecord:
     @pytest.mark.parametrize("components, message", [
         ([1, 2, "x"], "malformed tensor record: could not convert string to float: 'x'"),
         ({"a": 1}, "malformed tensor record: float() argument must be"),
-        (None, "components of shape () do not fit a (1,0) tensor over dim 3"),
-    ], ids=["string", "object", "null"])
+        (None, "malformed tensor record: components is null"),
+    ], ids=["string", "object", "null-is-malformed"])
     def test_eval_exits_three_with_an_error_line(self, capsys, tmp_path,
                                                  components, message):
         bindings = tmp_path / "b.json"
@@ -482,6 +560,22 @@ class TestMalformedTensorRecord:
         assert out == ""
         assert err.startswith("error: " + message)
         assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_null_components_are_a_malformed_record(self, r):
+        # np.asarray(None, dtype=float) is a NaN scalar; null must not reach it
+        with pytest.raises(ShapeError, match="^malformed tensor record: components is null$"):
+            DenseTensor.from_dict({"r": r, "s": 0, "dim": 3, "components": None})
+
+    def test_eval_of_a_null_scalar_record_exits_three(self, capsys, tmp_path):
+        bindings = tmp_path / "b.json"
+        bindings.write_text(json.dumps({
+            "c": {"r": 0, "s": 0, "dim": 3, "components": None}}))
+        code, out, err = run(capsys, "eval", "y = c", "--bindings", str(bindings))
+        assert code == 3
+        assert out == ""
+        assert err == "error: malformed tensor record: components is null\n"
 
 
 class TestEvalBindingsShape:

@@ -231,6 +231,19 @@ class TestChristoffel:
                 want = full.jac_forward_partials(y)
             assert np.max(np.abs(jacobian_derivative(chart, y) - want)) < 1e-6
 
+    def test_second_differences_of_a_compiled_table_map(self, rng):
+        # load_chart gives analytic second partials; a chart built from its
+        # forward and inverse maps alone takes the second-difference path
+        full = load_chart(TABLE_CONFIG)
+        chart = tc.Chart("table-maps", full.forward, full.inverse,
+                         domain=full.domain, sample_bounds=full.sample_bounds)
+        assert chart.jac_forward_partials is None and not chart.analytic
+        for y in chart.sample_points(50, rng):  # x = (y1 + a sin y2, y2, y3 + b y1^2)
+            want = np.zeros((3, 3, 3))
+            want[0, 1, 1] = -TABLE_A * math.sin(y[1])
+            want[2, 0, 0] = 2.0 * TABLE_B
+            assert np.max(np.abs(jacobian_derivative(chart, y) - want)) < 1e-6
+
 
 class TestCovariantDerivative:
     def test_identity_chart_reduces_to_plain_derivative(self, rng):
