@@ -780,7 +780,8 @@ def gradient_vector_in_chart(chart: Chart, phi: TensorField,
     def func(points, t=None):
         state = ChartPoints(chart, points, metric=True)
         covector, failures = _covariant(state, phi, t, scheme)
-        return state.finish(np.einsum("nij,nj->ni", state.dual, covector), failures)
+        # elementwise, then summed along each row: einsum's last bits vary with N
+        return state.finish(np.sum(state.dual * covector[:, None, :], axis=2), failures)
 
     return TensorField(Valency(1, 0), func, phi.dim,
                        has_parameter=phi.has_parameter)
@@ -942,8 +943,8 @@ _NO_POWERS = (0, 0, 0)
 _NO_TRIG = (None, None, None)
 # the second partials (q, i, j) with i <= j, and the one each (q, i, j) reads
 _PAIRS = [(q, i, j) for q in range(3) for i in range(3) for j in range(i, 3)]
-_SYMMETRIC = np.array([_PAIRS.index((q, min(i, j), max(i, j)))
-                       for q in range(3) for i in range(3) for j in range(3)])
+_SYMMETRIC = [_PAIRS.index((q, min(i, j), max(i, j)))
+              for q in range(3) for i in range(3) for j in range(3)]
 
 
 def _finite(value) -> bool:
@@ -1021,24 +1022,24 @@ def _column(factor: tuple, coords: tuple):
 
 
 def _values(tables: list) -> Callable:
-    """Evaluator y -> [value of each parsed table].
+    """Evaluator y (..., 3) -> (..., len(tables)): entry e is table e's value.
 
     Each term multiplies its coefficient by its factors in order and the
-    terms are summed from zero in table order. Map and field values keep
-    this rounding order; _polynomial's matrix-product sums would change
-    their last bits.
+    terms are added to zero in table order. This is the one rounding rule
+    of every table: map, field component, Jacobian and second partials.
+    Every step is elementwise, so a point's value does not depend on the
+    batch it is evaluated in.
     """
     def evaluate(y):
         coords = _coords(y)
-        out = []
-        for terms in tables:
-            total = np.zeros(coords[0].shape)
+        out = np.zeros(coords[0].shape + (len(tables),))
+        for e, terms in enumerate(tables):
+            total = out[..., e]
             for coeff, factors in terms:
                 value = coeff
                 for factor in factors:
                     value = value * _column(factor, coords)
-                total = total + value
-            out.append(total)
+                total += value
         return out
 
     return evaluate
@@ -1060,46 +1061,6 @@ def _derivative(terms: list, b: int) -> list:
                 out.append(((param if fn == "sin" else -param) * coeff,
                             factors[:k] + (turned,) + factors[k + 1:]))
     return out
-
-
-def _polynomial(tables: list, shape: tuple, layout: np.ndarray | None = None) -> Callable:
-    """Batched evaluator of parsed tables: y (..., 3) -> (..., *shape).
-
-    Output entry e is table layout[e] (table e without a layout). Each call
-    evaluates every distinct factor once on the coordinate vectors, forms
-    each distinct monomial as the product of its gathered factor rows, and
-    sums the monomials of all tables with one matrix product.
-    """
-    monomials, coeffs = {}, []
-    for e, terms in enumerate(tables):
-        for coeff, factors in terms:
-            coeffs.append((monomials.setdefault(factors, len(monomials)), e, coeff))
-    # factor row 0 is the constant 1 that pads the shorter monomials
-    columns = {}
-    width = max(map(len, monomials), default=0) or 1
-    gather = np.array([[columns.setdefault(f, len(columns) + 1) for f in m]
-                       + [0] * (width - len(m)) for m in monomials],
-                      dtype=np.intp).reshape(len(monomials), width)
-    m, e, c = np.array(coeffs, dtype=float).reshape(-1, 3).T
-    weights = np.bincount((m * len(tables) + e).astype(np.intp), weights=c,
-                          minlength=len(monomials) * len(tables))
-    weights = weights.reshape(len(monomials), len(tables))
-    factors = list(columns)
-
-    @_batched
-    def evaluate(y):
-        coords = _coords(y)
-        lead = coords[0].shape
-        rows = np.empty((len(factors) + 1,) + lead)
-        rows[0] = 1.0
-        for k, factor in enumerate(factors, 1):
-            rows[k] = _column(factor, coords)
-        out = rows[gather].prod(axis=1).reshape(len(gather), rows[0].size).T @ weights
-        if layout is not None:
-            out = out[:, layout]
-        return out.reshape(lead + shape)
-
-    return evaluate
 
 
 def _lazy(build: Callable) -> Callable:
@@ -1126,7 +1087,7 @@ def _compile_component(terms: list, where: str) -> Callable:
 
     @_batched
     def component(y):
-        return evaluate(y)[0]
+        return evaluate(y)[..., 0]
 
     return component
 
@@ -1136,25 +1097,23 @@ def _compile_map(spec: list, where: str) -> tuple:
 
     Returns batched callables ``(mapping, jacobian, partials)``: the map,
     J[..., i, j] = dx^i/dy^j and dJ[..., q, i, j] = d^2 x^q / dy^i dy^j,
-    with dJ symmetric in i, j bit for bit. The derivative tables are built
-    on the first call of each.
+    with dJ symmetric in i, j bit for bit (dJ[..., q, j, i] reads the same
+    i <= j table). All three are summed term by term by _values, so a
+    point's values do not depend on the batch size. The derivative tables
+    are built on the first call of each.
     """
     if not isinstance(spec, list) or len(spec) != 3:
         raise ParameterError(f"{where}: expected three component term lists")
     tables = [_parse_terms(spec[i], f"{where}[{i}]") for i in range(3)]
-    evaluate = _values(tables)
-
-    @_batched
-    def mapping(p):
-        return _stack(evaluate(p), _coords(p)[0], (3,))
+    mapping = _batched(_values(tables))
 
     def jacobian():
-        return _polynomial([_derivative(terms, j) for terms in tables for j in range(3)],
-                           (3, 3))
+        entries = _values([_derivative(terms, j) for terms in tables for j in range(3)])
+        return lambda y: entries(y).reshape(np.shape(y)[:-1] + (3, 3))
 
     def partials():
-        return _polynomial([_derivative(_derivative(tables[q], i), j) for q, i, j in _PAIRS],
-                           (3, 3, 3), _SYMMETRIC)
+        pairs = _values([_derivative(_derivative(tables[q], i), j) for q, i, j in _PAIRS])
+        return lambda y: pairs(y)[..., _SYMMETRIC].reshape(np.shape(y)[:-1] + (3, 3, 3))
 
     return mapping, _lazy(jacobian), _lazy(partials)
 

@@ -278,14 +278,6 @@ class TensorField:
     def evaluate(self, point, t: float | None = None) -> DenseTensor:
         return DenseTensor(self.valency, self.dim, self.evaluate_array(point, t))
 
-    def partials_array(self, point, t: float | None = None):
-        """Analytic derivative table, or None when the field has none."""
-        if self._partials is None:
-            return None
-        point = np.asarray(point, dtype=float)
-        return _first_row(*_map_rows(self._partials, point[None], (self.dim,) + self._shape,
-                                     "partials", self._args(t), valency=self.valency))
-
     def __repr__(self):
         return (f"TensorField(r={self.valency.r}, s={self.valency.s}, "
                 f"dim={self.dim}{', t' if self.has_parameter else ''})")

@@ -371,3 +371,15 @@ def test_sample_points_gives_up_like_the_rejection_loop():
     never = Chart("never", lambda y: y, lambda x: x, domain=lambda y: False)
     with pytest.raises(DomainError, match="could not sample 3 points"):
         never.sample_points(3, np.random.default_rng(0))
+
+
+def test_spherical_grid_rows_equal_single_points_bit_for_bit():
+    chart = CHARTS["spherical"]
+    axes = [np.linspace(0.5, 3.0, 6), np.linspace(0.2, 2.9, 6), np.linspace(-3.0, 3.0, 6)]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    for op in ("laplace", "grad", "div", "rot"):
+        field = OPERATORS[op](chart, SCHEMES[0])
+        values, failures = field.evaluate_batch(points)
+        assert not failures
+        for n, y in enumerate(points):
+            assert np.array_equal(values[n], field.evaluate_array(y)), (op, n)

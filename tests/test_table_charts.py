@@ -4,7 +4,8 @@ load_chart differentiates its tables term by term (power rule, sin' = cos,
 cos' = -sin). These tests pin the derivatives to closed forms, to the
 central-difference engine on random tables, and the Christoffel symbols to
 the derivative-of-T route on random invertible table charts. The map values
-themselves must equal a term-by-term evaluation bit for bit.
+themselves must equal a term-by-term evaluation bit for bit, and every
+table callable must give a row of a batch what it gives that row alone.
 """
 
 import json
@@ -151,6 +152,34 @@ def test_inverse_jacobian_is_the_inverse_table_differentiated_at_x(forward, inve
     want, failures = _fd_jacobian(chart.inverse, chart.forward(y))
     assert not failures
     assert _close(chart.jac_inverse(y), want, 1e-6)
+
+
+# -- one rounding rule: a batch gives each row what the row gives alone --------
+
+_TABLE_MAPS = ("forward", "jac_forward", "jac_inverse", "jac_forward_partials")
+_batches = st.lists(st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+                    min_size=1, max_size=60).map(np.array)
+
+
+def _assert_rows_alone(chart, y, rows):
+    """Each map of the chart at y[n] alone equals row n of the whole batch."""
+    for name in _TABLE_MAPS:
+        batch = getattr(chart, name)(y)
+        for n in rows:
+            alone = getattr(chart, name)(y[n:n + 1])[0]
+            assert np.array_equal(batch[n], alone), (name, n)
+
+
+def test_table_chart_rows_do_not_depend_on_the_batch(rng):
+    y = TABLE.sample_points(2000, rng)
+    _assert_rows_alone(TABLE, y, rng.choice(len(y), 300, replace=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_map, _map, _batches)
+def test_random_table_rows_do_not_depend_on_the_batch(forward, inverse, y):
+    chart = load_chart({"name": "pair", "forward": forward, "inverse": inverse})
+    _assert_rows_alone(chart, y, range(len(y)))
 
 
 # -- random invertible table charts -------------------------------------------
