@@ -32,7 +32,6 @@ from .tensors import (
     Valency,
     compose_transitions,
     invert_matrix,
-    zeros,
 )
 from .frames import (
     Basis,
@@ -112,6 +111,8 @@ from .notation import (
 )
 
 __version__ = "0.1.0"
+
+zeros = DenseTensor.zeros  # the public name stays; the tensors.zeros wrapper is gone
 
 __all__ = [
     "DEFAULT_DIM", "MAX_ORDER", "NEW_TO_OLD", "OLD_TO_NEW",

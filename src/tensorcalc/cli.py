@@ -9,8 +9,14 @@ Subcommands:
     audit        run chart invariant checks at random domain points
 
 Exit codes: 0 success; 1 invalid expression (check); 2 parse/usage errors;
-3 binding or shape errors (eval); 4 every sample point failed (christoffel,
-field-op); 5 audit tolerance breach.
+3 binding or shape errors (eval), and a BindingError from any command; 4
+every sample point failed (christoffel, field-op), and a DomainError,
+DegenerateTransition or DegenerateMetric from any command; 5 audit
+tolerance breach.
+
+A --point value may start with a minus sign (--point -1.5,0.2,0.3): main
+attaches such a value to its flag before argparse, which would otherwise
+read it as an option.
 
 christoffel and field-op evaluate all their sample points as one array
 through the chart layer (curvilinear.ChartPoints, TensorField.evaluate_batch);
@@ -67,6 +73,10 @@ EXIT_PARSE = 2
 EXIT_BINDING = 3
 EXIT_DOMAIN = 4
 EXIT_AUDIT = 5
+
+# exit code of an error that reaches main; any other error exits EXIT_PARSE
+_EXIT_CODES = ((BindingError, EXIT_BINDING),
+               ((DomainError, DegenerateTransition, DegenerateMetric), EXIT_DOMAIN))
 
 _AXIS_NAMES = {"y1": 0, "y2": 1, "y3": 2, "x1": 0, "x2": 1, "x3": 2,
                "1": 0, "2": 1, "3": 2}
@@ -436,7 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="axis=min:max:count",
                        help="grid spec per axis, repeatable")
         p.add_argument("--point", action="append", default=[],
-                       metavar="a,b,c", help="single point, repeatable")
+                       metavar="a,b,c", help="single point, repeatable; "
+                       "may be negative (--point -1,0,0)")
 
     def add_output_flags(p):
         p.add_argument("--out", help="write output to a file instead of stdout")
@@ -487,7 +498,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number_list(text: str) -> bool:
+    try:
+        [float(v) for v in text.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_points(argv: list) -> list:
+    """argv with each ``--point -a,b,c`` pair written as ``--point=-a,b,c``.
+
+    argparse takes a value that starts with "-" for an option unless it is
+    one plain negative number, so a point with a negative first coordinate
+    would be a usage error. Only values that parse as numbers are attached;
+    anything else reaches argparse as it was given.
+    """
+    out = []
+    for arg in argv:
+        if (out and out[-1] == "--point" and arg.startswith("-")
+                and _is_number_list(arg)):
+            out[-1] = "--point=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _attach_points(sys.argv[1:] if argv is None else list(argv))
     try:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -507,7 +545,8 @@ def main(argv=None) -> int:
         return handlers[ns.command](ns)
     except (TensorCalcError, FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)),
+                    EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ the volume tensor of the rotor (Levi-Civita symbol) are 3-D only.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -74,7 +75,7 @@ from .fields import (
     _scheme,
 )
 from .frames import Basis
-from .metric import Metric, _gram_stack, levi_civita
+from .metric import Metric, _gram_stack
 from .tensors import (
     NEW_TO_OLD,
     OLD_TO_NEW,
@@ -493,7 +494,11 @@ class ChartPoints:
             self._transition()
         if christoffel:
             dS, failures = _second_partials(chart, self.points)
-            self.gamma = np.einsum("nkq,nqij->nkij", self.T, dS)
+            n, d = dS.shape[:2]
+            # one (d, d) @ (d, d*d) product per point, on C-contiguous
+            # operands whatever the batch, so every point gets the same bits
+            T = np.ascontiguousarray(self.T)
+            self.gamma = (T @ dS.reshape(n, d, d * d)).reshape(dS.shape)
             self._drop(failures)
 
     def _drop(self, errors: dict):
@@ -831,6 +836,10 @@ def laplacian_in_chart(chart: Chart, phi: TensorField,
                        has_parameter=phi.has_parameter)
 
 
+# epsilon_ijk is +1 for (i, _NEXT[i], _LAST[i]) and -1 with the last two swapped
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
+
+
 def rotor_in_chart(chart: Chart, field: TensorField,
                    scheme: DifferentiationScheme | None = None) -> TensorField:
     """Curl against the chart metric and its volume tensor."""
@@ -840,15 +849,20 @@ def rotor_in_chart(chart: Chart, field: TensorField,
         raise ShapeError("rotor is defined for dimension 3")
     _check_dim(chart, field)
     scheme = _scheme(scheme)
-    epsilon = levi_civita()
 
     @_batched
     def func(points, t=None):
         state = ChartPoints(chart, points, metric=True, christoffel=True)
         table, failures = _covariant(state, field, t, scheme)  # [n, m, k] = nabla_m X^k
-        # omega_ijk = sqrt(det g) epsilon_ijk, both indices raised by g^..
-        low = np.einsum("ijk,njm,nmk->ni", epsilon, state.dual, table)
-        rot = state.sqrt_det[:, None] * np.einsum("nri,ni->nr", state.dual, low)
+        # rot^r = sqrt(det g) g^ri epsilon_ijk g^jm nabla_m X^k; products taken
+        # elementwise and summed in index order, so no row depends on the
+        # batch or on the operands' memory layout
+        dual = state.dual
+        up = functools.reduce(np.add, (dual[:, :, m, None] * table[:, None, m, :]
+                                       for m in range(3)))   # [n, j, k]
+        low = up[:, _NEXT, _LAST] - up[:, _LAST, _NEXT]      # epsilon_ijk up[j, k]
+        rot = state.sqrt_det[:, None] * functools.reduce(
+            np.add, (dual[:, :, i] * low[:, i, None] for i in range(3)))
         return state.finish(rot, failures)
 
     return TensorField(Valency(1, 0), func, field.dim,

@@ -34,8 +34,11 @@ SYMMETRY_TOL = 1e-12
 class Metric:
     """Symmetric positive definite matrix g with its cached inverse.
 
-    Positive definiteness is established by attempting a Cholesky
-    factorization, which succeeds exactly when all pivots are positive.
+    Built by _gram_stack on the one matrix: one Cholesky factorization
+    g = L L^T, written over the matrix entries, tests positive definiteness
+    (every pivot > 0) and gives sqrt(det g) as the product of the L_jj and
+    the inverse as L^-T L^-1, exactly symmetric. A metric gets the same bits
+    as the same matrix inside any stack of ChartPoints.
     """
 
     __slots__ = ("matrix", "dual", "dim", "_sqrt_det")
@@ -44,16 +47,15 @@ class Metric:
         g = np.asarray(matrix, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ShapeError(f"metric must be a square matrix, got shape {g.shape}")
-        g, dual, sqrt_det, failures = _gram_stack(g[None])
+        g, dual, sqrt_det, failures = _gram_stack(g)
         if failures:
             raise failures[0]
-        g, dual = g[0], dual[0]
         g.flags.writeable = False
         dual.flags.writeable = False
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "dual", dual)
         object.__setattr__(self, "dim", g.shape[0])
-        object.__setattr__(self, "_sqrt_det", float(sqrt_det[0]))
+        object.__setattr__(self, "_sqrt_det", float(sqrt_det))
 
     def __setattr__(self, name, value):
         raise AttributeError("Metric is immutable")
@@ -91,38 +93,102 @@ class Metric:
 
 
 def _gram_stack(g: np.ndarray):
-    """Metric data for a stack of square matrices g[n].
+    """Metric data for one square matrix g, or for a stack g[n] of them.
 
     Returns ``(g, dual, sqrt_det, failures)``: each matrix symmetrised, its
     inverse and sqrt(det g), and failures mapping the index of every matrix
-    that is not symmetric positive definite to its DegenerateMetric. A
-    failed matrix is replaced by the identity so that the others go on.
+    that is not symmetric positive definite to its DegenerateMetric (index
+    0 for a single matrix). A failed matrix is replaced by the identity so
+    that the others go on.
+
+    A matrix that is not symmetric within SYMMETRY_TOL (relative to its
+    largest entry, at least 1) fails. The others are factored by
+    _cholesky_dual with every entry g_ij as one operand: a float for one
+    matrix, a contiguous (n,) array for a stack, so one numpy operation
+    serves the whole stack and a matrix gets the same bits alone as in any
+    stack. A matrix is positive definite when every pivot L_jj^2 is > 0;
+    sqrt(det g) is the product of the L_jj.
     """
     failures = {}
-    gt = np.swapaxes(g, 1, 2)
-    asym = np.abs(g - gt).max(axis=(1, 2), initial=0.0)
-    scale = np.abs(g).max(axis=(1, 2), initial=0.0)
-    g = (g + gt) / 2.0
-    asymmetric = asym > SYMMETRY_TOL * np.maximum(1.0, scale)
-    if asymmetric.any():
-        for n in np.flatnonzero(asymmetric):
-            failures[int(n)] = DegenerateMetric(
-                f"metric is not symmetric (deviation {float(asym[n])!r})")
-            g[n] = np.eye(g.shape[-1])
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        # a stacked factorization fails as a whole: find the culprits
-        chol = np.empty_like(g)
-        for n in range(len(g)):
-            try:
-                chol[n] = np.linalg.cholesky(g[n])
-            except np.linalg.LinAlgError:
-                failures[n] = DegenerateMetric("metric is not positive definite")
-                g[n] = chol[n] = np.eye(g.shape[-1])
-    dual = np.linalg.inv(g)
-    sqrt_det = np.sqrt(np.prod(np.diagonal(chol, axis1=1, axis2=2), axis=1) ** 2)
+    d = g.shape[-1]
+    gt = np.swapaxes(g, -1, -2)
+    if np.count_nonzero(g != gt):
+        asym = np.abs(g - gt).max(axis=(-2, -1), initial=0.0)
+        scale = np.abs(g).max(axis=(-2, -1), initial=0.0)
+        g = (g + gt) / 2.0
+        asymmetric = asym > SYMMETRY_TOL * np.maximum(1.0, scale)
+        for k in np.flatnonzero(asymmetric):
+            failures[int(k)] = DegenerateMetric(
+                f"metric is not symmetric (deviation {float(asym.flat[k])!r})")
+        g[asymmetric] = np.eye(d)
+    else:
+        g = g.copy()
+    axes = tuple(range(g.ndim))
+    entry = np.ascontiguousarray(g.transpose(axes[-2:] + axes[:-2]))  # [i, j, ...]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        root, dual = _cholesky_dual(entry)
+        sqrt_det = np.ones(g.shape[:-2])
+        for r in root:
+            sqrt_det = sqrt_det * r
+    dual = np.array(dual).reshape(g.shape[-2:] + g.shape[:-2])
+    dual = np.ascontiguousarray(dual.transpose(axes[2:] + axes[:2]))
+    definite = sqrt_det > 0
+    if not definite.all():
+        # judge the pivots themselves: their product can underflow
+        definite = np.logical_and.reduce([r > 0 for r in root])
+        for k in np.flatnonzero(~definite):
+            failures[int(k)] = DegenerateMetric("metric is not positive definite")
+        g[~definite] = dual[~definite] = np.eye(d)
+        sqrt_det = np.where(definite, sqrt_det, 1.0)
     return g, dual, sqrt_det, failures
+
+
+def _cholesky_dual(entry):
+    """Cholesky factor and inverse of g from its entries g_ij = entry[i, j].
+
+    g = L L^T (Golub & Van Loan, Matrix Computations, 4.2) and g^-1 = M^T M
+    with M = L^-1. Returns the diagonal L_jj as a list and the d * d entries
+    of g^-1 in row-major order, the same object at [i, j] and [j, i], so the
+    dual is exactly symmetric. Every sum runs in index order, one operation
+    per term.
+    """
+    d = len(entry)
+    L = [[] for _ in range(d)]   # L[i][j], j < i
+    root, inv = [], []           # L_jj and 1 / L_jj
+    for j in range(d):
+        Lj = L[j]
+        for i in range(j, d):
+            Li = L[i]
+            s = entry[i, j]
+            if j:
+                dot = Li[0] * Lj[0]
+                for k in range(1, j):
+                    dot = dot + Li[k] * Lj[k]
+                s = s - dot
+            if i == j:
+                root.append(np.sqrt(s))
+                inv.append(1.0 / root[j])
+            else:
+                Li.append(s * inv[j])
+    M = [[] for _ in range(d)]   # M[i][j], j <= i: M_ij = -(sum_{j<=k<i} L_ik M_kj) / L_ii
+    for i in range(d):
+        Li, Mi = L[i], M[i]
+        if i:
+            neg = -inv[i]
+        for j in range(i):
+            s = Li[j] * inv[j]
+            for k in range(j + 1, i):
+                s = s + Li[k] * M[k][j]
+            Mi.append(s * neg)
+        Mi.append(inv[i])
+    dual = [None] * (d * d)      # dual_ij = sum_{k >= j} M_ki M_kj for i <= j
+    for i in range(d):
+        for j in range(i, d):
+            s = M[j][i] * M[j][j]
+            for k in range(j + 1, d):
+                s = s + M[k][i] * M[k][j]
+            dual[i * d + j] = dual[j * d + i] = s
+    return root, dual
 
 
 def gram_from_basis(basis: Basis) -> Metric:

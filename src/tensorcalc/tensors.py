@@ -416,8 +416,3 @@ def compose_transitions(first: TransitionPair, second: TransitionPair) -> Transi
     if first.dim != second.dim:
         raise ShapeError("cannot compose transitions of different dimensions")
     return TransitionPair(first.S @ second.S, second.T @ first.T)
-
-
-def zeros(valency, dim: int = DEFAULT_DIM) -> DenseTensor:
-    """Zero tensor of the given valency."""
-    return DenseTensor.zeros(valency, dim)

@@ -383,3 +383,24 @@ def test_spherical_grid_rows_equal_single_points_bit_for_bit():
         assert not failures
         for n, y in enumerate(points):
             assert np.array_equal(values[n], field.evaluate_array(y)), (op, n)
+
+
+@st.composite
+def regular_points(draw):
+    """1 to 40 points inside a box the cylindrical, spherical and identity
+    charts all accept."""
+    point = st.tuples(st.floats(0.4, 1.9), st.floats(0.3, 2.8), st.floats(-1.5, 1.5))
+    return np.array(draw(st.lists(point, min_size=1, max_size=40)), dtype=float)
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=regular_points(),
+       chart=st.sampled_from(["cylindrical", "spherical", "identity"]),
+       scheme=st.sampled_from(SCHEMES[:2]))
+def test_operator_rows_equal_single_points_bit_for_bit(points, chart, scheme):
+    for op in ("laplace", "grad", "div", "rot"):
+        field = OPERATORS[op](CHARTS[chart], scheme)
+        values, failures = field.evaluate_batch(points)
+        assert not failures
+        for n, y in enumerate(points):
+            assert np.array_equal(values[n], field.evaluate_array(y)), (op, n)

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorcalc import DenseTensor, ShapeError
+from tensorcalc import cli
+from tensorcalc import errors as tc_errors
 from tensorcalc.cli import _csv, main
 from tensorcalc.fields import _row_texts
 
@@ -640,3 +642,63 @@ class TestMalformedTables:
         assert err.startswith("error: field component 1: ")
         assert err.count("\n") == 1
         assert all(word in err for word in words)
+
+
+class TestNegativePoints:
+    """A --point whose first coordinate is negative is a point, not an option."""
+
+    def test_christoffel_accepts_a_negative_first_coordinate(self, capsys):
+        spaced = run(capsys, "christoffel", "--chart", "cylindrical",
+                     "--point", "-1.5,0.2,0.3")
+        attached = run(capsys, "christoffel", "--chart", "cylindrical",
+                       "--point=-1.5,0.2,0.3")
+        assert spaced == attached
+        code, out, err = spaced
+        assert code == 4
+        assert err.startswith("warning: skipping [-1.5, 0.2, 0.3]: point [-1.5, 0.2, 0.3]")
+
+    def test_field_op_accepts_negative_points(self, capsys, tmp_path):
+        field = tmp_path / "f.json"
+        field.write_text(json.dumps({"r": 0, "s": 0, "components": [
+            [{"coeff": 1.0, "powers": [2, 1, 0]}]]}))
+        code, out, err = run(capsys, "field-op", "grad", "--chart", "identity",
+                             "--field", str(field), "--point", "-1.5,0.2,0.3",
+                             "--point", "-2,-1,-0.5")
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[:3] for row in rows[::3]] == [["-1.5", "0.2", "0.3"],
+                                                  ["-2.0", "-1.0", "-0.5"]]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--point"], "argument --point: expected one argument"),
+        (["--point", "-h"], "argument --point: expected one argument"),
+        (["--point", "--grid", "1=0:1:2"], "argument --point: expected one argument"),
+        (["--point", "-1.5,0.2"], "bad point '-1.5,0.2'; expected three numbers"),
+        (["--point", "-1.5,a,0"], "argument --point: expected one argument"),
+    ])
+    def test_other_point_errors_stay_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, "christoffel", "--chart", "identity", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
+class TestErrorExitCodes:
+    """An error that reaches main exits with the code of its class."""
+
+    @pytest.mark.parametrize("error, code", [
+        (tc_errors.DomainError, 4),
+        (tc_errors.DegenerateTransition, 4),
+        (tc_errors.DegenerateMetric, 4),
+        (tc_errors.BindingError, 3),
+        (tc_errors.ParameterError, 2),
+        (tc_errors.ShapeError, 2),
+        (tc_errors.TensorCalcError, 2),
+    ])
+    def test_exit_code_per_error_class(self, capsys, monkeypatch, error, code):
+        def fail(ns):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli, "_chart", fail)
+        got = run(capsys, "christoffel", "--chart", "spherical", "--point", "1,1,1")
+        assert got == (code, "", "error: injected failure\n")
