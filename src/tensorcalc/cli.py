@@ -63,8 +63,8 @@ from .errors import (
     TensorCalcError,
     ValidationError,
 )
-from .fields import (DifferentiationScheme, TensorField, _batched, _map_rows, _raise_first,
-                     _reprs, _row_texts)
+from .fields import (DifferentiationScheme, TensorField, _map_rows, _raise_first, _reprs,
+                     _row_texts)
 from .tensors import DenseTensor, Valency
 
 EXIT_OK = 0
@@ -163,7 +163,11 @@ def load_field(source) -> TensorField:
     {"r": 1, "s": 0, "components": [terms, terms, terms]} with one term list
     per component in row-major slot order (a scalar field has exactly one).
     Terms follow the chart-config grammar: {"coeff": c, "powers": [p1,p2,p3],
-    "trig": [null | {"fn": "sin"|"cos", "freq": f}, ...]}.
+    "trig": [null | {"fn": "sin"|"cos", "freq": f}, ...]}. The field
+    carries exact first and second partials, the tables differentiated
+    term by term (curvilinear._compile_field), so the field-op operators
+    take no finite differences of it and --scheme/--step do not change its
+    values.
     """
     if isinstance(source, dict):
         spec = source
@@ -180,20 +184,7 @@ def load_field(source) -> TensorField:
     if not isinstance(component_tables, list) or len(component_tables) != count:
         raise ParameterError(
             f"field spec needs {count} component term lists for valency ({r},{s})")
-    components = [
-        curvilinear._compile_component(table, f"field component {n}")
-        for n, table in enumerate(component_tables)
-    ]
-    shape = (3,) * valency.order
-
-    @_batched
-    def func(points):
-        values = np.empty((len(points), count))
-        for n, component in enumerate(components):
-            values[:, n] = component(points)
-        return values.reshape((len(points),) + shape), {}
-
-    return TensorField(valency, func, 3)
+    return curvilinear._compile_field(valency, component_tables)
 
 
 def _component_paths(valency: Valency) -> list:

@@ -16,13 +16,15 @@ partial derivative with one Gamma term per slot, keeping tensor character.
 Built-in charts (identity, cylindrical, spherical) carry analytic Jacobians
 and analytic Jacobian derivatives, and so do charts loaded from JSON
 coefficient tables: their Jacobians and second partials are the tables
-differentiated term by term. These maps and domain predicates broadcast
-over leading axes, so one call covers an (N, 3) array of points; other
-Python callables given to Chart are called once per point. A chart built
-from Python callables may supply only the forward/inverse maps; everything
-else then falls back to central finite differences, taken for a whole point
-array at once. Singular points (cylindrical axis, spherical poles) are
-excluded by domain predicates and fail fast with DomainError.
+differentiated term by term. Fields built from such tables (_compile_field,
+behind cli.load_field) carry their first and second partials the same way.
+These maps and domain predicates broadcast over leading axes, so one call
+covers an (N, 3) array of points; other Python callables given to Chart
+are called once per point. A chart built from Python callables may supply
+only the forward/inverse maps; everything else then falls back to central
+finite differences, taken for a whole point array at once. Singular
+points (cylindrical axis, spherical poles) are excluded by domain
+predicates and fail fast with DomainError.
 
 ChartPoints computes S, T, the metric and the Christoffel symbols of a
 point array once. The chart operators evaluate a point array in one pass
@@ -943,22 +945,25 @@ def dalembert(c: float, phi: TensorField,
                        has_parameter=phi.has_parameter)
 
 
-# -- custom charts from coefficient tables ----------------------------------------
+# -- coefficient tables: custom charts and fields ----------------------------------
 #
 # A parsed term is (coeff, factors): the value coeff * prod(factors) with
 # factors ("pow", a, p) = y_a**p (p >= 1), ("sin", a, f) = sin(f y_a) and
 # ("cos", a, f) = cos(f y_a), in axis order and each power before the trig
 # factor of its axis. The grammar is closed under d/dy_b (power rule,
-# sin' = cos, cos' = -sin), so the Jacobian and the second partials of a
-# table map are tables of the same grammar.
+# sin' = cos, cos' = -sin), so the partials of a table are tables of the
+# same grammar: a chart's Jacobian and second partials, and a field's first
+# and second partials. A derivative multiplies a term by a power or a
+# frequency, folded into the coefficient unless that product overflows; it
+# is then a trailing factor ("mul", None, m), applied after the others.
 
 _TRIG = {"sin": np.sin, "cos": np.cos}
 _NO_POWERS = (0, 0, 0)
 _NO_TRIG = (None, None, None)
-# the second partials (q, i, j) with i <= j, and the one each (q, i, j) reads
-_PAIRS = [(q, i, j) for q in range(3) for i in range(3) for j in range(i, 3)]
-_SYMMETRIC = [_PAIRS.index((q, min(i, j), max(i, j)))
-              for q in range(3) for i in range(3) for j in range(3)]
+# the second partials (i, j) with i <= j, and the one each (i, j) reads
+_UPPER = [(i, j) for i in range(3) for j in range(i, 3)]
+_SYMMETRIC = np.array([_UPPER.index((min(i, j), max(i, j)))
+                       for i in range(3) for j in range(3)])
 
 
 def _finite(value) -> bool:
@@ -976,8 +981,9 @@ def _count(value) -> bool:
     return _finite(value) and value >= 0 and float(value).is_integer()
 
 
-def _parse_terms(terms, where: str) -> list:
-    """The parsed terms of one component's coefficient table.
+def _compile_component(terms, where: str) -> list:
+    """The parsed terms of one coordinate map's or field component's
+    coefficient table.
 
     Each term is {"coeff": c, "powers": [p1,p2,p3]} with an optional
     "trig": [spec|null, ...] where spec = {"fn": "sin"|"cos", "freq": f},
@@ -1031,7 +1037,9 @@ def _trig_factor(spec, a: int, where: str, n: int) -> tuple:
 def _column(factor: tuple, coords: tuple):
     fn, a, param = factor
     if fn == "pow":
-        return coords[a] ** param
+        return coords[a] if param == 1 else coords[a] ** param
+    if fn == "mul":
+        return param
     return _TRIG[fn](param * coords[a])
 
 
@@ -1040,23 +1048,37 @@ def _values(tables: list) -> Callable:
 
     Each term multiplies its coefficient by its factors in order and the
     terms are added to zero in table order. This is the one rounding rule
-    of every table: map, field component, Jacobian and second partials.
-    Every step is elementwise, so a point's value does not depend on the
-    batch it is evaluated in.
+    of every table: map, field component and their partials. Every step is
+    elementwise, so a point's value does not depend on the batch it is
+    evaluated in.
     """
     def evaluate(y):
         coords = _coords(y)
         out = np.zeros(coords[0].shape + (len(tables),))
+        columns = {}
         for e, terms in enumerate(tables):
             total = out[..., e]
             for coeff, factors in terms:
                 value = coeff
                 for factor in factors:
-                    value = value * _column(factor, coords)
+                    column = columns.get(factor)
+                    if column is None:
+                        column = columns[factor] = _column(factor, coords)
+                    value = value * column
                 total += value
         return out
 
     return evaluate
+
+
+def _scaled(coeff: float, multiplier: float, factors: tuple) -> tuple:
+    """The term multiplier * coeff * prod(factors), with the multiplier
+    folded into the coefficient unless that product is not finite: then it
+    is a trailing factor, so 1e308 y**2 * 3 is still finite at y = 0.5."""
+    product = multiplier * coeff
+    if math.isfinite(product):
+        return product, factors
+    return coeff, factors + (("mul", None, multiplier),)
 
 
 def _derivative(terms: list, b: int) -> list:
@@ -1069,11 +1091,11 @@ def _derivative(terms: list, b: int) -> list:
                 continue
             if fn == "pow":
                 lowered = (("pow", b, param - 1),) if param > 1 else ()
-                out.append((coeff * param, factors[:k] + lowered + factors[k + 1:]))
+                out.append(_scaled(coeff, param, factors[:k] + lowered + factors[k + 1:]))
             elif param:
                 turned = ("cos" if fn == "sin" else "sin", b, param)
-                out.append(((param if fn == "sin" else -param) * coeff,
-                            factors[:k] + (turned,) + factors[k + 1:]))
+                out.append(_scaled(coeff, param if fn == "sin" else -param,
+                                   factors[:k] + (turned,) + factors[k + 1:]))
     return out
 
 
@@ -1091,45 +1113,76 @@ def _lazy(build: Callable) -> Callable:
     return call
 
 
-def _compile_component(terms: list, where: str) -> Callable:
-    """Compile one coordinate map or field component from its coefficient
-    table (grammar: see _parse_terms).
+def _compile_tables(tables: list) -> tuple:
+    """Batched evaluators ``(values, first, second)`` of parsed tables.
 
-    The compiled component broadcasts over the leading axes of y.
+    values(y)[..., e] is table e, first(y)[..., e, q] its partial along y_q
+    and second(y)[..., e, i, j] its second partial along y_i and y_j, where
+    (j, i) reads the (i, j) table of i <= j, so second is symmetric bit for
+    bit. All three are summed term by term by _values, so a point's values
+    do not depend on the batch size. The partial tables are built on the
+    first call of first or second; second differentiates the first-partial
+    tables once more.
     """
-    evaluate = _values([_parse_terms(terms, where)])
+    count = len(tables)
 
-    @_batched
-    def component(y):
-        return evaluate(y)[..., 0]
+    @functools.cache
+    def first_tables():  # [e][q]: table e differentiated along y_q
+        return [[_derivative(terms, q) for q in range(3)] for terms in tables]
 
-    return component
+    def first():
+        entries = _values([table for row in first_tables() for table in row])
+        return lambda y: entries(y).reshape(np.shape(y)[:-1] + (count, 3))
+
+    def second():
+        pairs = _values([_derivative(row[i], j) for row in first_tables() for i, j in _UPPER])
+
+        def evaluate(y):
+            lead = np.shape(y)[:-1]
+            return pairs(y).reshape(lead + (count, 6))[..., _SYMMETRIC].reshape(
+                lead + (count, 3, 3))
+        return evaluate
+
+    return _batched(_values(tables)), _lazy(first), _lazy(second)
 
 
 def _compile_map(spec: list, where: str) -> tuple:
     """Compile a map y -> x from its three component tables.
 
     Returns batched callables ``(mapping, jacobian, partials)``: the map,
-    J[..., i, j] = dx^i/dy^j and dJ[..., q, i, j] = d^2 x^q / dy^i dy^j,
-    with dJ symmetric in i, j bit for bit (dJ[..., q, j, i] reads the same
-    i <= j table). All three are summed term by term by _values, so a
-    point's values do not depend on the batch size. The derivative tables
-    are built on the first call of each.
+    J[..., i, j] = dx^i/dy^j and dJ[..., q, i, j] = d^2 x^q / dy^i dy^j, as
+    _compile_tables evaluates them.
     """
     if not isinstance(spec, list) or len(spec) != 3:
         raise ParameterError(f"{where}: expected three component term lists")
-    tables = [_parse_terms(spec[i], f"{where}[{i}]") for i in range(3)]
-    mapping = _batched(_values(tables))
+    return _compile_tables([_compile_component(spec[i], f"{where}[{i}]") for i in range(3)])
 
-    def jacobian():
-        entries = _values([_derivative(terms, j) for terms in tables for j in range(3)])
-        return lambda y: entries(y).reshape(np.shape(y)[:-1] + (3, 3))
 
-    def partials():
-        pairs = _values([_derivative(_derivative(tables[q], i), j) for q, i, j in _PAIRS])
-        return lambda y: pairs(y)[..., _SYMMETRIC].reshape(np.shape(y)[:-1] + (3, 3, 3))
+def _compile_field(valency: Valency, spec: list) -> TensorField:
+    """TensorField whose components, in row-major slot order, are the
+    coefficient tables of spec, one per component.
 
-    return mapping, _lazy(jacobian), _lazy(partials)
+    Its first partials [n, q, slots...] and second partials [n, i, j,
+    slots...] are the tables differentiated term by term (_compile_tables),
+    so no operator takes finite differences of it.
+    """
+    shape = (3,) * valency.order
+    values, first, second = _compile_tables(
+        [_compile_component(terms, f"field component {n}") for n, terms in enumerate(spec)])
+
+    @_batched
+    def func(y):
+        return values(y).reshape((len(y),) + shape)
+
+    @_batched
+    def partials(y):
+        return np.moveaxis(first(y), 2, 1).reshape((len(y), 3) + shape)
+
+    @_batched
+    def second_partials(y):
+        return np.moveaxis(second(y), 1, 3).reshape((len(y), 3, 3) + shape)
+
+    return TensorField(valency, func, 3, partials=partials, second_partials=second_partials)
 
 
 def _bound(values, name: str, which: str) -> list:

@@ -1,10 +1,14 @@
 """Tensor fields and the finite-difference engine.
 
 A TensorField maps a coordinate point (plus an optional external parameter
-t) to a DenseTensor of fixed valency. Differentiation is analytic when the
-field supplies its partial derivatives and central finite differences
-otherwise: one stencil table covers first, pure second and mixed partials,
-and a whole point array is differenced with one call of the field.
+t) to a DenseTensor of fixed valency. Differentiation is analytic as far as
+the field supplies its partial derivatives: first partials, and second
+partials with them. Otherwise it takes central finite differences: of the
+analytic first partials for second partials, of the field itself when it
+has none. One stencil table covers first, pure second and mixed partials,
+and a whole point array is differenced with one call of the field. Fields
+built from coefficient tables (cli.load_field) carry both, so the operators
+take no finite differences of them.
 
 The vector-calculus operators live in the curvilinear module: the Cartesian
 ones (nabla, gradient, divergence, laplacian, rotor, dalembert) are the
@@ -205,12 +209,19 @@ class TensorField:
         differences when present.
     has_parameter : bool
         Whether the field depends on the external parameter t.
+    second_partials : callable, optional
+        Analytic second derivatives, used together with ``partials``: same
+        signature, an array of shape (dim, dim) + component shape whose
+        entry [i, j] holds the second partial of every component along
+        coordinates i and j (symmetric in i, j). Without it, second
+        partials are central differences of ``partials``.
     """
 
-    __slots__ = ("valency", "dim", "has_parameter", "_func", "_partials")
+    __slots__ = ("valency", "dim", "has_parameter", "_func", "_partials",
+                 "_second_partials")
 
     def __init__(self, valency, func, dim: int = DEFAULT_DIM,
-                 partials=None, has_parameter: bool = False):
+                 partials=None, has_parameter: bool = False, second_partials=None):
         if not isinstance(valency, Valency):
             valency = Valency(*valency)
         object.__setattr__(self, "valency", valency)
@@ -218,6 +229,7 @@ class TensorField:
         object.__setattr__(self, "has_parameter", bool(has_parameter))
         object.__setattr__(self, "_func", func)
         object.__setattr__(self, "_partials", partials)
+        object.__setattr__(self, "_second_partials", second_partials)
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorField is immutable")
@@ -402,11 +414,12 @@ def _differences(rows, points: np.ndarray, scheme: DifferentiationScheme,
 
 def _partials(field: TensorField, points: np.ndarray, t, scheme: DifferentiationScheme,
               first: bool = True, second: bool = False):
-    """First partials [n, q, ...] and second partials [n, i, j] of a field.
+    """First partials [n, q, ...] and second partials [n, i, j, ...] of a field.
 
-    Analytic when the field carries partials (second partials then
-    difference those once and symmetrise), central differences otherwise.
-    Returns ``(d1, d2, failures)`` as _differences does.
+    Analytic when the field carries partials. Second partials are then its
+    analytic second partials, or else the partials differenced once and
+    symmetrised. A field without partials is differenced by central
+    differences. Returns ``(d1, d2, failures)`` as _differences does.
     """
     args = field._args(t)
     if field._partials is None:
@@ -420,11 +433,15 @@ def _partials(field: TensorField, points: np.ndarray, t, scheme: Differentiation
         d1, failures = _map_rows(field._partials, points, table_shape, "partials", args,
                                  valency=field.valency)
     if second:
-        def rows(probes):
-            return _map_rows(field._partials, probes, table_shape, "partials", args,
-                             probing=True, valency=field.valency)
-        d, _, more = _differences(rows, points, scheme)
-        d2 = (d + np.swapaxes(d, 1, 2)) / 2.0
+        if field._second_partials is not None:
+            d2, more = _map_rows(field._second_partials, points, (field.dim,) + table_shape,
+                                 "second partials", args, valency=field.valency)
+        else:
+            def rows(probes):
+                return _map_rows(field._partials, probes, table_shape, "partials", args,
+                                 probing=True, valency=field.valency)
+            d, _, more = _differences(rows, points, scheme)
+            d2 = (d + np.swapaxes(d, 1, 2)) / 2.0
         for row, exc in more.items():
             failures.setdefault(row, exc)
     return d1, d2, failures
