@@ -18,6 +18,9 @@ A --point value may start with a minus sign (--point -1.5,0.2,0.3): main
 attaches such a value to its flag before argparse, which would otherwise
 read it as an option.
 
+field-op reads --field with curvilinear.load_field (also bound here as
+cli.load_field), which takes a path or a JSON text.
+
 christoffel and field-op evaluate all their sample points as one array
 through the chart layer (curvilinear.ChartPoints, TensorField.evaluate_batch);
 a point that fails, or whose field-op value is not finite, is skipped with a
@@ -52,6 +55,7 @@ import sys
 import numpy as np
 
 from . import curvilinear, notation
+from .curvilinear import load_field
 from .errors import (
     BindingError,
     DegenerateMetric,
@@ -152,39 +156,6 @@ def _emit(ns: argparse.Namespace, text: str):
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-# -- field specs -----------------------------------------------------------------
-
-
-def load_field(source) -> TensorField:
-    """TensorField from a JSON spec of component coefficient tables.
-
-    {"r": 1, "s": 0, "components": [terms, terms, terms]} with one term list
-    per component in row-major slot order (a scalar field has exactly one).
-    Terms follow the chart-config grammar: {"coeff": c, "powers": [p1,p2,p3],
-    "trig": [null | {"fn": "sin"|"cos", "freq": f}, ...]}. The field
-    carries exact first and second partials, the tables differentiated
-    term by term (curvilinear._compile_field), so the field-op operators
-    take no finite differences of it and --scheme/--step do not change its
-    values.
-    """
-    if isinstance(source, dict):
-        spec = source
-    else:
-        with open(str(source), "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-    try:
-        r, s = int(spec["r"]), int(spec["s"])
-        component_tables = spec["components"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed field spec: {exc}") from exc
-    valency = Valency(r, s)
-    count = 3 ** valency.order
-    if not isinstance(component_tables, list) or len(component_tables) != count:
-        raise ParameterError(
-            f"field spec needs {count} component term lists for valency ({r},{s})")
-    return curvilinear._compile_field(valency, component_tables)
 
 
 def _component_paths(valency: Valency) -> list:

@@ -16,15 +16,15 @@ partial derivative with one Gamma term per slot, keeping tensor character.
 Built-in charts (identity, cylindrical, spherical) carry analytic Jacobians
 and analytic Jacobian derivatives, and so do charts loaded from JSON
 coefficient tables: their Jacobians and second partials are the tables
-differentiated term by term. Fields built from such tables (_compile_field,
-behind cli.load_field) carry their first and second partials the same way.
-These maps and domain predicates broadcast over leading axes, so one call
-covers an (N, 3) array of points; other Python callables given to Chart
-are called once per point. A chart built from Python callables may supply
-only the forward/inverse maps; everything else then falls back to central
-finite differences, taken for a whole point array at once. Singular
-points (cylindrical axis, spherical poles) are excluded by domain
-predicates and fail fast with DomainError.
+differentiated term by term. Fields loaded from such tables (load_field)
+carry their first and second partials the same way; both loaders take a
+dict, a JSON text or a path. These maps and domain predicates broadcast
+over leading axes, so one call covers an (N, 3) array of points; other
+Python callables given to Chart are called once per point. A chart built
+from Python callables may supply only the forward/inverse maps; everything
+else then falls back to central finite differences, taken for a whole
+point array at once. Singular points (cylindrical axis, spherical poles)
+are excluded by domain predicates and fail fast with DomainError.
 
 ChartPoints computes S, T, the metric and the Christoffel symbols of a
 point array once. The chart operators evaluate a point array in one pass
@@ -88,7 +88,7 @@ from .tensors import (
 
 __all__ = [
     "Chart", "ChartPoints", "ChristoffelArray", "builtin_chart", "load_chart",
-    "jacobians", "jacobian_direct", "jacobian_inverse", "jacobian_derivative",
+    "load_field", "jacobians", "jacobian_direct", "jacobian_inverse", "jacobian_derivative",
     "moving_frame", "metric_in_chart", "metric_field", "christoffel",
     "christoffel_alt", "covariant_derivative", "chart_to_chart_transform",
     "coordinate_line", "gradient_covector_in_chart", "gradient_vector_in_chart",
@@ -691,6 +691,23 @@ def _covariant(state: ChartPoints, field: TensorField, t,
     return table, failures
 
 
+def _chart_field(chart: Chart, field: TensorField, valency: Valency, body: Callable,
+                 **stages) -> TensorField:
+    """The chart operator field of ``valency`` over ``field``: body(state, t)
+    gives ``(values, failures)`` at the rows that pass state =
+    ChartPoints(chart, points, **stages), and state.finish spreads them."""
+    if field.dim != chart.dim:
+        raise ShapeError(f"field of dimension {field.dim} on chart {chart.name!r} "
+                         f"of dimension {chart.dim}")
+
+    @_batched
+    def func(points, t=None):
+        state = ChartPoints(chart, points, **stages)
+        return state.finish(*body(state, t))
+
+    return TensorField(valency, func, field.dim, has_parameter=field.has_parameter)
+
+
 def covariant_derivative(chart: Chart, field: TensorField,
                          scheme: DifferentiationScheme | None = None) -> TensorField:
     """Gamma-corrected derivative of a field given in chart coordinates.
@@ -700,18 +717,14 @@ def covariant_derivative(chart: Chart, field: TensorField,
     -Gamma X; on a flat chart all corrections vanish, leaving the plain
     partial derivative (nabla).
     """
-    _check_dim(chart, field)
     scheme = _scheme(scheme)
     r, s = field.valency.r, field.valency.s
 
-    @_batched
-    def func(points, t=None):
-        state = ChartPoints(chart, points, christoffel=r + s > 0)
+    def body(state, t):
         table, failures = _covariant(state, field, t, scheme)
-        return state.finish(np.moveaxis(table, 1, 1 + r), failures)
+        return np.moveaxis(table, 1, 1 + r), failures
 
-    return TensorField(Valency(r, s + 1), func, field.dim,
-                       has_parameter=field.has_parameter)
+    return _chart_field(chart, field, Valency(r, s + 1), body, christoffel=r + s > 0)
 
 
 def chart_to_chart_transform(field: TensorField, source: Chart,
@@ -761,12 +774,6 @@ def coordinate_line(chart: Chart, y0, axis: int, values) -> np.ndarray:
 # -- vector calculus in a chart ---------------------------------------------------
 
 
-def _check_dim(chart: Chart, field: TensorField):
-    if field.dim != chart.dim:
-        raise ShapeError(f"field of dimension {field.dim} on chart {chart.name!r} "
-                         f"of dimension {chart.dim}")
-
-
 def gradient_covector_in_chart(chart: Chart, phi: TensorField,
                                scheme: DifferentiationScheme | None = None) -> TensorField:
     """Covariant gradient of a scalar; for scalars just the y-partials."""
@@ -780,18 +787,14 @@ def gradient_vector_in_chart(chart: Chart, phi: TensorField,
     """Gradient with the index raised by the chart metric."""
     if phi.valency.order != 0:
         raise ShapeError("gradient needs a scalar field")
-    _check_dim(chart, phi)
     scheme = _scheme(scheme)
 
-    @_batched
-    def func(points, t=None):
-        state = ChartPoints(chart, points, metric=True)
+    def body(state, t):
         covector, failures = _covariant(state, phi, t, scheme)
         # elementwise, then summed along each row: einsum's last bits vary with N
-        return state.finish(np.sum(state.dual * covector[:, None, :], axis=2), failures)
+        return np.sum(state.dual * covector[:, None, :], axis=2), failures
 
-    return TensorField(Valency(1, 0), func, phi.dim,
-                       has_parameter=phi.has_parameter)
+    return _chart_field(chart, phi, Valency(1, 0), body, metric=True)
 
 
 def divergence_in_chart(chart: Chart, field: TensorField, slot: int = 1,
@@ -802,17 +805,14 @@ def divergence_in_chart(chart: Chart, field: TensorField, slot: int = 1,
         raise ShapeError("divergence needs at least one upper slot")
     if not 1 <= slot <= r:
         raise ShapeError(f"upper slot {slot} out of range 1..{r}")
-    _check_dim(chart, field)
     scheme = _scheme(scheme)
 
-    @_batched
-    def func(points, t=None):
-        state = ChartPoints(chart, points, christoffel=True)
+    def body(state, t):
         table, failures = _covariant(state, field, t, scheme)  # [n, p, slots...]
-        return state.finish(np.trace(table, axis1=1, axis2=1 + slot), failures)
+        return np.trace(table, axis1=1, axis2=1 + slot), failures
 
-    return TensorField(Valency(r - 1, field.valency.s),
-                       func, field.dim, has_parameter=field.has_parameter)
+    return _chart_field(chart, field, Valency(r - 1, field.valency.s), body,
+                        christoffel=True)
 
 
 def laplacian_in_chart(chart: Chart, phi: TensorField,
@@ -824,18 +824,14 @@ def laplacian_in_chart(chart: Chart, phi: TensorField,
     """
     if phi.valency.order != 0:
         raise ShapeError("laplacian needs a scalar field")
-    _check_dim(chart, phi)
     scheme = _scheme(scheme)
 
-    @_batched
-    def func(points, t=None):
-        state = ChartPoints(chart, points, metric=True, christoffel=True)
+    def body(state, t):
         first, hess, failures = _partials(phi, state.points, t, scheme, second=True)
         second = hess - np.einsum("nkij,nk->nij", state.gamma, first)
-        return state.finish(np.sum(state.dual * second, axis=(1, 2)), failures)
+        return np.sum(state.dual * second, axis=(1, 2)), failures
 
-    return TensorField(Valency(0, 0), func, phi.dim,
-                       has_parameter=phi.has_parameter)
+    return _chart_field(chart, phi, Valency(0, 0), body, metric=True, christoffel=True)
 
 
 # epsilon_ijk is +1 for (i, _NEXT[i], _LAST[i]) and -1 with the last two swapped
@@ -849,12 +845,9 @@ def rotor_in_chart(chart: Chart, field: TensorField,
         raise ShapeError("rotor needs a vector field")
     if field.dim != 3:
         raise ShapeError("rotor is defined for dimension 3")
-    _check_dim(chart, field)
     scheme = _scheme(scheme)
 
-    @_batched
-    def func(points, t=None):
-        state = ChartPoints(chart, points, metric=True, christoffel=True)
+    def body(state, t):
         table, failures = _covariant(state, field, t, scheme)  # [n, m, k] = nabla_m X^k
         # rot^r = sqrt(det g) g^ri epsilon_ijk g^jm nabla_m X^k; products taken
         # elementwise and summed in index order, so no row depends on the
@@ -865,10 +858,9 @@ def rotor_in_chart(chart: Chart, field: TensorField,
         low = up[:, _NEXT, _LAST] - up[:, _LAST, _NEXT]      # epsilon_ijk up[j, k]
         rot = state.sqrt_det[:, None] * functools.reduce(
             np.add, (dual[:, :, i] * low[:, i, None] for i in range(3)))
-        return state.finish(rot, failures)
+        return rot, failures
 
-    return TensorField(Valency(1, 0), func, field.dim,
-                       has_parameter=field.has_parameter)
+    return _chart_field(chart, field, Valency(1, 0), body, metric=True, christoffel=True)
 
 
 # -- Cartesian operators: the chart operators on a flat chart ----------------------
@@ -1158,31 +1150,16 @@ def _compile_map(spec: list, where: str) -> tuple:
     return _compile_tables([_compile_component(spec[i], f"{where}[{i}]") for i in range(3)])
 
 
-def _compile_field(valency: Valency, spec: list) -> TensorField:
-    """TensorField whose components, in row-major slot order, are the
-    coefficient tables of spec, one per component.
-
-    Its first partials [n, q, slots...] and second partials [n, i, j,
-    slots...] are the tables differentiated term by term (_compile_tables),
-    so no operator takes finite differences of it.
-    """
-    shape = (3,) * valency.order
-    values, first, second = _compile_tables(
-        [_compile_component(terms, f"field component {n}") for n, terms in enumerate(spec)])
-
-    @_batched
-    def func(y):
-        return values(y).reshape((len(y),) + shape)
-
-    @_batched
-    def partials(y):
-        return np.moveaxis(first(y), 2, 1).reshape((len(y), 3) + shape)
-
-    @_batched
-    def second_partials(y):
-        return np.moveaxis(second(y), 1, 3).reshape((len(y), 3, 3) + shape)
-
-    return TensorField(valency, func, 3, partials=partials, second_partials=second_partials)
+def _read_json(source):
+    """The JSON document ``source``: an already-parsed dict, a JSON text
+    (one that starts with "{") or a path."""
+    if isinstance(source, dict):
+        return source
+    text = str(source)
+    if text.lstrip().startswith("{"):
+        return json.loads(text)
+    with open(text, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _bound(values, name: str, which: str) -> list:
@@ -1207,15 +1184,7 @@ def load_chart(source) -> Chart:
     x(y), never the inverse of S, so the transition check still compares
     two independent maps.
     """
-    if isinstance(source, dict):
-        config = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            config = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
+    config = _read_json(source)
     if not isinstance(config, dict) or "forward" not in config or "inverse" not in config:
         raise ParameterError("chart config needs 'forward' and 'inverse' maps")
     name = str(config.get("name", "custom"))
@@ -1256,3 +1225,48 @@ def load_chart(source) -> Chart:
     has_domain = any(b is not None for b in lo + hi)
     return Chart(name, forward, inverse, jac_forward, jac_inverse, jac_forward_partials,
                  domain=domain if has_domain else None, sample_bounds=sample)
+
+
+def load_field(source) -> TensorField:
+    """TensorField from a JSON spec of component coefficient tables.
+
+    ``source`` may be a path, a JSON string, or an already-parsed dict:
+    {"r": 1, "s": 0, "components": [terms, terms, terms]}, where r and s
+    count the upper and lower slots and there is one term list per
+    component in row-major slot order (a scalar field has exactly one).
+    Terms follow the chart-config grammar (_compile_component). The
+    field's first partials [n, q, slots...] and second partials [n, i, j,
+    slots...] are its tables differentiated term by term
+    (_compile_tables), so no operator takes finite differences of it and
+    a scheme does not change its operators' values.
+    """
+    spec = _read_json(source)
+    try:
+        r, s, component_tables = spec["r"], spec["s"], spec["components"]
+    except (KeyError, TypeError) as exc:
+        raise ParameterError(f"malformed field spec: {exc}") from exc
+    if not (_count(r) and _count(s)):
+        raise ParameterError(
+            f"malformed field spec: r and s must be counts, got {r!r} and {s!r}")
+    valency = Valency(int(r), int(s))
+    count = 3 ** valency.order
+    if not isinstance(component_tables, list) or len(component_tables) != count:
+        raise ParameterError(f"field spec needs {count} component term lists "
+                             f"for valency ({valency.r},{valency.s})")
+    shape = (3,) * valency.order
+    values, first, second = _compile_tables([_compile_component(terms, f"field component {n}")
+                                             for n, terms in enumerate(component_tables)])
+
+    @_batched
+    def func(y):
+        return values(y).reshape((len(y),) + shape)
+
+    @_batched
+    def partials(y):
+        return np.moveaxis(first(y), 2, 1).reshape((len(y), 3) + shape)
+
+    @_batched
+    def second_partials(y):
+        return np.moveaxis(second(y), 1, 3).reshape((len(y), 3, 3) + shape)
+
+    return TensorField(valency, func, 3, partials=partials, second_partials=second_partials)

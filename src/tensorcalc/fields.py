@@ -7,8 +7,9 @@ partials with them. Otherwise it takes central finite differences: of the
 analytic first partials for second partials, of the field itself when it
 has none. One stencil table covers first, pure second and mixed partials,
 and a whole point array is differenced with one call of the field. Fields
-built from coefficient tables (cli.load_field) carry both, so the operators
-take no finite differences of them.
+built from coefficient tables (curvilinear.load_field, from a dict, a JSON
+text or a path) carry both, so the operators take no finite differences
+of them.
 
 The vector-calculus operators live in the curvilinear module: the Cartesian
 ones (nabla, gradient, divergence, laplacian, rotor, dalembert) are the

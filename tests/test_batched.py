@@ -407,3 +407,42 @@ def test_operator_rows_equal_single_points_bit_for_bit(points, chart, scheme):
         assert not failures
         for n, y in enumerate(points):
             assert np.array_equal(values[n], field.evaluate_array(y)), (op, n)
+
+
+def _scaled_inverse_chart(factor):
+    """The cylindrical chart with its analytic T scaled by factor, so that
+    |T S - I| reads factor - 1 at every point."""
+    base = CHARTS["cylindrical"]
+
+    @functools.wraps(base.jac_inverse)  # keeps the batch mark
+    def jac_inverse(y):
+        return base.jac_inverse(y) * factor
+
+    return Chart("scaled", base.forward, base.inverse, base.jac_forward, jac_inverse,
+                 base.jac_forward_partials, domain=base.domain,
+                 sample_bounds=base.sample_bounds)
+
+
+class TestTransitionReinversion:
+    """A T within the transition tolerance but off by more than 1e-10 is
+    replaced by the inverse of S; one off by more than the tolerance fails."""
+
+    POINTS = CHARTS["cylindrical"].sample_points(40, np.random.default_rng(3))
+
+    def test_inexact_inverse_jacobian_is_reinverted_from_s(self):
+        chart = _scaled_inverse_chart(1 + 1e-8)
+        state = ChartPoints(chart, self.POINTS, transition=True)
+        assert not state.failures
+        assert np.all((5e-9 < state.residual) & (state.residual < 2e-8))
+        assert np.abs(state.T @ state.S - np.eye(3)).max() < 1e-15
+        for n, y in enumerate(self.POINTS):
+            single = ChartPoints(chart, y[None], transition=True)
+            assert np.array_equal(single.T[0], state.T[n]), n
+            assert np.array_equal(tc.jacobians(chart, y).T, state.T[n]), n
+
+    def test_inverse_jacobian_beyond_tolerance_fails_every_row(self):
+        state = ChartPoints(_scaled_inverse_chart(1 + 1e-5), self.POINTS, transition=True)
+        assert len(state.index) == 0
+        assert sorted(state.failures) == list(range(len(self.POINTS)))
+        assert all(isinstance(exc, DegenerateTransition) and "not mutually inverse" in str(exc)
+                   for exc in state.failures.values())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorcalc import DenseTensor, ShapeError
+from tensorcalc import DenseTensor, ParameterError, ShapeError, curvilinear, load_chart
 from tensorcalc import cli
 from tensorcalc import errors as tc_errors
 from tensorcalc.cli import _csv, main
@@ -607,6 +607,15 @@ MALFORMED_TERMS = [
     ("fractional-power",
      [{"coeff": 1.0, "powers": [1.5, 0, 0]}],
      ["term 0", "powers must be three counts"]),
+    ("no-coeff",
+     [{"coeff": 1.0, "powers": [1, 0, 0]}, {"powers": [0, 1, 0]}],
+     ["term 1", "needs a 'coeff'"]),
+    ("trig-two-entries",
+     [{"coeff": 1.0, "trig": [None, {"fn": "sin"}]}],
+     ["term 0", "trig must have three entries"]),
+    ("trig-fn-tan",
+     [{"coeff": 1.0, "trig": [{"fn": "tan", "freq": 1.0}, None, None]}],
+     ["term 0", "trig fn must be sin or cos"]),
 ]
 
 
@@ -702,3 +711,108 @@ class TestErrorExitCodes:
         monkeypatch.setattr(cli, "_chart", fail)
         got = run(capsys, "christoffel", "--chart", "spherical", "--point", "1,1,1")
         assert got == (code, "", "error: injected failure\n")
+
+
+class TestChartConfigErrors:
+    """Malformed chart configs beyond a single term: a ParameterError that
+    names where the config is wrong."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("forward", SHEAR_CONFIG["forward"][:2],
+         "chart 'shear' forward: expected three component term lists"),
+        ("bounds", {"min": [-2, 2, -2], "max": [2, 2, 2]},
+         "bounds must leave an open interval per axis"),
+    ], ids=["map-with-two-components", "bounds-min-not-below-max"])
+    def test_config_error_names_where(self, key, value, message):
+        with pytest.raises(ParameterError, match="^" + message + "$"):
+            load_chart({**SHEAR_CONFIG, key: value})
+
+
+class TestJsonText:
+    """Both table loaders take a JSON text as well as a dict or a path."""
+
+    def test_load_chart_accepts_a_json_text(self):
+        chart = load_chart(json.dumps(SHEAR_CONFIG))
+        assert np.array_equal(chart.jac_forward(np.array([0.5, 0.5, 0.5])),
+                              load_chart(SHEAR_CONFIG).jac_forward(np.array([0.5, 0.5, 0.5])))
+
+    def test_load_field_accepts_a_json_text(self):
+        spec = {"r": 0, "s": 0, "components": [[{"coeff": 2.0, "powers": [1, 1, 0]}]]}
+        field = curvilinear.load_field("  " + json.dumps(spec))
+        assert field.evaluate_array(np.array([1.5, 2.0, 0.0])) == 6.0
+        assert cli.load_field is curvilinear.load_field
+
+
+def _field_arg(tmp_path, spec):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+VECTOR_SPEC = {"r": 1, "s": 0, "components": [[{"coeff": 1.0, "powers": [1, 0, 0]}], [], []]}
+
+
+class TestFieldSpecValency:
+    """r and s are counts: an integral float passes; a bool, a string or a
+    fraction is a malformed field spec (exit 2)."""
+
+    @pytest.mark.parametrize("r, s", [
+        (1.9, False), (True, 0), ("1", 0), (1, 0.5), (-1, 0), (None, 0), (math.inf, 0),
+    ], ids=["fraction", "bool", "string", "fractional-s", "negative", "null", "infinite"])
+    def test_non_count_valency_exits_two(self, capsys, tmp_path, r, s):
+        field = _field_arg(tmp_path, {**VECTOR_SPEC, "r": r, "s": s})
+        code, out, err = run(capsys, "field-op", "div", "--chart", "identity",
+                             "--field", field, "--point", "0.5,0.5,0.5")
+        assert (code, out) == (2, "")
+        assert err == ("error: malformed field spec: r and s must be counts, "
+                       f"got {r!r} and {s!r}\n")
+
+    def test_integral_float_valency_loads(self, capsys, tmp_path):
+        field = _field_arg(tmp_path, {**VECTOR_SPEC, "r": 1.0, "s": 0.0})
+        code, out, err = run(capsys, "field-op", "div", "--chart", "identity",
+                             "--field", field, "--point", "0.5,0.5,0.5")
+        assert (code, out, err) == (0, "x1,x2,x3,component-path,value\n0.5,0.5,0.5,scalar,1.0\n", "")
+
+
+class TestInputErrors:
+    """Bad CLI input exits 2 with one specific error line and no output."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["christoffel", "--point", "1,1,1"], "no chart given; pass --chart or --chart-file"),
+        (["christoffel", "--chart", "identity"], "no evaluation points; pass --point or --grid"),
+        (["christoffel", "--chart", "identity", "--grid", "y1=0:1"],
+         "bad grid spec 'y1=0:1'; expected axis=min:max:count"),
+        (["christoffel", "--chart", "identity", "--grid", "y1=0:1:0"],
+         "grid count must be at least 1, got 0"),
+        (["christoffel", "--chart", "identity", "--grid", "y1=0:inf:2"],
+         "grid range must be finite"),
+        (["christoffel", "--chart", "identity", "--point", "1,a,0"],
+         "bad point '1,a,0'; expected three numbers"),
+    ], ids=["no-chart", "no-points", "bad-grid-spec", "grid-count-zero",
+            "non-finite-grid", "non-numeric-point"])
+    def test_sampling_and_chart_errors(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("spec, extra, message", [
+        ({"s": 0, "components": [[]]}, [], "malformed field spec: 'r'"),
+        ({**VECTOR_SPEC, "components": [[], []]}, [],
+         "field spec needs 3 component term lists for valency (1,0)"),
+        (VECTOR_SPEC, ["--slot", "2"], "upper slot 2 out of range 1..1"),
+    ], ids=["no-r", "wrong-component-count", "slot-beyond-upper-slots"])
+    def test_field_errors(self, capsys, tmp_path, spec, extra, message):
+        field = _field_arg(tmp_path, spec)
+        got = run(capsys, "field-op", "div", "--chart", "identity", "--field", field,
+                  "--point", "0.5,0.5,0.5", *extra)
+        assert got == (2, "", f"error: {message}\n")
+
+
+def test_divergence_of_a_mixed_field_prints_lower_slot_paths(capsys, tmp_path):
+    # T^i_j = y_i on the diagonal and 1 off it: nabla_i T^i_j = 1 for every j
+    components = [[{"coeff": 1.0, "powers": [int(i == 0), int(i == 1), int(i == 2)]}]
+                  if i == j else [{"coeff": 1.0}] for i in range(3) for j in range(3)]
+    field = _field_arg(tmp_path, {"r": 1, "s": 1, "components": components})
+    code, out, err = run(capsys, "field-op", "div", "--chart", "identity",
+                         "--field", field, "--point", "0.5,0.25,2")
+    assert (code, err) == (0, "")
+    assert out == ("x1,x2,x3,component-path,value\n"
+                   "0.5,0.25,2.0,_1,1.0\n0.5,0.25,2.0,_2,1.0\n0.5,0.25,2.0,_3,1.0\n")

@@ -429,3 +429,53 @@ class TestDimensionMismatch:
         for build in (laplacian, gradient_vector):
             with pytest.raises(ShapeError, match="dimension 2.*dimension 3"):
                 build(EUCLID, phi)
+
+
+class TestFirstPartialsOnly:
+    """A field with analytic first partials but no second partials: its
+    second partials are central differences of the first, symmetrised."""
+
+    SPHERICAL = tc.builtin_chart("spherical")
+
+    @staticmethod
+    def r_squared(partials=lambda y: np.array([2.0 * y[0], 0.0, 0.0])):
+        return TensorField.scalar(lambda y: y[0] ** 2, partials=partials)
+
+    def points(self):
+        pts = self.SPHERICAL.sample_points(30, np.random.default_rng(5))
+        pts[:, 2] = np.clip(pts[:, 2], -2.0, 2.0)
+        return pts
+
+    @pytest.mark.parametrize("scheme", [None, DifferentiationScheme(4)])
+    def test_laplacian_of_squared_radius_is_six(self, scheme):
+        values, failures = tc.laplacian_in_chart(
+            self.SPHERICAL, self.r_squared(), scheme).evaluate_batch(self.points())
+        assert not failures
+        assert np.abs(values - 6.0).max() < 1e-8
+
+    def test_second_partials_are_exactly_symmetric(self):
+        field = TensorField.scalar(lambda y: y[0] ** 2 * np.sin(y[1]) * y[2],
+                                   partials=lambda y: np.array([
+                                       2.0 * y[0] * np.sin(y[1]) * y[2],
+                                       y[0] ** 2 * np.cos(y[1]) * y[2],
+                                       y[0] ** 2 * np.sin(y[1])]))
+        _, d2, failures = tc.fields._partials(field, self.points(), None,
+                                              DifferentiationScheme(2), second=True)
+        assert not failures
+        assert np.array_equal(d2, np.swapaxes(d2, 1, 2))
+
+    def test_partials_failing_at_one_point_fail_that_row_only(self):
+        def partials(y):
+            if y[2] > 2.8:
+                raise DomainError("no partials here")
+            return np.array([2.0 * y[0], 0.0, 0.0])
+
+        lap = tc.laplacian_in_chart(self.SPHERICAL, self.r_squared(partials))
+        pts = self.points()
+        pts[7, 2] = 3.0
+        values, failures = lap.evaluate_batch(pts)
+        assert list(failures) == [7] and isinstance(failures[7], DomainError)
+        assert np.isnan(values[7])
+        assert np.abs(np.delete(values, 7) - 6.0).max() < 1e-8
+        with pytest.raises(DomainError, match="no partials here"):
+            lap.evaluate(pts[7])
