@@ -16,10 +16,17 @@ tolerance breach.
 
 A --point value may start with a minus sign (--point -1.5,0.2,0.3): main
 attaches such a value to its flag before argparse, which would otherwise
-read it as an option.
+read it as an option. main then parses argv once, with the parser of the
+command argv[0] names; only a non-command or an argument that parser does
+not know goes to the top-level parser, whose messages users see.
 
-field-op reads --field with curvilinear.load_field (also bound here as
-cli.load_field), which takes a path or a JSON text.
+A process loads only what its command uses: check and eval import notation
+when they run, and the chart commands never load notation or frames.
+
+--field (curvilinear.load_field, also bound here as cli.load_field),
+--chart-file and --bindings each take a path or a JSON text, read by
+curvilinear._read_json: an unreadable or non-JSON input is an error that
+names it (exit 2).
 
 christoffel and field-op evaluate all their sample points as one array
 through the chart layer (curvilinear.ChartPoints, TensorField.evaluate_batch);
@@ -54,7 +61,7 @@ import sys
 
 import numpy as np
 
-from . import curvilinear, notation
+from . import curvilinear
 from .curvilinear import load_field
 from .errors import (
     BindingError,
@@ -220,6 +227,8 @@ def _csv_rows(points: np.ndarray, table: np.ndarray, keep: np.ndarray,
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
+    from . import notation
+
     try:
         expression = notation.parse(ns.expr)
     except ParseError as exc:
@@ -238,14 +247,15 @@ def cmd_check(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
+    from . import notation
+
     try:
         expression = notation.parse(ns.expr)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     try:
-        with open(ns.bindings, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = curvilinear._read_json(ns.bindings, "bindings file")
         if not isinstance(raw, dict):
             raise BindingError("bindings file must hold a JSON object")
         bindings = {name: DenseTensor.from_dict(record)
@@ -397,6 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tensor calculus toolkit: index notation, Christoffel "
                     "tables, field operators, chart audits.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, for main
 
     def add_chart_flags(p):
         p.add_argument("--chart", help="built-in chart name "
@@ -488,8 +499,14 @@ def _attach_points(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = _attach_points(sys.argv[1:] if argv is None else list(argv))
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        ns = _build_parser().parse_args(argv)
+        if command is not None:
+            ns, unknown = command.parse_known_args(argv[1:])
+            ns.command = argv[0]
+        if command is None or unknown:  # argparse's messages name the top-level usage
+            ns = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits on usage errors and --help; keep the int contract
         return int(exc.code) if exc.code else 0
@@ -505,7 +522,7 @@ def main(argv=None) -> int:
             ns.grid = dict(_parse_grid_spec(spec) for spec in ns.grid)
             ns.point = [_parse_point(text) for text in ns.point]
         return handlers[ns.command](ns)
-    except (TensorCalcError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (TensorCalcError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)),
                     EXIT_PARSE)

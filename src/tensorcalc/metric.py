@@ -15,12 +15,15 @@ UnsupportedDimension rather than guessing a convention.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateMetric, ShapeError, TensorIndexError, UnsupportedDimension
-from .frames import Basis
 from .tensors import DEFAULT_DIM, DenseTensor, Valency
+
+if TYPE_CHECKING:  # frames loads on first use (see the package docstring)
+    from .frames import Basis
 
 __all__ = [
     "Metric", "gram_from_basis", "raise_index", "lower_index", "kronecker",

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, output formats."""
 
+import argparse
 import json
 import math
 import warnings
@@ -816,3 +817,130 @@ def test_divergence_of_a_mixed_field_prints_lower_slot_paths(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert out == ("x1,x2,x3,component-path,value\n"
                    "0.5,0.25,2.0,_1,1.0\n0.5,0.25,2.0,_2,1.0\n0.5,0.25,2.0,_3,1.0\n")
+
+
+# argvs for main's dispatch; {bindings}, {field} and {dir} name files made in tmp_path
+DISPATCH_ARGVS = [
+    [],
+    ["-h"],
+    ["nope"],
+    ["chris", "--chart", "identity", "--point", "1,1,1"],
+    ["--", "check", "c = 5"],
+    ["check", "-h"],
+    ["eval", "-h"],
+    ["christoffel", "-h"],
+    ["field-op", "-h"],
+    ["audit", "-h"],
+    ["eval", "c = 5"],
+    ["field-op", "grad", "--chart", "identity", "--point", "1,1,1"],
+    ["christoffel", "--chart", "identity", "--point", "1,1,1", "--format", "xml"],
+    ["field-op", "curl", "--chart", "identity", "--field", "{field}", "--point", "1,1,1"],
+    ["christoffel", "--chart", "identity", "--point", "1,1,1", "--bogus"],
+    ["christoffel", "--chart", "identity", "--point", "1,1,1", "-h", "--bogus"],
+    ["check", "c = 5", "extra"],
+    ["audit", "--chart", "spherical", "--points", "x"],
+    ["christoffel", "--chart", "cylindrical", "--point", "-1.5,0,0"],
+    ["christoffel", "--char", "spherical", "--point", "1,1,1"],
+    ["check", "--explicit", "--", "y^i = F^i_j x^j"],
+    ["check", "c = x^i y^i"],
+    ["eval", "y^i = F^i_j x^j", "--bindings", "{bindings}"],
+    ["eval", "c = 5", "--bindings", "{dir}"],
+    ["christoffel", "--chart", "spherical", "--point", "1,0.5,0.5", "--format", "json"],
+    ["field-op", "laplace", "--chart", "spherical", "--field", "{field}",
+     "--grid", "y1=0.5:1:2", "--grid", "y2=0.5:1:2", "--grid", "y3=0:1:2"],
+    ["audit", "--chart", "cylindrical", "--points", "5", "--seed", "3"],
+]
+
+
+class TestArgvDispatch:
+    """main parses with the parser of the command argv[0] names, and gives
+    the same exit code, stdout and stderr as parsing with the top-level
+    parser alone."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        bindings = tmp_path / "b.json"
+        bindings.write_text(json.dumps({
+            "F": {"r": 1, "s": 1, "dim": 3, "components": [1, 0, 0, 0, 2, 0, 0, 0, 3]},
+            "x": {"r": 1, "s": 0, "dim": 3, "components": [1, 1, 1]},
+        }))
+        field = tmp_path / "f.json"
+        field.write_text(json.dumps({"r": 0, "s": 0, "components": [
+            [{"coeff": 1.0, "powers": [2, 0, 0]}]]}))
+        return {"bindings": str(bindings), "field": str(field), "dir": str(tmp_path)}
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=[" ".join(a) or "empty"
+                                                          for a in DISPATCH_ARGVS])
+    def test_same_result_as_the_top_level_parser(self, capsys, monkeypatch, files, argv):
+        argv = [arg.format(**files) for arg in argv]
+        parser = cli._build_parser()
+        top_level = []
+        monkeypatch.setattr(parser, "parse_args",
+                            lambda args: top_level.append(args) or
+                            argparse.ArgumentParser.parse_args(parser, args))
+        dispatched = run(capsys, *argv)
+        # the top-level parser runs only for a non-command or an unknown argument
+        falls_back = (not argv or argv[0] not in parser.commands
+                      or "unrecognized arguments" in dispatched[2])
+        assert len(top_level) == falls_back
+        monkeypatch.setattr(parser, "commands", {})  # every argv takes the top-level path
+        assert dispatched == run(capsys, *argv)
+
+
+class TestUnreadableInput:
+    """Chart configs, field specs and bindings files are read by one rule: a
+    text that starts with "{" or "[" is JSON, anything else a path, and a
+    file that cannot be read or is not JSON exits 2 with an error that names
+    the input."""
+
+    def test_directories(self, capsys, tmp_path):
+        d = str(tmp_path)
+        assert run(capsys, "christoffel", "--chart-file", d, "--point", "1,1,1") == (
+            2, "", f"error: chart config {d!r}: Is a directory\n")
+        assert run(capsys, "field-op", "grad", "--chart", "identity", "--field", d,
+                   "--point", "1,1,1") == (2, "", f"error: field spec {d!r}: Is a directory\n")
+        assert run(capsys, "eval", "c = 5", "--bindings", d) == (
+            2, "", f"error: bindings file {d!r}: Is a directory\n")
+
+    def test_missing_file(self, capsys, tmp_path):
+        path = str(tmp_path / "nope.json")
+        assert run(capsys, "field-op", "grad", "--chart", "identity", "--field", path,
+                   "--point", "1,1,1") == (
+            2, "", f"error: field spec {path!r}: No such file or directory\n")
+
+    @pytest.mark.parametrize("argv, what", [
+        (["christoffel", "--chart-file", "{path}", "--point", "1,1,1"], "chart config"),
+        (["field-op", "grad", "--chart", "identity", "--field", "{path}", "--point", "1,1,1"],
+         "field spec"),
+        (["eval", "c = 5", "--bindings", "{path}"], "bindings file"),
+    ], ids=["chart", "field", "bindings"])
+    def test_bytes_that_are_not_utf8(self, capsys, tmp_path, argv, what):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+        got = run(capsys, *[arg.format(path=path) for arg in argv])
+        assert got == (2, "", f"error: {what} {str(path)!r}: 'utf-8' codec can't decode byte "
+                              "0xe9 in position 13: invalid continuation byte\n")
+
+    def test_a_json_list_text_is_json(self, capsys):
+        assert run(capsys, "christoffel", "--chart-file", "[1, 2]", "--point", "1,1,1") == (
+            2, "", "error: chart config needs 'forward' and 'inverse' maps\n")
+        assert run(capsys, "eval", "c = 5", "--bindings", " [1, 2]") == (
+            3, "", "error: bindings file must hold a JSON object\n")
+
+    def test_truncated_json_text(self, capsys):
+        got = run(capsys, "christoffel", "--chart-file", '{"forward": 1', "--point", "1,1,1")
+        assert got == (2, "", "error: chart config '{\"forward\": 1': Expecting ',' delimiter: "
+                              "line 1 column 14 (char 13)\n")
+
+    def test_json_syntax_error_in_a_file(self, capsys, tmp_path):
+        path = tmp_path / "b.json"
+        path.write_text('{"c": ')
+        assert run(capsys, "eval", "c = 5", "--bindings", str(path)) == (
+            2, "", f"error: bindings file {str(path)!r}: Expecting value: "
+                   "line 1 column 7 (char 6)\n")
+
+    def test_output_to_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "christoffel", "--chart", "identity", "--point", "1,1,1",
+                             "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
