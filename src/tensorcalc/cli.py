@@ -31,7 +31,10 @@ names it (exit 2).
 christoffel and field-op evaluate all their sample points as one array
 through the chart layer (curvilinear.ChartPoints, TensorField.evaluate_batch);
 a point that fails, or whose field-op value is not finite, is skipped with a
-warning on stderr, in sampling order.
+warning on stderr, in sampling order. Every field-op operator checks the
+chart's T against S first, so a singular frame or a broken inverse map
+fails a point with DegenerateTransition (exit 4 when every point fails);
+when no point failed, field-op writes its values without filtering them.
 Output is deterministic: floats use the shortest round-trip representation,
 JSON keys are sorted, and rows follow the sampling order. The --seed flag
 (default 42) pins the audit's random points.
@@ -317,12 +320,13 @@ def cmd_field_op(ns: argparse.Namespace) -> int:
     points = _sample_points(ns)
     with np.errstate(all="ignore"):  # overflow shows as a non-finite row below
         values, failures = result.evaluate_batch(points)
-    ok = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
-    for row in np.flatnonzero(~ok).tolist():
-        failures.setdefault(row, DomainError("tensor components must all be finite"))
-    if _report_failures(points, failures):
-        return EXIT_DOMAIN
-    points, values = points[ok], values[ok]
+    if failures or not np.isfinite(values).all():
+        ok = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+        for row in np.flatnonzero(~ok).tolist():
+            failures.setdefault(row, DomainError("tensor components must all be finite"))
+        if _report_failures(points, failures):
+            return EXIT_DOMAIN
+        points, values = points[ok], values[ok]
     valency = result.valency
     if ns.format == "json":
         payload = [

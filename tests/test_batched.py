@@ -65,9 +65,8 @@ TABLE_CONFIG = {
 def _degenerate_chart():
     """Plain Python callables for x = (y1, y2, y1 y3), singular at y1 = 0.
 
-    There the metric is not positive definite and T is infinite, so the
-    point fails with DegenerateMetric or DegenerateTransition depending on
-    which stage an operator runs first.
+    There S is singular and T is infinite, so the point fails the
+    transition stage with DegenerateTransition under every chart operator.
     """
     def jac_forward(y):
         return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [y[2], 0.0, y[0]]])
@@ -210,7 +209,7 @@ def test_degenerate_points_fail_alone_with_their_own_error():
                        [-0.7, 0.3, 0.1]])
     lap, failures = laplacian_in_chart(chart, SCALAR).evaluate_batch(points)
     assert sorted(failures) == [1, 2]
-    assert isinstance(failures[1], DegenerateMetric)
+    assert isinstance(failures[1], DegenerateTransition)
     assert isinstance(failures[2], DomainError)
     assert np.all(np.isfinite(lap[[0, 3]]))
     _, failures = divergence_in_chart(chart, VECTOR).evaluate_batch(points)

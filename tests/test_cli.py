@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -332,6 +333,22 @@ class TestAudit:
                            "--points", "20")
         assert code == 5
         assert "verdict: FAIL" in out
+
+    def test_grad_on_a_broken_inverse_exits_four(self, capsys, tmp_path):
+        # grad raises an index with T T^T, so it checks T against S first
+        config = json.loads(json.dumps(SHEAR_CONFIG))
+        config["name"] = "broken"
+        config["inverse"][0] = [{"coeff": 1.0, "powers": [1, 0, 0]}]
+        chart = tmp_path / "broken.json"
+        chart.write_text(json.dumps(config))
+        field = _field_arg(tmp_path, {"r": 0, "s": 0,
+                                      "components": [[{"coeff": 1.0, "powers": [2, 1, 0]}]]})
+        code, out, err = run(capsys, "field-op", "grad", "--chart-file", str(chart),
+                             "--field", field, "--point", "0.5,0.5,0.5")
+        assert (code, out) == (4, "")
+        assert err == ("warning: skipping [0.5, 0.5, 0.5]: Jacobi matrices of chart 'broken' "
+                       "at [0.5, 0.5, 0.5] are not mutually inverse (residual 0.5)\n"
+                       "error: every sample point failed\n")
 
     def test_seed_controls_sampling(self, capsys):
         _, out_a, _ = run(capsys, "audit", "--chart", "spherical",
@@ -722,10 +739,18 @@ class TestChartConfigErrors:
         ("forward", SHEAR_CONFIG["forward"][:2],
          "chart 'shear' forward: expected three component term lists"),
         ("bounds", {"min": [-2, 2, -2], "max": [2, 2, 2]},
-         "bounds must leave an open interval per axis"),
-    ], ids=["map-with-two-components", "bounds-min-not-below-max"])
+         "chart 'shear' bounds: axis 2 min 2.0 is not below max 2.0"),
+        ("bounds", {"min": [-2, -2], "max": [2, 2, 2]},
+         "chart 'shear' bounds: min needs three entries, got [-2, -2]"),
+        ("bounds", [[-2, -2, -2], [2, 2, 2]],
+         "chart 'shear' bounds: expected an object with 'min' and 'max' lists, "
+         "got [[-2, -2, -2], [2, 2, 2]]"),
+        ("bounds", {"min": [-2, -2, -2], "max": [2, 2, "2"]},
+         "chart 'shear' bounds: axis 3 max must be a finite number or null, got '2'"),
+    ], ids=["map-with-two-components", "bounds-min-not-below-max", "bounds-min-of-two",
+            "bounds-not-an-object", "bounds-max-not-a-number"])
     def test_config_error_names_where(self, key, value, message):
-        with pytest.raises(ParameterError, match="^" + message + "$"):
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
             load_chart({**SHEAR_CONFIG, key: value})
 
 
@@ -805,6 +830,19 @@ class TestInputErrors:
         got = run(capsys, "field-op", "div", "--chart", "identity", "--field", field,
                   "--point", "0.5,0.5,0.5", *extra)
         assert got == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("content, as_file", [
+        ("[1, 2]", False), ("[1, 2]", True), ("5", True),
+    ], ids=["list-text", "list-file", "number-file"])
+    def test_field_spec_that_is_not_an_object(self, capsys, tmp_path, content, as_file):
+        field = content
+        if as_file:
+            field = str(tmp_path / "field.json")
+            (tmp_path / "field.json").write_text(content)
+        got = run(capsys, "field-op", "div", "--chart", "identity", "--field", field,
+                  "--point", "0.5,0.5,0.5")
+        assert got == (2, "", f"error: field spec {field!r}: a field spec must be an "
+                              "object with 'r', 's' and 'components'\n")
 
 
 def test_divergence_of_a_mixed_field_prints_lower_slot_paths(capsys, tmp_path):

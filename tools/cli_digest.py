@@ -12,6 +12,9 @@ come from this checkout's perfbench, so two source trees print the same
 lines exactly when their CLI output is the same byte for byte:
 
     diff <(python3 tools/cli_digest.py ../parent/src) <(python3 tools/cli_digest.py src)
+
+tools/cli_drift.py runs the same jobs (runs() below) and says by how much
+the printed values differ.
 """
 
 import argparse
@@ -30,20 +33,18 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _run(cli, argv) -> str:
+def _run(cli, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return f"exit={code} out={_digest(out.getvalue())} err={_digest(err.getvalue())}"
+    return code, out.getvalue(), err.getvalue()
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", help="directory that holds the tensorcalc package")
-    parser.add_argument("--cycles", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-    src = os.path.abspath(args.src)
+def runs(src: str, cycles: int, seed: int):
+    """Every run of the chart workloads' jobs with tensorcalc from src, in
+    a fixed order: tuples (workload, cycle, job number, job kind, format,
+    exit code, stdout, stderr)."""
+    src = os.path.abspath(src)
     sys.path.insert(0, src)
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import numpy as np
@@ -53,17 +54,28 @@ def main():
     import workloads
 
     for name in WORKLOADS:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed)
         with tempfile.TemporaryDirectory() as workdir:
             workload = workloads.ChartWorkload(name, workdir)
-            for cycle in range(args.cycles):
+            for cycle in range(cycles):
                 jobs, _ = workload.cycle(rng)
                 for n, job in enumerate(jobs):
-                    runs = {"csv": job.argv}
+                    formats = {"csv": job.argv}
                     if not isinstance(job, workloads.AuditJob):  # audit has no --format
-                        runs["json"] = job.argv + ["--format", "json"]
-                    for fmt, argv in runs.items():
-                        print(f"{name} {cycle} {n} {fmt} {_run(cli, argv)}", flush=True)
+                        formats["json"] = job.argv + ["--format", "json"]
+                    for fmt, argv in formats.items():
+                        yield (name, cycle, n, job.kind, fmt) + _run(cli, argv)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="directory that holds the tensorcalc package")
+    parser.add_argument("--cycles", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args()
+    for name, cycle, n, _, fmt, code, out, err in runs(args.src, args.cycles, args.seed):
+        print(f"{name} {cycle} {n} {fmt} exit={code} out={_digest(out)} err={_digest(err)}",
+              flush=True)
 
 
 if __name__ == "__main__":
