@@ -355,15 +355,15 @@ def _spherical() -> Chart:
 
 def _flat_chart(g: Metric, name: str = "cartesian",
                 sample_bounds: Optional[Sequence] = None) -> Chart:
-    """Affine chart x = L y with L^T L = g, so that g is its metric.
+    """Affine chart x = S y with S^T S = g, so that g is its metric.
 
-    L is the transposed Cholesky factor of g, so det L > 0 and the chart's
-    sqrt(det g) epsilon is volume_tensor(g). S = L and T = L^-1 at every
-    point, the second partials and the Christoffel symbols vanish, and there
-    is no domain.
+    S and T = S^-1 are the frame the Metric factored once: S is the
+    transposed Cholesky factor of g, so det S > 0 and the chart's
+    sqrt(det g) epsilon is volume_tensor(g). The Jacobians are these
+    constants, the second partials and the Christoffel symbols vanish,
+    and there is no domain.
     """
-    L = np.linalg.cholesky(g.matrix).T
-    inv = np.linalg.inv(L)
+    S, T = g._S, g._T
 
     def constant(value):
         @_batched
@@ -373,13 +373,13 @@ def _flat_chart(g: Metric, name: str = "cartesian",
 
     @_batched
     def forward(y):
-        return np.asarray(y, dtype=float) @ L.T
+        return np.asarray(y, dtype=float) @ S.T
 
     @_batched
     def inverse(x):
-        return np.asarray(x, dtype=float) @ inv.T
+        return np.asarray(x, dtype=float) @ T.T
 
-    return Chart(name, forward, inverse, constant(L), constant(inv),
+    return Chart(name, forward, inverse, constant(S), constant(T),
                  constant(np.zeros((g.dim,) * 3)), sample_bounds=sample_bounds,
                  dim=g.dim)
 
@@ -1219,7 +1219,9 @@ def load_chart(source) -> Chart:
     ``source`` may be a path, a JSON string, or an already-parsed dict. The
     config must define "forward" and "inverse" as three term lists each;
     optional "bounds" {"min": [...], "max": [...]} (null entries mean
-    unbounded) both restrict the domain and set the sampling box. The
+    unbounded) both restrict the domain and set the sampling box, which
+    takes -1 or 1 for a null entry, or 2 beyond the other bound of its
+    axis when that lies at or beyond -1 or 1. The
     chart is analytic: S and the second partials are the differentiated
     forward tables, and T is the differentiated inverse table taken at
     x(y), never the inverse of S, so the transition check still compares
@@ -1257,8 +1259,11 @@ def load_chart(source) -> Chart:
 
     sample = []
     for a in range(3):
-        a_lo = -1.0 if lo[a] is None else lo[a]
-        a_hi = 1.0 if hi[a] is None else hi[a]
+        a_lo, a_hi = lo[a], hi[a]
+        if a_lo is None:
+            a_lo = -1.0 if a_hi is None or a_hi > -1.0 else a_hi - 2.0
+        if a_hi is None:
+            a_hi = 1.0 if a_lo < 1.0 else a_lo + 2.0
         span = a_hi - a_lo
         if not span > 0:
             raise ParameterError(f"chart {name!r} bounds: axis {a + 1} min {a_lo!r} "

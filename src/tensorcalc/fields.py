@@ -459,8 +459,6 @@ def derivative_table(field: TensorField, point, t=None,
     return d1[0]
 
 
-
-
 def _hessian(phi: TensorField, point: np.ndarray, t,
              scheme: DifferentiationScheme) -> np.ndarray:
     """Symmetric table of second partials of a scalar field."""

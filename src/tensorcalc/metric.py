@@ -37,28 +37,41 @@ SYMMETRY_TOL = 1e-12
 class Metric:
     """Symmetric positive definite matrix g with its cached inverse.
 
-    Built by _gram_stack on the one matrix: one Cholesky factorization
-    g = L L^T, written over the matrix entries, tests positive definiteness
-    (every pivot > 0) and gives sqrt(det g) as the product of the L_jj and
-    the inverse as L^-T L^-1, exactly symmetric. A metric gets the same bits
-    as the same matrix inside any stack of ChartPoints.
+    A metric is the frame of its flat chart x = S y: S is the transposed
+    Cholesky factor of g, so g = S^T S and det S > 0, and T = S^-1 is the
+    dual frame. The dual g^-1 = T T^T is the product ChartPoints takes,
+    exactly symmetric, and sqrt(det g) is the product of the S_jj. A matrix
+    with a non-finite entry, or not symmetric within SYMMETRY_TOL relative
+    to its largest entry (at least 1), or not positive definite, raises
+    DegenerateMetric.
     """
 
-    __slots__ = ("matrix", "dual", "dim", "_sqrt_det")
+    __slots__ = ("matrix", "dual", "dim", "sqrt_det", "_S", "_T")
 
     def __init__(self, matrix):
         g = np.asarray(matrix, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ShapeError(f"metric must be a square matrix, got shape {g.shape}")
-        g, dual, sqrt_det, failures = _gram_stack(g)
-        if failures:
-            raise failures[0]
-        g.flags.writeable = False
-        dual.flags.writeable = False
+        if not np.isfinite(g).all():  # LAPACK would return NaN or inf, not fail
+            raise DegenerateMetric("metric is not positive definite")
+        asym = float(np.abs(g - g.T).max(initial=0.0))
+        if asym > SYMMETRY_TOL * max(1.0, np.abs(g).max(initial=0.0)):
+            raise DegenerateMetric(f"metric is not symmetric (deviation {asym!r})")
+        g = (g + g.T) / 2.0 if asym else g.copy()
+        try:
+            S = np.linalg.cholesky(g).T
+        except np.linalg.LinAlgError:
+            raise DegenerateMetric("metric is not positive definite") from None
+        T = np.linalg.inv(S)
+        dual = np.ascontiguousarray(T) @ np.ascontiguousarray(T.T)
+        for array in (g, dual, S, T):
+            array.flags.writeable = False
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "dual", dual)
         object.__setattr__(self, "dim", g.shape[0])
-        object.__setattr__(self, "_sqrt_det", float(sqrt_det))
+        object.__setattr__(self, "sqrt_det", float(np.prod(S.diagonal())))
+        object.__setattr__(self, "_S", S)
+        object.__setattr__(self, "_T", T)
 
     def __setattr__(self, name, value):
         raise AttributeError("Metric is immutable")
@@ -66,10 +79,6 @@ class Metric:
     @classmethod
     def euclidean(cls, dim: int = DEFAULT_DIM) -> "Metric":
         return cls(np.eye(dim))
-
-    @property
-    def sqrt_det(self) -> float:
-        return self._sqrt_det
 
     def dot(self, x, y) -> float:
         """Scalar product (x, y) = sum_ij g_ij x^i y^j."""
@@ -87,111 +96,16 @@ class Metric:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Metric":
-        if isinstance(data, dict):
-            data = data.get("matrix", data)
-        return cls(np.asarray(data, dtype=float))
+        try:
+            if isinstance(data, dict):
+                data = data["matrix"]
+            matrix = np.asarray(data, dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ShapeError(f"malformed metric record: {exc}") from exc
+        return cls(matrix)
 
     def __repr__(self):
         return f"Metric(dim={self.dim})"
-
-
-def _gram_stack(g: np.ndarray):
-    """Metric data for one square matrix g, or for a stack g[n] of them.
-
-    Returns ``(g, dual, sqrt_det, failures)``: each matrix symmetrised, its
-    inverse and sqrt(det g), and failures mapping the index of every matrix
-    that is not symmetric positive definite to its DegenerateMetric (index
-    0 for a single matrix). A failed matrix is replaced by the identity so
-    that the others go on.
-
-    A matrix that is not symmetric within SYMMETRY_TOL (relative to its
-    largest entry, at least 1) fails. The others are factored by
-    _cholesky_dual with every entry g_ij as one operand: a float for one
-    matrix, a contiguous (n,) array for a stack, so one numpy operation
-    serves the whole stack and a matrix gets the same bits alone as in any
-    stack. A matrix is positive definite when every pivot L_jj^2 is > 0;
-    sqrt(det g) is the product of the L_jj.
-    """
-    failures = {}
-    d = g.shape[-1]
-    gt = np.swapaxes(g, -1, -2)
-    if np.count_nonzero(g != gt):
-        asym = np.abs(g - gt).max(axis=(-2, -1), initial=0.0)
-        scale = np.abs(g).max(axis=(-2, -1), initial=0.0)
-        g = (g + gt) / 2.0
-        asymmetric = asym > SYMMETRY_TOL * np.maximum(1.0, scale)
-        for k in np.flatnonzero(asymmetric):
-            failures[int(k)] = DegenerateMetric(
-                f"metric is not symmetric (deviation {float(asym.flat[k])!r})")
-        g[asymmetric] = np.eye(d)
-    else:
-        g = g.copy()
-    axes = tuple(range(g.ndim))
-    entry = np.ascontiguousarray(g.transpose(axes[-2:] + axes[:-2]))  # [i, j, ...]
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        root, dual = _cholesky_dual(entry)
-        sqrt_det = np.ones(g.shape[:-2])
-        for r in root:
-            sqrt_det = sqrt_det * r
-    dual = np.array(dual).reshape(g.shape[-2:] + g.shape[:-2])
-    dual = np.ascontiguousarray(dual.transpose(axes[2:] + axes[:2]))
-    definite = sqrt_det > 0
-    if not definite.all():
-        # judge the pivots themselves: their product can underflow
-        definite = np.logical_and.reduce([r > 0 for r in root])
-        for k in np.flatnonzero(~definite):
-            failures[int(k)] = DegenerateMetric("metric is not positive definite")
-        g[~definite] = dual[~definite] = np.eye(d)
-        sqrt_det = np.where(definite, sqrt_det, 1.0)
-    return g, dual, sqrt_det, failures
-
-
-def _cholesky_dual(entry):
-    """Cholesky factor and inverse of g from its entries g_ij = entry[i, j].
-
-    g = L L^T (Golub & Van Loan, Matrix Computations, 4.2) and g^-1 = M^T M
-    with M = L^-1. Returns the diagonal L_jj as a list and the d * d entries
-    of g^-1 in row-major order, the same object at [i, j] and [j, i], so the
-    dual is exactly symmetric. Every sum runs in index order, one operation
-    per term.
-    """
-    d = len(entry)
-    L = [[] for _ in range(d)]   # L[i][j], j < i
-    root, inv = [], []           # L_jj and 1 / L_jj
-    for j in range(d):
-        Lj = L[j]
-        for i in range(j, d):
-            Li = L[i]
-            s = entry[i, j]
-            if j:
-                dot = Li[0] * Lj[0]
-                for k in range(1, j):
-                    dot = dot + Li[k] * Lj[k]
-                s = s - dot
-            if i == j:
-                root.append(np.sqrt(s))
-                inv.append(1.0 / root[j])
-            else:
-                Li.append(s * inv[j])
-    M = [[] for _ in range(d)]   # M[i][j], j <= i: M_ij = -(sum_{j<=k<i} L_ik M_kj) / L_ii
-    for i in range(d):
-        Li, Mi = L[i], M[i]
-        if i:
-            neg = -inv[i]
-        for j in range(i):
-            s = Li[j] * inv[j]
-            for k in range(j + 1, i):
-                s = s + Li[k] * M[k][j]
-            Mi.append(s * neg)
-        Mi.append(inv[i])
-    dual = [None] * (d * d)      # dual_ij = sum_{k >= j} M_ki M_kj for i <= j
-    for i in range(d):
-        for j in range(i, d):
-            s = M[j][i] * M[j][j]
-            for k in range(j + 1, d):
-                s = s + M[k][i] * M[k][j]
-            dual[i * d + j] = dual[j * d + i] = s
-    return root, dual
 
 
 def gram_from_basis(basis: Basis) -> Metric:

@@ -88,6 +88,14 @@ def test_frame_volume_is_r_squared_sin_theta():
     assert np.all(np.abs(_frame_volume(state.S) - want) <= 1e-14 * want)
 
 
+def test_flat_chart_frame_is_the_lapack_cholesky_factor_and_its_inverse():
+    points = np.zeros((3, 3))
+    S = np.linalg.cholesky(SKEW_METRIC.matrix).T
+    assert np.array_equal(SKEW.jac_forward(points), np.broadcast_to(S, (3, 3, 3)))
+    assert np.array_equal(SKEW.jac_inverse(points),
+                          np.broadcast_to(np.linalg.inv(S), (3, 3, 3)))
+
+
 def test_frame_volume_of_a_flat_chart_is_the_metric_volume():
     want = SKEW_METRIC.sqrt_det
     volume = _frame_volume(SKEW.jac_forward(np.zeros((4, 3))))

@@ -10,6 +10,7 @@ from tensorcalc import (
     DegenerateMetric,
     DenseTensor,
     Metric,
+    ShapeError,
     TensorIndexError,
     TransitionPair,
     UnsupportedDimension,
@@ -50,6 +51,15 @@ class TestMetric:
         g = random_metric(rng)
         back = Metric.from_dict(g.as_dict())
         assert np.allclose(back.matrix, g.matrix)
+
+    @pytest.mark.parametrize("record", [
+        {"dim": 3},
+        {"matrix": [["a", 0.0], [0.0, 1.0]]},
+        {"matrix": [[1.0, 0.0], [0.0]]},
+    ], ids=["no-matrix", "non-numeric", "ragged"])
+    def test_malformed_record_raises_shape_error(self, record):
+        with pytest.raises(ShapeError, match=r"^malformed metric record: "):
+            Metric.from_dict(record)
 
     def test_dual_transforms_contravariantly(self, rng):
         # inverse of the transformed matrix equals the (2,0)-transformed inverse

@@ -296,6 +296,24 @@ def test_malformed_bounds_raise_parameter_error(bounds):
         load_chart(config)
 
 
+def test_a_one_sided_bound_inside_the_default_keeps_the_default_box():
+    chart = load_chart(dict(SHEAR_CONFIG, bounds={"min": [0.5, None, None]}))
+    assert chart.sample_bounds == ((0.55, 0.95), (-0.8, 0.8), (-0.8, 0.8))
+
+
+@pytest.mark.parametrize("bounds, box", [
+    ({"min": [5, None, None]}, (5.2, 6.8)),
+    ({"min": [1, None, None]}, (1.2, 2.8)),
+    ({"max": [-3, None, None]}, (-4.8, -3.2)),
+])
+def test_a_one_sided_bound_beyond_the_default_loads_and_samples_its_domain(bounds, box):
+    chart = load_chart(dict(SHEAR_CONFIG, bounds=bounds))
+    assert chart.sample_bounds[0] == pytest.approx(box, rel=1e-15)
+    points = chart.sample_points(200, np.random.default_rng(0))
+    assert len(points) == 200
+    assert chart.domain(points).all()
+
+
 def test_integral_float_powers_count_and_fractional_ones_fail():
     config = json.loads(json.dumps(SHEAR_CONFIG))
     config["forward"][2] = [{"coeff": 1.0, "powers": [0, 0, 2.0]}]
