@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -169,22 +170,14 @@ def _dump_json(payload) -> str:
 
 
 def _component_paths(valency: Valency) -> list:
-    """Component path strings in row-major slot order."""
-    shape = (3,) * valency.order
-    if not shape:
+    """Component path strings in row-major slot order: ^1.2_3 for [0, 1, 2]
+    of a (2,1) tensor."""
+    if not valency.order:
         return ["scalar"]
-    out = []
-    for flat in range(3 ** valency.order):
-        idx = np.unravel_index(flat, shape)
-        upper = idx[:valency.r]
-        lower = idx[valency.r:]
-        path = ""
-        if upper:
-            path += "^" + ".".join(str(i + 1) for i in upper)
-        if lower:
-            path += "_" + ".".join(str(j + 1) for j in lower)
-        out.append(path)
-    return out
+    r, s = valency.r, valency.s
+    upper = ["^" + ".".join(idx) for idx in itertools.product("123", repeat=r)] if r else [""]
+    lower = ["_" + ".".join(idx) for idx in itertools.product("123", repeat=s)] if s else [""]
+    return [u + v for u in upper for v in lower]
 
 
 def _report_failures(points: np.ndarray, failures: dict) -> bool:

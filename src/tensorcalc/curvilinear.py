@@ -27,12 +27,14 @@ point array at once. Singular points (cylindrical axis, spherical poles)
 are excluded by domain predicates and fail fast with DomainError.
 
 ChartPoints computes S, T, the metric and the Christoffel symbols of a
-point array once; the inverse metric is the Gram matrix T T^T of the dual
-frame. The chart operators evaluate a point array in one pass through it
-(TensorField.evaluate_batch); a point that fails, outside the domain, at a
-degenerate transition (a singular S among them), or in a chart callable
-(see fields._map_rows), fails alone, with the exception the single-point
-call raises.
+point array once; the metric is the Gram matrix S^T S of the moving frame
+and its inverse the Gram matrix T T^T of the dual frame, both formed by
+the metric module, as is the volume |det S| (metric._gram, _dual_gram,
+_frame_volume). The chart operators evaluate a point array in one pass
+through it (TensorField.evaluate_batch); a point that fails, outside the
+domain, at a degenerate transition (a singular S among them), or in a
+chart callable (see fields._map_rows), fails alone, with the exception the
+single-point call raises.
 
 The Cartesian operators (nabla, gradient_covector, gradient_vector,
 divergence, laplacian, rotor, dalembert) are the chart operators on the
@@ -77,7 +79,7 @@ from .fields import (
     _row_texts,
     _scheme,
 )
-from .metric import Metric
+from .metric import _LAST, _NEXT, Metric, _dual_gram, _frame_volume, _gram
 from .tensors import (
     NEW_TO_OLD,
     OLD_TO_NEW,
@@ -357,13 +359,13 @@ def _flat_chart(g: Metric, name: str = "cartesian",
                 sample_bounds: Optional[Sequence] = None) -> Chart:
     """Affine chart x = S y with S^T S = g, so that g is its metric.
 
-    S and T = S^-1 are the frame the Metric factored once: S is the
-    transposed Cholesky factor of g, so det S > 0 and the chart's
+    S and T = S^-1 are the metric's frame g.S and g.T: for Metric(g), S is
+    the transposed Cholesky factor of g, so det S > 0 and the chart's
     sqrt(det g) epsilon is volume_tensor(g). The Jacobians are these
     constants, the second partials and the Christoffel symbols vanish,
     and there is no domain.
     """
-    S, T = g._S, g._T
+    S, T = g.S, g.T
 
     def constant(value):
         @_batched
@@ -454,13 +456,6 @@ def _second_partials(chart: Chart, y: np.ndarray):
     return _fd_jacobian(chart.forward, y, what="forward", second=True)
 
 
-def _gram(S: np.ndarray) -> np.ndarray:
-    """g = S^T S at every row of a stack of frames S. S^T is multiplied as
-    a C-contiguous copy: the same bits as the transposed view, and
-    1.4-2.5x faster at N >= 1000."""
-    return np.ascontiguousarray(np.swapaxes(S, 1, 2)) @ S
-
-
 class ChartPoints:
     """Chart quantities at an (N, dim) array of points, each computed once.
 
@@ -511,7 +506,7 @@ class ChartPoints:
         T = np.ascontiguousarray(self.T)
         if metric:
             self.g = _gram(self.S)
-            self.dual = T @ np.ascontiguousarray(np.swapaxes(T, 1, 2))
+            self.dual = _dual_gram(T)
         if christoffel:
             dS, failures = _second_partials(chart, self.points)
             n, d = dS.shape[:2]
@@ -634,9 +629,13 @@ def moving_frame(chart: Chart, y) -> Basis:
 
 
 def metric_in_chart(chart: Chart, y) -> Metric:
-    """Gram matrix of the moving frame: g_ij = (E_i, E_j) = (S^T S)_ij."""
-    S = jacobian_direct(chart, y)
-    return Metric(S.T @ S)
+    """Gram matrix of the moving frame: g_ij = (E_i, E_j) = (S^T S)_ij.
+
+    Metric.from_frame(jacobians(chart, y)): it fails where jacobians does
+    (DegenerateTransition at a singular frame), and its matrix, dual and
+    sqrt_det are the ChartPoints metric stage's at y, bit for bit.
+    """
+    return Metric.from_frame(jacobians(chart, y))
 
 
 def metric_field(chart: Chart) -> TensorField:
@@ -854,17 +853,6 @@ def laplacian_in_chart(chart: Chart, phi: TensorField,
         return np.sum(state.dual * second, axis=(1, 2)), failures
 
     return _chart_field(chart, phi, Valency(0, 0), body, metric=True, christoffel=True)
-
-
-# epsilon_ijk is +1 for (i, _NEXT[i], _LAST[i]) and -1 with the last two swapped
-_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
-
-
-def _frame_volume(S: np.ndarray) -> np.ndarray:
-    """sqrt(det g) = |det S| at every row of a stack of 3-D frames, by the
-    triple product E_1 . (E_2 x E_3) of the columns, summed in index order."""
-    cross = S[:, _NEXT, 1] * S[:, _LAST, 2] - S[:, _LAST, 1] * S[:, _NEXT, 2]
-    return np.abs(functools.reduce(np.add, (S[:, i, 0] * cross[:, i] for i in range(3))))
 
 
 def rotor_in_chart(chart: Chart, field: TensorField,

@@ -1,11 +1,17 @@
 """Metric machinery: Gram matrices, index raising/lowering, volumes, cross products.
 
-The metric of a basis is its Gram matrix g_ij, the pairwise scalar products
-of the basis vectors. Its inverse g^ij (the dual metric) raises indices;
-g_ij lowers them. The raised slot becomes the FIRST upper slot of the
-result and the lowered slot the FIRST lower slot; round trips on first
-slots are exact inverses and other slots come back reordered in that
-convention.
+The metric of a frame S (its columns the basis vectors) is its Gram matrix
+g = S^T S, the pairwise scalar products g_ij = (E_i, E_j) of the basis
+vectors; its inverse g^ij (the dual metric) is the Gram matrix T T^T of the
+dual frame T = S^-1, and sqrt(det g) = |det S| is the frame's volume. This
+module is the one place those three are formed: _gram, _dual_gram and
+_frame_volume take one frame or a stack of frames, and both Metric and the
+chart layer (curvilinear.ChartPoints, rotor_in_chart) call them.
+
+g^ij raises indices; g_ij lowers them. The raised slot becomes the FIRST
+upper slot of the result and the lowered slot the FIRST lower slot; round
+trips on first slots are exact inverses and other slots come back
+reordered in that convention.
 
 Orientation machinery (Levi-Civita symbol, volume tensor, cross product) is
 implemented for dimension 3 only; other dimensions raise
@@ -14,13 +20,14 @@ UnsupportedDimension rather than guessing a convention.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateMetric, ShapeError, TensorIndexError, UnsupportedDimension
-from .tensors import DEFAULT_DIM, DenseTensor, Valency
+from .tensors import DEFAULT_DIM, DenseTensor, TransitionPair, Valency
 
 if TYPE_CHECKING:  # frames loads on first use (see the package docstring)
     from .frames import Basis
@@ -33,20 +40,51 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-12
 
+# epsilon_ijk is +1 for (i, _NEXT[i], _LAST[i]) and -1 with the last two swapped
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
+
+
+def _gram(S: np.ndarray) -> np.ndarray:
+    """g = S^T S of a frame or of every frame in a stack. S^T is multiplied
+    as a C-contiguous copy: the same bits as the transposed view, and
+    1.4-2.5x faster at N >= 1000."""
+    return np.ascontiguousarray(np.swapaxes(S, -1, -2)) @ S
+
+
+def _dual_gram(T: np.ndarray) -> np.ndarray:
+    """g^-1 = T T^T of a dual frame or of every one in a stack, on
+    C-contiguous operands: exactly symmetric and C-contiguous, and a frame
+    gets the same bits alone as in any stack."""
+    T = np.ascontiguousarray(T)
+    return T @ np.ascontiguousarray(np.swapaxes(T, -1, -2))
+
+
+def _frame_volume(S: np.ndarray) -> np.ndarray:
+    """sqrt(det g) = |det S| of a frame or of every frame in a stack. In
+    3-D it is the triple product E_1 . (E_2 x E_3) of the columns, summed
+    in index order, so a frame gets the same bits alone as in any stack;
+    in other dimensions it is LAPACK's determinant."""
+    if S.shape[-1] != 3:
+        return np.abs(np.linalg.det(S))
+    cross = S[..., _NEXT, 1] * S[..., _LAST, 2] - S[..., _LAST, 1] * S[..., _NEXT, 2]
+    return np.abs(functools.reduce(np.add, (S[..., i, 0] * cross[..., i] for i in range(3))))
+
 
 class Metric:
-    """Symmetric positive definite matrix g with its cached inverse.
+    """Symmetric positive definite matrix g, the Gram matrix of its frame.
 
-    A metric is the frame of its flat chart x = S y: S is the transposed
-    Cholesky factor of g, so g = S^T S and det S > 0, and T = S^-1 is the
-    dual frame. The dual g^-1 = T T^T is the product ChartPoints takes,
-    exactly symmetric, and sqrt(det g) is the product of the S_jj. A matrix
-    with a non-finite entry, or not symmetric within SYMMETRY_TOL relative
-    to its largest entry (at least 1), or not positive definite, raises
-    DegenerateMetric.
+    S (its columns the basis vectors) and the dual frame T = S^-1 are
+    read-only attributes with g = S^T S, the dual g^-1 = T T^T (_dual_gram,
+    exactly symmetric) and sqrt_det = sqrt(det g) = |det S|
+    (_frame_volume, computed on first read). Metric(g) takes S as the
+    transposed LAPACK Cholesky factor of g, so det S > 0, and S is then
+    the frame of g's flat chart x = S y. A matrix with a non-finite entry,
+    or not symmetric within SYMMETRY_TOL relative to its largest entry (at
+    least 1), or not positive definite, raises DegenerateMetric.
+    Metric.from_frame(pair) is the metric of a given frame.
     """
 
-    __slots__ = ("matrix", "dual", "dim", "sqrt_det", "_S", "_T")
+    __slots__ = ("matrix", "dual", "dim", "S", "T", "_sqrt_det")
 
     def __init__(self, matrix):
         g = np.asarray(matrix, dtype=float)
@@ -63,15 +101,30 @@ class Metric:
         except np.linalg.LinAlgError:
             raise DegenerateMetric("metric is not positive definite") from None
         T = np.linalg.inv(S)
-        dual = np.ascontiguousarray(T) @ np.ascontiguousarray(T.T)
-        for array in (g, dual, S, T):
-            array.flags.writeable = False
-        object.__setattr__(self, "matrix", g)
-        object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "dim", g.shape[0])
-        object.__setattr__(self, "sqrt_det", float(np.prod(S.diagonal())))
-        object.__setattr__(self, "_S", S)
-        object.__setattr__(self, "_T", T)
+        S.flags.writeable = T.flags.writeable = False
+        self._set(g, S, T)
+
+    @classmethod
+    def from_frame(cls, pair: TransitionPair) -> "Metric":
+        """The metric of the frame pair.S, with T = pair.T its checked
+        inverse: g = S^T S and g^-1 = T T^T."""
+        metric = object.__new__(cls)
+        metric._set(_gram(pair.S), pair.S, pair.T)
+        return metric
+
+    def _set(self, g, S, T):
+        dual = _dual_gram(T)
+        g.flags.writeable = dual.flags.writeable = False
+        for name, value in (("matrix", g), ("dual", dual), ("dim", g.shape[0]),
+                            ("S", S), ("T", T), ("_sqrt_det", None)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def sqrt_det(self) -> float:
+        """sqrt(det g) = |det S|, the volume of the frame."""
+        if self._sqrt_det is None:
+            object.__setattr__(self, "_sqrt_det", float(_frame_volume(self.S)))
+        return self._sqrt_det
 
     def __setattr__(self, name, value):
         raise AttributeError("Metric is immutable")
@@ -110,8 +163,7 @@ class Metric:
 
 def gram_from_basis(basis: Basis) -> Metric:
     """Metric whose entries are the ambient dot products of the basis vectors."""
-    cols = basis.columns
-    return Metric(cols.T @ cols)
+    return Metric(_gram(basis.columns))
 
 
 def raise_index(metric: Metric, tensor: DenseTensor, lower_slot: int) -> DenseTensor:
@@ -176,9 +228,8 @@ def levi_civita(dim: int = 3) -> np.ndarray:
     if dim != 3:
         raise UnsupportedDimension(f"Levi-Civita symbol is provided for dim 3, not {dim}")
     eps = np.zeros((3, 3, 3))
-    for i, j, k, sign in ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
-                          (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0)):
-        eps[i, j, k] = sign
+    eps[range(3), _NEXT, _LAST] = 1.0
+    eps[range(3), _LAST, _NEXT] = -1.0
     return eps
 
 

@@ -6,7 +6,9 @@ S; the rotor takes sqrt(det g) as |det S|. These tests pin the dual against
 closed forms down to the spherical poles, its layout and its bits, the
 volume against r^2 sin(theta), and the stage contract: metric_field never
 evaluates T, and every chart operator fails a singular S in the transition
-stage.
+stage. metric_in_chart is Metric.from_frame of the checked pair at one
+point: it fails where jacobians does and equals the ChartPoints rows bit
+for bit. The Cartesian operators on flat charts are pinned bit for bit.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+import tensorcalc as tc
 from tensorcalc import (
     Chart,
     ChartPoints,
@@ -22,11 +25,17 @@ from tensorcalc import (
     Metric,
     builtin_chart,
     covariant_derivative,
+    divergence,
     divergence_in_chart,
+    gradient_vector,
     gradient_vector_in_chart,
+    laplacian,
     laplacian_in_chart,
     load_chart,
     metric_field,
+    metric_in_chart,
+    nabla,
+    rotor,
     rotor_in_chart,
 )
 from tensorcalc.curvilinear import _flat_chart, _frame_volume
@@ -172,3 +181,97 @@ def test_every_operator_fails_a_singular_frame_in_the_transition_stage(op):
     assert isinstance(failures[1], DegenerateTransition)
     with pytest.raises(DegenerateTransition, match="are not mutually inverse"):
         field.evaluate_array(singular)
+
+
+# The Cartesian operators at three fixed points, as float.hex of their
+# components in row-major order: laplacian, rotor and gradient_vector over
+# SKEW_METRIC's flat chart, divergence and nabla over the identity's. Both
+# fields have analytic partials, so no finite difference enters.
+CARTESIAN_POINTS = np.array([[0.4, -0.7, 1.1], [-1.3, 0.25, 0.6], [2.0, 1.5, -0.9]])
+CARTESIAN_BITS = {
+    "laplacian": ["-0x1.e6f4385a3aff4p-1", "-0x1.f7b1dee7af9e8p-1", "0x1.90da161a3e4a0p-1"],
+    "rotor": ["0x1.b2b2cfef4df68p-3", "0x1.84966356c3c16p-5", "0x1.049c6e751fb0bp-1",
+              "0x1.b8ae267a51819p-4", "-0x1.01561185e2fadp-1", "-0x1.6c8639d453cd1p-3",
+              "-0x1.adf939e7f6eaep-2", "0x1.1a82fdcb8a6d6p-1", "0x1.1268ad6b2816ap+0"],
+    "gradient_vector": ["-0x1.a1ded9e00216dp-1", "0x1.3d29853ef0876p-2", "-0x1.7d8b52e82ebd6p-2",
+                        "-0x1.7a703b5a09e28p+0", "0x1.8bb03ea6643aap+1", "-0x1.afdd341e00666p-1",
+                        "0x1.f44f2f2782edap+0", "-0x1.f738532c2be8bp+2", "0x1.23d6d0b612d99p+1"],
+    "divergence": ["0x1.07624a4209c2dp+0", "-0x1.95a7eeffd2a2cp+1", "0x1.20290ac9a724fp+2"],
+    "nabla": ["0x1.0a3d70a3d70a4p+0", "0x0.0p+0", "0x0.0p+0",
+              "0x1.87996529f9d93p-2", "0x1.07df1edd1ae2dp-3", "0x0.0p+0",
+              "0x0.0p+0", "0x1.c28f5c28f5c2ap-3", "-0x1.1eb851eb851ebp-3",
+              "-0x1.b0a3d70a3d70bp+1", "0x0.0p+0", "0x0.0p+0",
+              "0x1.f01549f7deea1p-2", "0x1.49581a404678ep-3", "0x0.0p+0",
+              "0x0.0p+0", "0x1.eb851eb851eb8p-4", "0x1.999999999999ap-5",
+              "0x1.4cccccccccccdp+2", "0x0.0p+0", "0x0.0p+0",
+              "0x1.21bd54fc5f9a7p-5", "-0x1.feb7a9b2c6d8bp-1", "0x0.0p+0",
+              "0x0.0p+0", "-0x1.70a3d70a3d70bp-3", "0x1.3333333333334p-2"],
+}
+CARTESIAN = {
+    "laplacian": lambda: laplacian(SKEW_METRIC, SCALAR),
+    "rotor": lambda: rotor(SKEW_METRIC, VECTOR),
+    "gradient_vector": lambda: gradient_vector(SKEW_METRIC, SCALAR),
+    "divergence": lambda: divergence(VECTOR),
+    "nabla": lambda: nabla(VECTOR),
+}
+
+
+@pytest.mark.parametrize("op", sorted(CARTESIAN))
+def test_cartesian_operators_keep_their_bits(op):
+    values, failures = CARTESIAN[op]().evaluate_batch(CARTESIAN_POINTS)
+    assert not failures
+    assert [float(v).hex() for v in values.ravel()] == CARTESIAN_BITS[op]
+
+
+def test_metric_in_chart_fails_a_singular_frame_as_jacobians_does():
+    # x = (y1^3, y2, y3) through plain callables: at y1 = 0 the FD frame is
+    # near singular (g_11 ~ 1e-21) and the FD inverse Jacobian blows up
+    cube = Chart("cube", forward=lambda y: np.array([y[0] ** 3, y[1], y[2]]),
+                 inverse=lambda x: np.array([np.cbrt(x[0]), x[1], x[2]]))
+    y = [0.0, 0.3, 0.4]
+    with pytest.raises(DegenerateTransition) as want:
+        tc.jacobians(cube, y)
+    with pytest.raises(DegenerateTransition) as got:
+        metric_in_chart(cube, y)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CHARTS))
+def test_metric_in_chart_is_the_chart_points_metric_bit_for_bit(name):
+    chart = LAYOUT_CHARTS[name]
+    points = _points(np.random.default_rng(9), 400, theta_lo=0.3, r_hi=1.9)
+    state = ChartPoints(chart, points, metric=True)
+    assert len(state.index) == len(points)
+    volume = _frame_volume(state.S)
+    for k, y in enumerate(points):
+        metric = metric_in_chart(chart, y)
+        assert np.array_equal(metric.matrix, state.g[k])
+        assert np.array_equal(metric.dual, state.dual[k])
+        assert metric.sqrt_det == volume[k]
+
+
+def test_from_frame_is_the_gram_matrix_of_the_frame():
+    rng = np.random.default_rng(10)
+    for dim in (1, 2, 3, 4):
+        S = rng.uniform(-1.0, 1.0, (dim, dim)) + 2.0 * np.eye(dim)
+        pair = tc.TransitionPair.from_direct(S)
+        metric = Metric.from_frame(pair)
+        assert metric.dim == dim
+        assert np.array_equal(metric.matrix, np.ascontiguousarray(S.T) @ S)
+        assert np.array_equal(metric.dual, pair.T @ np.ascontiguousarray(pair.T.T))
+        assert metric.S is pair.S and metric.T is pair.T
+        det = abs(np.linalg.det(S))
+        assert abs(metric.sqrt_det - det) <= 1e-14 * det
+
+
+def test_a_metric_frame_is_read_only():
+    metric = SKEW_METRIC
+    assert np.abs(metric.S.T @ metric.S - metric.matrix).max() <= 1e-14
+    assert np.abs(metric.T @ metric.S - np.eye(3)).max() <= 1e-14
+    for name in ("matrix", "dual", "S", "T"):
+        with pytest.raises(ValueError):
+            getattr(metric, name)[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            setattr(metric, name, None)
+    with pytest.raises(AttributeError):
+        metric.sqrt_det = 1.0

@@ -857,6 +857,19 @@ def test_divergence_of_a_mixed_field_prints_lower_slot_paths(capsys, tmp_path):
                    "0.5,0.25,2.0,_1,1.0\n0.5,0.25,2.0,_2,1.0\n0.5,0.25,2.0,_3,1.0\n")
 
 
+def test_divergence_of_a_two_upper_field_prints_mixed_paths(capsys, tmp_path):
+    # T^ij_k = y_1 for every component: nabla_i T^ij_k = 1 for every j, k
+    components = [[{"coeff": 1.0, "powers": [1, 0, 0]}]] * 27
+    field = _field_arg(tmp_path, {"r": 2, "s": 1, "components": components})
+    code, out, err = run(capsys, "field-op", "div", "--chart", "identity",
+                         "--field", field, "--point", "0.5,0.25,2")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[3] for row in rows] == ["^1_1", "^1_2", "^1_3", "^2_1", "^2_2", "^2_3",
+                                        "^3_1", "^3_2", "^3_3"]
+    assert {row[4] for row in rows} == {"1.0"}
+
+
 # argvs for main's dispatch; {bindings}, {field} and {dir} name files made in tmp_path
 DISPATCH_ARGVS = [
     [],

@@ -4,11 +4,15 @@
 
 Imports tensorcalc from SRC (the src directory of a checkout) and runs
 in process every job of N cycles (default 3) of the grid-spherical and
-table-chart workloads in perfbench/workloads.py. Each christoffel and
-field-op job runs once with CSV and once with JSON output; audit has one
-format. One line per run: workload, cycle, job, format, exit code, and the
-sha256 digests of stdout and stderr. The jobs depend only on the seed and
-come from this checkout's perfbench, so two source trees print the same
+table-chart workloads in perfbench/workloads.py, then a fixed set of
+jobs on the built-in identity and cylindrical charts (FIXED_JOBS), which
+those workloads never reach: christoffel, and field-op grad, div, rot and
+laplace on inline JSON fields. The identity chart is the flat chart of
+the Cartesian operators. Each christoffel and field-op job runs once with
+CSV and once with JSON output; audit has one format. One line per run:
+workload, cycle, job, format, exit code, and the sha256 digests of stdout
+and stderr. The jobs depend only on the seed and come from this
+checkout's perfbench and FIXED_JOBS, so two source trees print the same
 lines exactly when their CLI output is the same byte for byte:
 
     diff <(python3 tools/cli_digest.py ../parent/src) <(python3 tools/cli_digest.py src)
@@ -28,6 +32,24 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("grid-spherical", "table-chart")
 
+# a scalar 1.3 y1^2 sin(2 y2) - 0.4 y1 y3 + 0.7 y3^3 and a vector
+# (1.3 y1^2, 0.5 y1 cos y2, 0.2 y2 y3), as inline field specs
+_SCALAR = ('{"r": 0, "s": 0, "components": [[{"coeff": 1.3, "powers": [2, 0, 0], '
+           '"trig": [null, {"fn": "sin", "freq": 2.0}, null]}, '
+           '{"coeff": -0.4, "powers": [1, 0, 1]}, {"coeff": 0.7, "powers": [0, 0, 3]}]]}')
+_VECTOR = ('{"r": 1, "s": 0, "components": [[{"coeff": 1.3, "powers": [2, 0, 0]}], '
+           '[{"coeff": 0.5, "powers": [1, 0, 0], '
+           '"trig": [null, {"fn": "cos", "freq": 1.0}, null]}], '
+           '[{"coeff": 0.2, "powers": [0, 1, 1]}]]}')
+_GRID = ["--grid", "y1=0.5:2:4", "--grid", "y2=-3:3:5", "--grid", "y3=-1:1:3"]
+FIXED_JOBS = [(f"{command} {chart}", [*command.split(), "--chart", chart, *field, *_GRID])
+              for chart in ("identity", "cylindrical")
+              for command, field in (("christoffel", []),
+                                     ("field-op grad", ["--field", _SCALAR]),
+                                     ("field-op div", ["--field", _VECTOR]),
+                                     ("field-op rot", ["--field", _VECTOR]),
+                                     ("field-op laplace", ["--field", _SCALAR]))]
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -41,9 +63,10 @@ def _run(cli, argv):
 
 
 def runs(src: str, cycles: int, seed: int):
-    """Every run of the chart workloads' jobs with tensorcalc from src, in
-    a fixed order: tuples (workload, cycle, job number, job kind, format,
-    exit code, stdout, stderr)."""
+    """Every run of the chart workloads' jobs, then of FIXED_JOBS (workload
+    "builtin", cycle 0), with tensorcalc from src, in a fixed order: tuples
+    (workload, cycle, job number, job kind, format, exit code, stdout,
+    stderr)."""
     src = os.path.abspath(src)
     sys.path.insert(0, src)
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -65,6 +88,9 @@ def runs(src: str, cycles: int, seed: int):
                         formats["json"] = job.argv + ["--format", "json"]
                     for fmt, argv in formats.items():
                         yield (name, cycle, n, job.kind, fmt) + _run(cli, argv)
+    for n, (kind, argv) in enumerate(FIXED_JOBS):
+        for fmt in ("csv", "json"):
+            yield ("builtin", 0, n, kind, fmt) + _run(cli, argv + ["--format", fmt])
 
 
 def main():
