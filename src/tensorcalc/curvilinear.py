@@ -969,14 +969,16 @@ def dalembert(c: float, phi: TensorField,
 # and second partials. A derivative multiplies a term by a power or a
 # frequency, folded into the coefficient unless that product overflows; it
 # is then a trailing factor ("mul", None, m), applied after the others.
+# A loaded map or field builds its partial tables on first use (_Tables):
+# one pass over a table gives its partials along all three axes, one more
+# pass over its partial along y_i its second partials (i, j), j >= i.
 
 _TRIG = {"sin": np.sin, "cos": np.cos}
 _NO_POWERS = (0, 0, 0)
 _NO_TRIG = (None, None, None)
-# the second partials (i, j) with i <= j, and the one each (i, j) reads
-_UPPER = [(i, j) for i in range(3) for j in range(i, 3)]
-_SYMMETRIC = np.array([_UPPER.index((min(i, j), max(i, j)))
-                       for i in range(3) for j in range(3)])
+_MAX = sys.float_info.max
+# second partial (i, j), row-major, reads (min, max) of the six built with i <= j
+_SYMMETRIC = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
 def _finite(value) -> bool:
@@ -984,7 +986,7 @@ def _finite(value) -> bool:
     if type(value) not in (float, int) and (
             not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_))):
         return False
-    return abs(value) <= sys.float_info.max
+    return abs(value) <= _MAX
 
 
 def _count(value) -> bool:
@@ -1010,7 +1012,7 @@ def _compile_component(terms, where: str) -> list:
         if not isinstance(term, dict) or "coeff" not in term:
             raise ParameterError(f"{where}: term {n} needs a 'coeff'")
         coeff = term["coeff"]
-        if not _finite(coeff):
+        if not (type(coeff) is float and -_MAX <= coeff <= _MAX or _finite(coeff)):
             raise ParameterError(
                 f"{where}: term {n} coeff must be a finite number, got {coeff!r}")
         powers = term.get("powers", _NO_POWERS)
@@ -1025,150 +1027,142 @@ def _compile_component(terms, where: str) -> list:
         elif not isinstance(trig, (list, tuple)) or len(trig) != 3:
             raise ParameterError(f"{where}: term {n} trig must have three entries")
         factors = []
-        for a in range(3):
+        for a, spec in enumerate(trig):
             if powers[a]:
                 factors.append(("pow", a, int(powers[a])))
-            if trig[a] is not None:
-                factors.append(_trig_factor(trig[a], a, where, n))
+            if spec is None:
+                continue
+            if not isinstance(spec, dict):
+                raise ParameterError(
+                    f"{where}: term {n} trig entries must be null or objects, got {spec!r}")
+            if spec.get("fn") not in ("sin", "cos"):
+                raise ParameterError(f"{where}: term {n} trig fn must be sin or cos")
+            freq = spec.get("freq", 1.0)
+            if not (type(freq) is float and -_MAX <= freq <= _MAX or _finite(freq)):
+                raise ParameterError(
+                    f"{where}: term {n} trig freq must be a finite number, got {freq!r}")
+            factors.append((spec["fn"], a, float(freq)))
         parsed.append((float(coeff), tuple(factors)))
     return parsed
 
 
-def _trig_factor(spec, a: int, where: str, n: int) -> tuple:
-    if not isinstance(spec, dict):
-        raise ParameterError(
-            f"{where}: term {n} trig entries must be null or objects, got {spec!r}")
-    if spec.get("fn") not in ("sin", "cos"):
-        raise ParameterError(f"{where}: term {n} trig fn must be sin or cos")
-    freq = spec.get("freq", 1.0)
-    if not _finite(freq):
-        raise ParameterError(
-            f"{where}: term {n} trig freq must be a finite number, got {freq!r}")
-    return spec["fn"], a, float(freq)
-
-
-def _column(factor: tuple, coords: tuple):
-    fn, a, param = factor
-    if fn == "pow":
-        return coords[a] if param == 1 else coords[a] ** param
-    if fn == "mul":
-        return param
-    return _TRIG[fn](param * coords[a])
-
-
-def _values(tables: list) -> Callable:
-    """Evaluator y (..., 3) -> (..., len(tables)): entry e is table e's value.
+def _evaluate(tables: list, y) -> np.ndarray:
+    """The values of parsed tables at y (..., 3): (..., len(tables)).
 
     Each term multiplies its coefficient by its factors in order and the
     terms are added to zero in table order. This is the one rounding rule
     of every table: map, field component and their partials. Every step is
     elementwise, so a point's value does not depend on the batch it is
-    evaluated in.
+    evaluated in. Each distinct factor is computed once per call.
     """
-    def evaluate(y):
-        coords = _coords(y)
-        out = np.zeros(coords[0].shape + (len(tables),))
-        columns = {}
-        for e, terms in enumerate(tables):
-            total = out[..., e]
-            for coeff, factors in terms:
-                value = coeff
-                for factor in factors:
-                    column = columns.get(factor)
-                    if column is None:
-                        column = columns[factor] = _column(factor, coords)
-                    value = value * column
-                total += value
-        return out
-
-    return evaluate
-
-
-def _scaled(coeff: float, multiplier: float, factors: tuple) -> tuple:
-    """The term multiplier * coeff * prod(factors), with the multiplier
-    folded into the coefficient unless that product is not finite: then it
-    is a trailing factor, so 1e308 y**2 * 3 is still finite at y = 0.5."""
-    product = multiplier * coeff
-    if math.isfinite(product):
-        return product, factors
-    return coeff, factors + (("mul", None, multiplier),)
-
-
-def _derivative(terms: list, b: int) -> list:
-    """d/dy_b of parsed terms by the product rule: one term per factor on
-    axis b, so at most two per term."""
-    out = []
-    for coeff, factors in terms:
-        for k, (fn, a, param) in enumerate(factors):
-            if a != b:
-                continue
-            if fn == "pow":
-                lowered = (("pow", b, param - 1),) if param > 1 else ()
-                out.append(_scaled(coeff, param, factors[:k] + lowered + factors[k + 1:]))
-            elif param:
-                turned = ("cos" if fn == "sin" else "sin", b, param)
-                out.append(_scaled(coeff, param if fn == "sin" else -param,
-                                   factors[:k] + (turned,) + factors[k + 1:]))
+    coords = _coords(y)
+    out = np.zeros(coords[0].shape + (len(tables),))
+    columns = {}
+    get = columns.get
+    for e, terms in enumerate(tables):
+        if not terms:
+            continue
+        total = 0.0
+        for value, factors in terms:
+            for factor in factors:
+                column = get(factor)
+                if column is None:
+                    fn, a, param = factor
+                    if fn == "pow":
+                        column = coords[a] if param == 1 else coords[a] ** param
+                    elif fn == "mul":
+                        column = param
+                    else:
+                        column = _TRIG[fn](param * coords[a])
+                    columns[factor] = column
+                value = value * column
+            total = total + value
+        out[..., e] = total
     return out
 
 
-def _lazy(build: Callable) -> Callable:
-    """Batched callable that builds its evaluator with build() on first use."""
-    evaluator = None
+def _differentiate(terms: list, low: int = 0) -> list:
+    """[d/dy_b of parsed terms for b in 0, 1, 2], built in one pass over
+    them by the product rule, the tables below axis ``low`` left empty.
 
-    @_batched
-    def call(y):
-        nonlocal evaluator
-        if evaluator is None:
-            evaluator = build()
-        return evaluator(y)
+    Each factor on axis b gives one term of d/dy_b, in term and factor
+    order: y**p (dropped at p = 1) times p, sin(f y) turned to cos times f,
+    cos to sin times -f, none at f = 0. The multiplier is folded into the
+    coefficient unless that product is not finite: it is then a trailing
+    factor, so 1e308 y**2 * 2 is still finite at y = 0.5.
+    """
+    out = ([], [], [])
+    for coeff, factors in terms:
+        for k, (fn, a, param) in enumerate(factors):
+            if a is None or a < low:  # the trailing ("mul", None, m)
+                continue
+            if fn == "pow":
+                multiplier, turned = param, (("pow", a, param - 1),) if param > 1 else ()
+            elif param:
+                multiplier, turned = ((param, (("cos", a, param),)) if fn == "sin" else
+                                      (-param, (("sin", a, param),)))
+            else:
+                continue
+            rest = factors[:k] + turned + factors[k + 1:]
+            product = multiplier * coeff
+            out[a].append((product, rest) if math.isfinite(product) else
+                          (coeff, rest + (("mul", None, multiplier),)))
+    return list(out)
 
-    return call
 
-
-def _compile_tables(tables: list) -> tuple:
-    """Batched evaluators ``(values, first, second)`` of parsed tables.
+class _Tables:
+    """Batched evaluators of parsed tables and of their partials.
 
     values(y)[..., e] is table e, first(y)[..., e, q] its partial along y_q
-    and second(y)[..., e, i, j] its second partial along y_i and y_j, where
-    (j, i) reads the (i, j) table of i <= j, so second is symmetric bit for
-    bit. All three are summed term by term by _values, so a point's values
-    do not depend on the batch size. The partial tables are built on the
-    first call of first or second; second differentiates the first-partial
-    tables once more.
+    and second(y)[..., e, i, j] along y_i and y_j, (j, i) read from (i, j)
+    of i <= j so that it is symmetric bit for bit; all summed by _evaluate.
+    The partial tables are built on first use and kept: table 3 e + q of
+    first_tables() and 6 e + u of second_tables(), u-th pair i <= j.
     """
-    count = len(tables)
 
-    @functools.cache
-    def first_tables():  # [e][q]: table e differentiated along y_q
-        return [[_derivative(terms, q) for q in range(3)] for terms in tables]
+    __slots__ = ("tables", "_first", "_second")
 
-    def first():
-        entries = _values([table for row in first_tables() for table in row])
-        return lambda y: entries(y).reshape(np.shape(y)[:-1] + (count, 3))
+    def __init__(self, tables: list):
+        self.tables, self._first, self._second = tables, None, None
 
-    def second():
-        pairs = _values([_derivative(row[i], j) for row in first_tables() for i, j in _UPPER])
+    def first_tables(self) -> list:
+        if self._first is None:
+            self._first = [table for terms in self.tables for table in _differentiate(terms)]
+        return self._first
 
-        def evaluate(y):
-            lead = np.shape(y)[:-1]
-            return pairs(y).reshape(lead + (count, 6))[..., _SYMMETRIC].reshape(
-                lead + (count, 3, 3))
-        return evaluate
+    def second_tables(self) -> list:
+        if self._second is None:
+            self._second = [table for k, terms in enumerate(self.first_tables())
+                            for table in _differentiate(terms, k % 3)[k % 3:]]
+        return self._second
 
-    return _batched(_values(tables)), _lazy(first), _lazy(second)
+    @_batched
+    def values(self, y):
+        return _evaluate(self.tables, y)
+
+    @_batched
+    def first(self, y):
+        out = _evaluate(self.first_tables(), y)
+        return out.reshape(out.shape[:-1] + (len(self.tables), 3))
+
+    @_batched
+    def second(self, y):
+        out = _evaluate(self.second_tables(), y)
+        lead = out.shape[:-1]
+        return out.reshape(lead + (len(self.tables), 6))[..., _SYMMETRIC].reshape(
+            lead + (len(self.tables), 3, 3))
 
 
 def _compile_map(spec: list, where: str) -> tuple:
     """Compile a map y -> x from its three component tables.
 
-    Returns batched callables ``(mapping, jacobian, partials)``: the map,
-    J[..., i, j] = dx^i/dy^j and dJ[..., q, i, j] = d^2 x^q / dy^i dy^j, as
-    _compile_tables evaluates them.
+    Returns batched callables ``(mapping, jacobian, partials)`` (_Tables):
+    the map, J[..., i, j] = dx^i/dy^j and dJ[..., q, i, j] = d^2 x^q / dy^i dy^j.
     """
     if not isinstance(spec, list) or len(spec) != 3:
         raise ParameterError(f"{where}: expected three component term lists")
-    return _compile_tables([_compile_component(spec[i], f"{where}[{i}]") for i in range(3)])
+    tables = _Tables([_compile_component(spec[i], f"{where}[{i}]") for i in range(3)])
+    return tables.values, tables.first, tables.second
 
 
 def _read_json(source, what: str):
@@ -1184,8 +1178,9 @@ def _read_json(source, what: str):
     try:
         if text.lstrip().startswith(("{", "[")):
             return json.loads(text)
-        with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(text, "rb") as fh:  # line ends read as in text mode, for error positions
+            document = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(document)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8, a NUL in a path
         raise ParameterError(f"{what} {text!r}: {getattr(exc, 'strerror', None) or exc}") from exc
 
@@ -1272,9 +1267,9 @@ def load_field(source) -> TensorField:
     component in row-major slot order (a scalar field has exactly one).
     Terms follow the chart-config grammar (_compile_component). The
     field's first partials [n, q, slots...] and second partials [n, i, j,
-    slots...] are its tables differentiated term by term
-    (_compile_tables), so no operator takes finite differences of it and
-    a scheme does not change its operators' values.
+    slots...] are its tables differentiated term by term (_Tables), so no
+    operator takes finite differences of it and a scheme does not change
+    its operators' values.
     """
     spec = _read_json(source, "field spec")
     if not isinstance(spec, dict):
@@ -1293,19 +1288,19 @@ def load_field(source) -> TensorField:
         raise ParameterError(f"field spec needs {count} component term lists "
                              f"for valency ({valency.r},{valency.s})")
     shape = (3,) * valency.order
-    values, first, second = _compile_tables([_compile_component(terms, f"field component {n}")
-                                             for n, terms in enumerate(component_tables)])
+    tables = _Tables([_compile_component(terms, f"field component {n}")
+                      for n, terms in enumerate(component_tables)])
 
     @_batched
     def func(y):
-        return values(y).reshape((len(y),) + shape)
+        return tables.values(y).reshape((len(y),) + shape)
 
     @_batched
     def partials(y):
-        return first(y).swapaxes(1, 2).reshape((len(y), 3) + shape)
+        return tables.first(y).swapaxes(1, 2).reshape((len(y), 3) + shape)
 
     @_batched
     def second_partials(y):
-        return second(y).transpose(0, 2, 3, 1).reshape((len(y), 3, 3) + shape)
+        return tables.second(y).transpose(0, 2, 3, 1).reshape((len(y), 3, 3) + shape)
 
     return TensorField(valency, func, 3, partials=partials, second_partials=second_partials)

@@ -20,7 +20,6 @@ UnsupportedDimension rather than guessing a convention.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -59,6 +58,10 @@ def _dual_gram(T: np.ndarray) -> np.ndarray:
     return T @ np.ascontiguousarray(np.swapaxes(T, -1, -2))
 
 
+# (row, column) of S[_NEXT, 1], S[_LAST, 2], S[_LAST, 1], S[_NEXT, 2] and S[:, 0]
+_TRIPLE = (np.array([_NEXT, _LAST, _LAST, _NEXT, [0, 1, 2]]), np.array([[1], [2], [1], [2], [0]]))
+
+
 def _frame_volume(S: np.ndarray) -> np.ndarray:
     """sqrt(det g) = |det S| of a frame or of every frame in a stack. In
     3-D it is the triple product E_1 . (E_2 x E_3) of the columns, summed
@@ -66,8 +69,10 @@ def _frame_volume(S: np.ndarray) -> np.ndarray:
     in other dimensions it is LAPACK's determinant."""
     if S.shape[-1] != 3:
         return np.abs(np.linalg.det(S))
-    cross = S[..., _NEXT, 1] * S[..., _LAST, 2] - S[..., _LAST, 1] * S[..., _NEXT, 2]
-    return np.abs(functools.reduce(np.add, (S[..., i, 0] * cross[..., i] for i in range(3))))
+    entries = S[..., _TRIPLE[0], _TRIPLE[1]]
+    cross = entries[..., 0, :] * entries[..., 1, :] - entries[..., 2, :] * entries[..., 3, :]
+    terms = entries[..., 4, :] * cross
+    return np.abs(terms[..., 0] + terms[..., 1] + terms[..., 2])
 
 
 class Metric:

@@ -11,10 +11,14 @@ point: it fails where jacobians does and equals the ChartPoints rows bit
 for bit. The Cartesian operators on flat charts are pinned bit for bit.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tensorcalc as tc
 from tensorcalc import (
@@ -40,6 +44,7 @@ from tensorcalc import (
 )
 from tensorcalc.curvilinear import _flat_chart, _frame_volume
 from tensorcalc.fields import _batched, _partials
+from tensorcalc.metric import _LAST, _NEXT
 
 from test_batched import CHARTS, SCALAR, TABLE_CONFIG, VECTOR
 
@@ -95,6 +100,30 @@ def test_frame_volume_is_r_squared_sin_theta():
     r, theta = points[:, 0], points[:, 1]
     want = r ** 2 * np.sin(theta)
     assert np.all(np.abs(_frame_volume(state.S) - want) <= 1e-14 * want)
+
+
+def _triple_product_by_reduce(S):
+    """|E_1 . (E_2 x E_3)| with four gathers and a generator reduce: the
+    form _frame_volume had before it gathered its operands at once."""
+    cross = S[..., _NEXT, 1] * S[..., _LAST, 2] - S[..., _LAST, 1] * S[..., _NEXT, 2]
+    return np.abs(functools.reduce(np.add, (S[..., i, 0] * cross[..., i] for i in range(3))))
+
+
+# any finite entry, zeros of both signs and subnormals among them; products
+# of the largest overflow, so inf and nan results are covered too
+_entries = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 1000]).flatmap(
+    lambda n: arrays(np.float64, (n, 3, 3), elements=_entries)))
+def test_frame_volume_keeps_the_bits_of_the_reduce_form(S):
+    with np.errstate(all="ignore"):
+        got, want = _frame_volume(S), _triple_product_by_reduce(S)
+        alone = [_frame_volume(frame) for frame in S[:3]]
+    assert got.shape == want.shape == (len(S),)
+    assert got.tobytes() == want.tobytes()
+    assert all(a.tobytes() == w.tobytes() for a, w in zip(alone, want))
 
 
 def test_flat_chart_frame_is_the_lapack_cholesky_factor_and_its_inverse():

@@ -972,6 +972,14 @@ class TestUnreadableInput:
         assert got == (2, "", f"error: {what} {str(path)!r}: 'utf-8' codec can't decode byte "
                               "0xe9 in position 13: invalid continuation byte\n")
 
+    @pytest.mark.parametrize("ends", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_count_as_in_text_mode(self, capsys, tmp_path, ends):
+        path = tmp_path / "chart.json"
+        path.write_bytes(ends.join([b"{", b' "forward": 1', b' "inverse": 2', b"}"]))
+        assert run(capsys, "christoffel", "--chart-file", str(path), "--point", "1,1,1") == (
+            2, "", f"error: chart config {str(path)!r}: Expecting ',' delimiter: "
+                   "line 3 column 2 (char 17)\n")
+
     def test_a_json_list_text_is_json(self, capsys):
         assert run(capsys, "christoffel", "--chart-file", "[1, 2]", "--point", "1,1,1") == (
             2, "", "error: chart config needs 'forward' and 'inverse' maps\n")

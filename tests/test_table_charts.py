@@ -245,18 +245,27 @@ def test_christoffel_agrees_with_the_derivative_of_t_route(chart, seed):
 
 
 def test_derivative_tables_are_built_on_first_use(monkeypatch):
+    """Loading differentiates nothing; the first Jacobian differentiates
+    each forward table once, along all three axes in one pass (low axis 0),
+    and the first second partials each first-partial table along y_i once,
+    from axis i on; later calls build nothing."""
     calls = []
-    derivative = curvilinear._derivative
-    monkeypatch.setattr(curvilinear, "_derivative",
-                        lambda terms, b: calls.append(b) or derivative(terms, b))
+    differentiate = curvilinear._differentiate
+    monkeypatch.setattr(curvilinear, "_differentiate",
+                        lambda terms, low=0: calls.append(low) or differentiate(terms, low))
     chart = load_chart(TABLE_CONFIG)
     assert calls == []
     y = np.array([[0.3, 0.4, 0.5]])
     chart.jac_forward(y)
-    assert len(calls) == 9
+    assert calls == [0, 0, 0]
     chart.jac_forward(y)
     chart.forward(y)
-    assert len(calls) == 9
+    assert calls == [0, 0, 0]
+    chart.jac_forward_partials(y)
+    assert calls == [0, 0, 0] + [0, 1, 2] * 3
+    chart.jac_forward_partials(y)
+    chart.jac_forward(y)
+    assert len(calls) == 12
 
 
 def _audit(capsys, tmp_path, config):

@@ -9,11 +9,13 @@ that every operator row of a batch equals that point evaluated alone.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tensorcalc import (
     DifferentiationScheme,
@@ -208,3 +210,88 @@ def test_overflowing_multiplier_leaves_a_table_chart_finite():
     assert S[0, 0] == pytest.approx(7.5e307, rel=1e-15)
     dS = chart.jac_forward_partials(np.array([[0.1, 0.0, 0.0]]))[0]
     assert dS[0, 0, 0] == pytest.approx(6e307, rel=1e-15)
+
+
+# -- the one-pass differentiation against the per-axis reference ---------------------
+
+
+def _scaled(coeff, multiplier, factors):
+    product = multiplier * coeff
+    if math.isfinite(product):
+        return product, factors
+    return coeff, factors + (("mul", None, multiplier),)
+
+
+def _derivative(terms, b):
+    """d/dy_b of parsed terms, one axis per pass over them: the reference
+    for curvilinear._differentiate, as it was first written."""
+    out = []
+    for coeff, factors in terms:
+        for k, (fn, a, param) in enumerate(factors):
+            if a != b:
+                continue
+            if fn == "pow":
+                lowered = (("pow", b, param - 1),) if param > 1 else ()
+                out.append(_scaled(coeff, param, factors[:k] + lowered + factors[k + 1:]))
+            elif param:
+                turned = ("cos" if fn == "sin" else "sin", b, param)
+                out.append(_scaled(coeff, param if fn == "sin" else -param,
+                                   factors[:k] + (turned,) + factors[k + 1:]))
+    return out
+
+
+def _values(tables, y):
+    """Tables at y (N, 3) summed term by term into zeros, each factor
+    computed as _evaluate computes it: the reference for _evaluate."""
+    coords = y[:, 0], y[:, 1], y[:, 2]
+    out = np.zeros((len(y), len(tables)))
+    for e, terms in enumerate(tables):
+        total = out[:, e]
+        for value, factors in terms:
+            for fn, a, param in factors:
+                if fn == "mul":
+                    value = value * param
+                elif fn == "pow":
+                    value = value * (coords[a] if param == 1 else coords[a] ** param)
+                else:
+                    value = value * {"sin": np.sin, "cos": np.cos}[fn](param * coords[a])
+            total += value
+    return out
+
+
+# powers 0-4, zero frequencies, and coefficients and frequencies up to 1e308,
+# whose derivative multipliers overflow into trailing ("mul", None, m) factors
+_huge = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1e308, -1e308]),
+                  st.floats(-1e308, 1e308))
+_wide_term = st.fixed_dictionaries({
+    "coeff": _huge,
+    "powers": st.lists(st.integers(0, 4), min_size=3, max_size=3),
+    "trig": st.lists(st.one_of(st.none(), st.fixed_dictionaries(
+        {"fn": st.sampled_from(["sin", "cos"]), "freq": _huge})), min_size=3, max_size=3),
+})
+_UPPER = [(i, j) for i in range(3) for j in range(i, 3)]
+_READS = [_UPPER.index((min(i, j), max(i, j))) for i in range(3) for j in range(3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_wide_term, max_size=4), min_size=1, max_size=3),
+       arrays(np.float64, (50, 3), elements=st.floats(-3.0, 3.0)))
+@example([[{"coeff": 1e308, "powers": [3, 0, 0],
+            "trig": [None, {"fn": "sin", "freq": 0.0}, {"fn": "cos", "freq": 2.0}]}]],
+         np.full((50, 3), 0.1))
+def test_one_pass_partials_equal_the_per_axis_reference(raw, y):
+    tables = [curvilinear._compile_component(terms, "t") for terms in raw]
+    built = curvilinear._Tables(tables)
+    first = [_derivative(terms, q) for terms in tables for q in range(3)]
+    second = [_derivative(first[3 * e + i], j) for e in range(len(tables)) for i, j in _UPPER]
+    assert repr(built.first_tables()) == repr(first)
+    assert repr(built.second_tables()) == repr(second)
+    n = len(tables)
+    with np.errstate(all="ignore"):
+        for points in (y, y[:1]):
+            want_first = _values(first, points).reshape(len(points), n, 3)
+            want_second = _values(second, points).reshape(len(points), n, 6)[
+                ..., _READS].reshape(len(points), n, 3, 3)
+            assert built.values(points).tobytes() == _values(tables, points).tobytes()
+            assert built.first(points).tobytes() == want_first.tobytes()
+            assert built.second(points).tobytes() == want_second.tobytes()

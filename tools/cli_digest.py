@@ -5,10 +5,15 @@
 Imports tensorcalc from SRC (the src directory of a checkout) and runs
 in process every job of N cycles (default 3) of the grid-spherical and
 table-chart workloads in perfbench/workloads.py, then a fixed set of
-jobs on the built-in identity and cylindrical charts (FIXED_JOBS), which
-those workloads never reach: christoffel, and field-op grad, div, rot and
-laplace on inline JSON fields. The identity chart is the flat chart of
-the Cartesian operators. Each christoffel and field-op job runs once with
+jobs that those workloads never reach (FIXED_JOBS): christoffel, and
+field-op grad, div, rot and laplace on inline JSON fields, on the
+built-in identity and cylindrical charts (the identity chart is the flat
+chart of the Cartesian operators); and christoffel and field-op laplace
+and div on a table chart whose tables hold a constant term, a fourth
+power and a zero frequency, with fields that include a 1e308 cubic term,
+so that every branch of the table differentiation runs, the overflowing
+multiplier kept as a trailing factor among them. Each christoffel and
+field-op job runs once with
 CSV and once with JSON output; audit has one format. One line per run:
 workload, cycle, job, format, exit code, and the sha256 digests of stdout
 and stderr. The jobs depend only on the seed and come from this
@@ -25,6 +30,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -49,6 +55,39 @@ FIXED_JOBS = [(f"{command} {chart}", [*command.split(), "--chart", chart, *field
                                      ("field-op div", ["--field", _VECTOR]),
                                      ("field-op rot", ["--field", _VECTOR]),
                                      ("field-op laplace", ["--field", _SCALAR]))]
+
+
+def _table(*terms):
+    return [{"coeff": c, "powers": p, **({"trig": t} if t else {})} for c, p, t in terms]
+
+
+# x = (y1 + 0.5, y2 + 0.1 y1^4, y3 + 0.3 y2 cos(0 y1)) and its exact inverse
+# y = (x1 - 0.5, x2 - 0.1 (x1 - 0.5)^4, x3 - 0.3 y2(x)), expanded
+_ZERO_FREQUENCY = [{"fn": "cos", "freq": 0.0}, None, None]
+_QUARTIC = [(1.0, [4, 0, 0]), (-2.0, [3, 0, 0]), (1.5, [2, 0, 0]), (-0.5, [1, 0, 0]),
+            (0.0625, [0, 0, 0])]
+_TABLE_CHART = json.dumps({
+    "name": "quartic",
+    "forward": [_table((1.0, [1, 0, 0], None), (0.5, [0, 0, 0], None)),
+                _table((1.0, [0, 1, 0], None), (0.1, [4, 0, 0], None)),
+                _table((1.0, [0, 0, 1], None), (0.3, [0, 1, 0], _ZERO_FREQUENCY))],
+    "inverse": [_table((1.0, [1, 0, 0], None), (-0.5, [0, 0, 0], None)),
+                _table((1.0, [0, 1, 0], None), *((-0.1 * c, p, None) for c, p in _QUARTIC)),
+                _table((1.0, [0, 0, 1], None), (-0.3, [0, 1, 0], None),
+                       *((0.03 * c, p, None) for c, p in _QUARTIC))],
+})
+# 1e308 y1^3: its partials overflow the coefficient unless y1 is small
+_HUGE_SCALAR = json.dumps({"r": 0, "s": 0, "components": [
+    _table((1e308, [3, 0, 0], None), (0.5, [0, 2, 0], _ZERO_FREQUENCY))]})
+_HUGE_VECTOR = json.dumps({"r": 1, "s": 0, "components": [
+    _table((1e308, [3, 0, 0], None)), _table((0.5, [0, 1, 0], None)), []]})
+_SMALL = ["--grid", "y1=0.02:0.1:3", "--grid", "y2=-1:1:3", "--grid", "y3=-1:1:3"]
+FIXED_JOBS += [(f"{command} quartic", [*command.split(), "--chart-file", _TABLE_CHART, *rest])
+               for command, rest in (("christoffel", _GRID),
+                                     ("field-op laplace", ["--field", _SCALAR, *_GRID]),
+                                     ("field-op div", ["--field", _VECTOR, *_GRID]),
+                                     ("field-op laplace", ["--field", _HUGE_SCALAR, *_SMALL]),
+                                     ("field-op div", ["--field", _HUGE_VECTOR, *_SMALL]))]
 
 
 def _digest(text: str) -> str:
