@@ -75,6 +75,7 @@ from .fields import (
     _parameter_partial,
     _partials,
     _point,
+    _points,
     _raise_first,
     _row_texts,
     _scheme,
@@ -85,6 +86,7 @@ from .tensors import (
     OLD_TO_NEW,
     TransitionPair,
     Valency,
+    _Frozen,
     _invert_stack,
 )
 
@@ -106,7 +108,7 @@ FD_CONSISTENCY_TOL = 1e-4
 ANALYTIC_CONSISTENCY_TOL = 1e-6
 
 
-class Chart:
+class Chart(_Frozen):
     """Coordinate chart with optional analytic Jacobian data.
 
     Parameters
@@ -146,9 +148,6 @@ class Chart:
                            tuple((float(lo), float(hi)) for lo, hi in sample_bounds))
         object.__setattr__(self, "dim", dim)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Chart is immutable")
-
     @property
     def analytic(self) -> bool:
         return self.jac_forward is not None and self.jac_inverse is not None
@@ -163,12 +162,6 @@ class Chart:
 
     def contains(self, y) -> bool:
         return bool(self._inside(_point(y, self.dim)[None])[0])
-
-    def require(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if not self.contains(y):
-            raise DomainError(f"point {y.tolist()} outside domain of chart {self.name!r}")
-        return y
 
     def sample_points(self, n: int, rng) -> np.ndarray:
         """n random domain points inside the chart's sampling box.
@@ -196,7 +189,7 @@ class Chart:
         return f"Chart({self.name!r})"
 
 
-class ChristoffelArray:
+class ChristoffelArray(_Frozen):
     """Christoffel symbols at one point: values[k, i, j] holds the symbol
     with upper index k and lower indices i, j."""
 
@@ -212,9 +205,6 @@ class ChristoffelArray:
         point.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "point", point)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChristoffelArray is immutable")
 
     def get(self, k: int, i: int, j: int) -> float:
         """Symbol with 1-based indices."""
@@ -487,9 +477,7 @@ class ChartPoints:
 
     def __init__(self, chart: Chart, points, transition: bool = False,
                  metric: bool = False, christoffel: bool = False):
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != chart.dim:
-            raise ShapeError(f"points shape {points.shape} does not match dim {chart.dim}")
+        points = _points(points, chart.dim)
         self.chart = chart
         self.count = len(points)
         self.failures = {}
@@ -586,12 +574,12 @@ def _at(chart: Chart, y, **stages) -> ChartPoints:
 
 def jacobian_direct(chart: Chart, y) -> np.ndarray:
     """S at y: analytic when the chart has it, else central FD on forward."""
-    return _first_row(*_direct(chart, chart.require(y)[None]))
+    return _first_row(*_direct(chart, _at(chart, y).points))
 
 
 def jacobian_inverse(chart: Chart, y) -> np.ndarray:
     """T at the same point: analytic, else central FD on inverse at x(y)."""
-    return _first_row(*_inverse(chart, chart.require(y)[None]))
+    return _first_row(*_inverse(chart, _at(chart, y).points))
 
 
 def jacobians(chart: Chart, y) -> TransitionPair:
@@ -615,7 +603,7 @@ def jacobian_derivative(chart: Chart, y) -> np.ndarray:
     central second differences of the forward map, pure and mixed, with
     step eps^(1/4) * max(1, |y_j|) along every axis.
     """
-    return _first_row(*_second_partials(chart, chart.require(y)[None]))
+    return _first_row(*_second_partials(chart, _at(chart, y).points))
 
 
 # -- frame, metric, Christoffel -------------------------------------------------
@@ -669,7 +657,7 @@ def christoffel_alt(chart: Chart, y) -> np.ndarray:
     cbrt(eps) * max(1, |y_j|); kept as a raw array for cross-checking the
     main construction.
     """
-    y = chart.require(y)[None]
+    y = _at(chart, y).points
     dim = chart.dim
     dT = _first_row(*_fd_jacobian(_batched(lambda p: _inverse(chart, p)), y, (dim, dim),
                                   "jac_inverse"))
@@ -759,7 +747,7 @@ def chart_to_chart_transform(field: TensorField, source: Chart,
     """
 
     def func(y_target, t=None):
-        y_target = target.require(y_target)
+        y_target = _at(target, y_target).points[0]
         x = np.asarray(target.forward(y_target), dtype=float)
         y_source = np.asarray(source.inverse(x), dtype=float)
         if not source.contains(y_source):
@@ -780,7 +768,7 @@ def coordinate_line(chart: Chart, y0, axis: int, values) -> np.ndarray:
     axis is 1-based; values are the parameter samples substituted into that
     coordinate slot.
     """
-    y0 = chart.require(y0)
+    y0 = _at(chart, y0).points[0]
     if not 1 <= axis <= chart.dim:
         raise ShapeError(f"axis {axis} out of range 1..{chart.dim}")
     values = np.asarray(values, dtype=float).ravel()

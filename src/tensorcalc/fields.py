@@ -29,7 +29,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .tensors import DEFAULT_DIM, DenseTensor, Valency
+from .tensors import DEFAULT_DIM, DenseTensor, Valency, _Frozen
 
 __all__ = ["DifferentiationScheme", "TensorField", "derivative_table",
            "parameter_derivative"]
@@ -122,6 +122,13 @@ def _point(point, dim: int) -> np.ndarray:
     return point
 
 
+def _points(points, dim: int) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ShapeError(f"points shape {points.shape} does not match dim {dim}")
+    return points
+
+
 def _reprs(values: np.ndarray) -> np.ndarray:
     """repr(v) for each v of a float64 array, as an object array; repr runs
     once per distinct bit pattern, found by sorting the int64 view."""
@@ -146,7 +153,7 @@ def _row_texts(points: np.ndarray) -> list:
     return ["[" + ", ".join(texts[n:n + width]) + "]" for n in range(0, len(texts), width)]
 
 
-class DifferentiationScheme:
+class DifferentiationScheme(_Frozen):
     """Central finite-difference configuration.
 
     order 2 uses the two-point central stencils, order 4 the four-point
@@ -165,9 +172,6 @@ class DifferentiationScheme:
             raise ParameterError(f"step must be positive, got {step}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "step", step)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DifferentiationScheme is immutable")
 
     def first_step(self, coord):
         """First-derivative step for each coordinate value (scalar or array)."""
@@ -192,7 +196,7 @@ def _scheme(scheme) -> DifferentiationScheme:
     return DEFAULT_SCHEME if scheme is None else scheme
 
 
-class TensorField:
+class TensorField(_Frozen):
     """Field of fixed-valency tensors over a coordinate space.
 
     Parameters
@@ -231,9 +235,6 @@ class TensorField:
         object.__setattr__(self, "_func", func)
         object.__setattr__(self, "_partials", partials)
         object.__setattr__(self, "_second_partials", second_partials)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorField is immutable")
 
     # -- constructors ----------------------------------------------------------
 
@@ -279,11 +280,8 @@ class TensorField:
         that exception, with the message the single-point call raises; its
         values row is NaN. Other errors propagate.
         """
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.dim:
-            raise ShapeError(f"points shape {points.shape} does not match dim {self.dim}")
-        return _map_rows(self._func, points, self._shape, "field", self._args(t),
-                         valency=self.valency)
+        return _map_rows(self._func, _points(points, self.dim), self._shape, "field",
+                         self._args(t), valency=self.valency)
 
     def evaluate_array(self, point, t: float | None = None) -> np.ndarray:
         return _first_row(*self.evaluate_batch(_point(point, self.dim)[None], t))

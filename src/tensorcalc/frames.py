@@ -13,25 +13,27 @@ formulas (old basis -> new basis):
     operator    F~ = T F S
     bilinear    a~ = S^T a S
 
-Each agrees with the generic slot-by-slot tensor transform of the matching
-valency; the tests pin that equivalence.
+Each is the generic slot-by-slot tensor transform of its valency, with its
+matrices from the one direction rule (tensors._slot_matrices); the tests
+pin that equivalence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateTransition, ParameterError, ShapeError
+from .errors import DegenerateTransition, ShapeError
 from .tensors import (
     DEFAULT_DIM,
-    NEW_TO_OLD,
     OLD_TO_NEW,
     DenseTensor,
     TransitionPair,
     Valency,
+    _Frozen,
+    _slot_matrices,
     compose_transitions,
     invert_matrix,
 )
@@ -46,7 +48,7 @@ __all__ = [
 ]
 
 
-class Basis:
+class Basis(_Frozen):
     """Ordered basis, stored as the matrix of column vectors."""
 
     __slots__ = ("columns", "dim")
@@ -65,9 +67,6 @@ class Basis:
         columns.flags.writeable = False
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "dim", columns.shape[0])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Basis is immutable")
 
     @classmethod
     def standard(cls, dim: int = DEFAULT_DIM) -> "Basis":
@@ -98,7 +97,7 @@ class Basis:
         return f"Basis(dim={self.dim})"
 
 
-class CartesianSystem:
+class CartesianSystem(_Frozen):
     """A basis together with an origin point."""
 
     __slots__ = ("basis", "origin")
@@ -116,9 +115,6 @@ class CartesianSystem:
         origin.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "origin", origin)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CartesianSystem is immutable")
 
     @classmethod
     def standard(cls, dim: int = DEFAULT_DIM) -> "CartesianSystem":
@@ -147,8 +143,7 @@ def transition_between(old: Basis, new: Basis) -> TransitionPair:
     """
     if old.dim != new.dim:
         raise ShapeError("bases live in different dimensions")
-    S = np.linalg.solve(old.columns, new.columns)
-    return TransitionPair(S, invert_matrix(S))
+    return TransitionPair.from_direct(np.linalg.solve(old.columns, new.columns))
 
 
 # -- specialized transformation laws ------------------------------------------
@@ -171,41 +166,27 @@ def _mat(a, dim=None) -> np.ndarray:
 def transform_vector(x, pair: TransitionPair, direction: str = OLD_TO_NEW) -> np.ndarray:
     """x~ = T x for old->new, x = S x~ back."""
     x = _vec(x, pair.dim)
-    if direction == OLD_TO_NEW:
-        return pair.T @ x
-    if direction == NEW_TO_OLD:
-        return pair.S @ x
-    raise ParameterError(f"unknown direction {direction!r}")
+    return _slot_matrices(pair, direction)[0] @ x
 
 
 def transform_covector(a, pair: TransitionPair, direction: str = OLD_TO_NEW) -> np.ndarray:
     """a~_j = sum_i S^i_j a_i for old->new; T takes that back."""
     a = _vec(a, pair.dim)
-    if direction == OLD_TO_NEW:
-        return pair.S.T @ a
-    if direction == NEW_TO_OLD:
-        return pair.T.T @ a
-    raise ParameterError(f"unknown direction {direction!r}")
+    return _slot_matrices(pair, direction)[1] @ a
 
 
 def transform_operator(F, pair: TransitionPair, direction: str = OLD_TO_NEW) -> np.ndarray:
     """F~ = T F S for old->new; determinant and trace are unchanged."""
     F = _mat(F, pair.dim)
-    if direction == OLD_TO_NEW:
-        return pair.T @ F @ pair.S
-    if direction == NEW_TO_OLD:
-        return pair.S @ F @ pair.T
-    raise ParameterError(f"unknown direction {direction!r}")
+    up, low = _slot_matrices(pair, direction)
+    return up @ F @ low.T
 
 
 def transform_bilinear(a, pair: TransitionPair, direction: str = OLD_TO_NEW) -> np.ndarray:
     """a~ = S^T a S for old->new."""
     a = _mat(a, pair.dim)
-    if direction == OLD_TO_NEW:
-        return pair.S.T @ a @ pair.S
-    if direction == NEW_TO_OLD:
-        return pair.T.T @ a @ pair.T
-    raise ParameterError(f"unknown direction {direction!r}")
+    _, low = _slot_matrices(pair, direction)
+    return low @ a @ low.T
 
 
 # -- scalar-valued pairings and operator algebra -------------------------------

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateMetric, ShapeError, TensorIndexError, UnsupportedDimension
-from .tensors import DEFAULT_DIM, DenseTensor, TransitionPair, Valency
+from .tensors import DEFAULT_DIM, DenseTensor, TransitionPair, Valency, _Frozen
 
 if TYPE_CHECKING:  # frames loads on first use (see the package docstring)
     from .frames import Basis
@@ -75,7 +75,7 @@ def _frame_volume(S: np.ndarray) -> np.ndarray:
     return np.abs(terms[..., 0] + terms[..., 1] + terms[..., 2])
 
 
-class Metric:
+class Metric(_Frozen):
     """Symmetric positive definite matrix g, the Gram matrix of its frame.
 
     S (its columns the basis vectors) and the dual frame T = S^-1 are
@@ -130,9 +130,6 @@ class Metric:
         if self._sqrt_det is None:
             object.__setattr__(self, "_sqrt_det", float(_frame_volume(self.S)))
         return self._sqrt_det
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Metric is immutable")
 
     @classmethod
     def euclidean(cls, dim: int = DEFAULT_DIM) -> "Metric":

@@ -408,7 +408,6 @@ def _find_occurrence(factors, letter: str) -> tuple[int, int]:
         for occ in factor.indices:
             if occ.letter == letter:
                 return occ.span
-    return (0, 0)
 
 
 def validate(expression: IndexExpression) -> ValidationReport:

@@ -12,10 +12,12 @@ component replaced.
 
 Basis changes are driven by a pair of mutually inverse matrices (S, T).
 Columns of S are the coordinates of the new basis vectors in the old basis;
-T = S^-1. A tensor transforms one slot at a time: mapping components from
-the old basis to the new applies T across every upper slot and S^T across
-every lower slot; the opposite direction applies S and T^T. Chaining two
-changes of basis agrees with the composed transition pair.
+T = S^-1. The one transformation law, old basis -> new, applies T to every
+upper slot and S^T to every lower slot; new -> old applies S and T^T. Its
+direction rule is _slot_matrices, which DenseTensor.transform and the
+vector, covector, operator and bilinear-form laws of the frames module (its
+(1,0), (0,1), (1,1) and (0,2) cases) all read. Chaining two changes of
+basis agrees with the composed transition pair.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,6 +75,27 @@ def _as_valency(valency) -> Valency:
     return Valency(int(r), int(s))
 
 
+class _Frozen:
+    """Base of the read-only classes: a constructor sets each attribute once
+    through object.__setattr__, and assignment afterwards raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _slot_matrices(pair: "TransitionPair", direction: str):
+    """(matrix for every upper slot, matrix for every lower slot): (T, S^T)
+    for old->new, (S, T^T) for new->old."""
+    if direction == OLD_TO_NEW:
+        return pair.T, pair.S.T
+    if direction == NEW_TO_OLD:
+        return pair.S, pair.T.T
+    raise ParameterError(
+        f"direction must be {OLD_TO_NEW!r} or {NEW_TO_OLD!r}, got {direction!r}")
+
+
 def _check_slot_indices(name: str, idx: Sequence[int], count: int, dim: int):
     if len(idx) != count:
         raise TensorIndexError(
@@ -85,7 +108,7 @@ def _check_slot_indices(name: str, idx: Sequence[int], count: int, dim: int):
             )
 
 
-class DenseTensor:
+class DenseTensor(_Frozen):
     """Immutable dense tensor with upper slots first and 1-based access.
 
     Parameters
@@ -129,9 +152,6 @@ class DenseTensor:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_array", array)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseTensor is immutable")
-
     # -- construction helpers -------------------------------------------------
 
     @classmethod
@@ -169,24 +189,21 @@ class DenseTensor:
             raise ShapeError("item() is only defined for (0,0) tensors")
         return float(self._array)
 
-    def get(self, upper: Sequence[int] = (), lower: Sequence[int] = ()) -> float:
-        """Component at 1-based upper and lower index tuples."""
-        upper = tuple(upper)
-        lower = tuple(lower)
+    def _position(self, upper: Sequence[int], lower: Sequence[int]) -> tuple:
+        """0-based array position of 1-based upper and lower index tuples."""
+        upper, lower = tuple(upper), tuple(lower)
         _check_slot_indices("upper", upper, self.valency.r, self.dim)
         _check_slot_indices("lower", lower, self.valency.s, self.dim)
-        pos = tuple(i - 1 for i in upper) + tuple(j - 1 for j in lower)
-        return float(self._array[pos])
+        return tuple(i - 1 for i in upper + lower)
+
+    def get(self, upper: Sequence[int] = (), lower: Sequence[int] = ()) -> float:
+        """Component at 1-based upper and lower index tuples."""
+        return float(self._array[self._position(upper, lower)])
 
     def set(self, upper: Sequence[int], lower: Sequence[int], value: float) -> "DenseTensor":
         """New tensor with the addressed component replaced by ``value``."""
-        upper = tuple(upper)
-        lower = tuple(lower)
-        _check_slot_indices("upper", upper, self.valency.r, self.dim)
-        _check_slot_indices("lower", lower, self.valency.s, self.dim)
-        pos = tuple(i - 1 for i in upper) + tuple(j - 1 for j in lower)
         array = self._array.copy()
-        array[pos] = float(value)
+        array[self._position(upper, lower)] = float(value)
         return DenseTensor(self.valency, self.dim, array)
 
     # -- algebra ---------------------------------------------------------------
@@ -241,19 +258,12 @@ class DenseTensor:
         """Components of the same tensor in the other basis.
 
         ``old->new`` applies T to every upper slot and S^T to every lower
-        slot; ``new->old`` applies S and T^T. One matrix application per
-        slot, so valency is preserved.
+        slot; ``new->old`` applies S and T^T (_slot_matrices). One matrix
+        application per slot, so valency is preserved.
         """
         if pair.dim != self.dim:
             raise ShapeError("transition pair dimension does not match tensor")
-        if direction == OLD_TO_NEW:
-            up, low = pair.T, pair.S.T
-        elif direction == NEW_TO_OLD:
-            up, low = pair.S, pair.T.T
-        else:
-            raise ParameterError(
-                f"direction must be {OLD_TO_NEW!r} or {NEW_TO_OLD!r}, got {direction!r}"
-            )
+        up, low = _slot_matrices(pair, direction)
         array = self._array
         r, s = self.valency.r, self.valency.s
         for axis in range(r):
@@ -360,7 +370,7 @@ def invert_matrix(matrix: np.ndarray) -> np.ndarray:
     return inverses[0]
 
 
-class TransitionPair:
+class TransitionPair(_Frozen):
     """Mutually inverse direct/inverse transition matrices (S, T).
 
     S's columns hold the new basis vectors' coordinates in the old basis;
@@ -389,9 +399,6 @@ class TransitionPair:
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "dim", S.shape[0])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TransitionPair is immutable")
 
     @classmethod
     def from_direct(cls, S) -> "TransitionPair":

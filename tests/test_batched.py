@@ -272,6 +272,49 @@ def test_failing_chart_callable_fails_only_its_point():
             assert np.isnan(values[n])
 
 
+def _fails_alone(field, points, bad, t=None):
+    """Row ``bad`` of the batch is NaN with the single-point call's error;
+    every other row has the bits of a batch without it."""
+    values, failures = field.evaluate_batch(points, t)
+    assert list(failures) == [bad]
+    with pytest.raises(DomainError) as single:
+        field.evaluate_array(points[bad], t)
+    _assert_same_failure(failures[bad], single.value)
+    assert np.all(np.isnan(values[bad]))
+    rest = np.delete(np.arange(len(points)), bad)
+    alone, none = field.evaluate_batch(points[rest], t)
+    assert none == {}
+    assert np.array_equal(values[rest], alone)
+
+
+def _negative_y1(y):
+    if y[0] < 0.0:
+        raise DomainError("no value at negative y1")
+
+
+def test_row_whose_values_fail_fails_alone_under_analytic_partials():
+    def func(y):
+        _negative_y1(y)
+        return np.array([y[0] * y[1], y[2], 1.0])
+
+    def partials(y):  # [q, k]: d X^k / d y^q, defined everywhere
+        return np.array([[y[1], 0.0, 0.0], [y[0], 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    field = TensorField.vector(func, partials=partials)
+    points = np.array([[0.5, 0.2, 1.0], [-0.5, 0.3, 0.1], [1.5, -0.4, 2.0]])
+    _fails_alone(covariant_derivative(CHARTS["table"], field), points, 1)
+
+
+def test_row_that_fails_in_time_fails_alone_under_dalembert():
+    def func(y, t):
+        _negative_y1(y)
+        return math.sin(y[0] - 2.0 * t) * y[1]
+
+    field = TensorField.scalar(func, has_parameter=True)
+    points = np.array([[0.5, 0.2, 1.0], [1.5, -0.4, 2.0], [-0.5, 0.3, 0.1]])
+    _fails_alone(tc.dalembert(2.0, field), points, 2, t=0.3)
+
+
 def _closed_form(name, y):
     r, th = y[0], y[1]
     gamma = np.zeros((3, 3, 3))

@@ -331,3 +331,31 @@ class TestInterchange:
     def test_json_keys_are_stable(self):
         d = json.loads(tc.zeros(Valency(0, 1), 2).to_json())
         assert set(d) == {"r", "s", "dim", "components"}
+
+
+def _read_only_instances():
+    chart = tc.builtin_chart("cylindrical")
+    basis = tc.Basis.standard()
+    return [
+        (chart, "name"),
+        (tc.christoffel(chart, [1.0, 0.2, 0.0]), "values"),
+        (tc.DifferentiationScheme(), "order"),
+        (tc.TensorField.scalar(lambda y: 0.0), "dim"),
+        (basis, "columns"),
+        (tc.CartesianSystem(basis), "origin"),
+        (tc.Metric.euclidean(), "matrix"),
+        (DenseTensor.zeros((1, 0)), "valency"),
+        (TransitionPair(np.eye(3), np.eye(3)), "S"),
+    ]
+
+
+@pytest.mark.parametrize("obj, attr", _read_only_instances(),
+                         ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_every_kernel_class_is_read_only(obj, attr):
+    message = f"^{type(obj).__name__} is immutable$"
+    before = getattr(obj, attr)
+    for name in (attr, "extra"):
+        with pytest.raises(AttributeError, match=message):
+            setattr(obj, name, None)
+    assert getattr(obj, attr) is before
+    assert not hasattr(obj, "__dict__")

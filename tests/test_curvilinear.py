@@ -420,6 +420,49 @@ class TestOperatorsInChart:
                     < 1e-4
 
 
+class TestRejectedInputs:
+    """Error branches the other tests never reach, with their messages."""
+
+    POLE = [1.0, 0.0, 0.0]   # theta = 0: a spherical pole
+
+    @pytest.mark.parametrize("call", [
+        jacobian_direct, jacobian_inverse, jacobian_derivative, christoffel_alt,
+        lambda chart, y: coordinate_line(chart, y, 1, [0.5, 1.0]),
+    ], ids=["jacobian_direct", "jacobian_inverse", "jacobian_derivative",
+            "christoffel_alt", "coordinate_line"])
+    def test_a_pole_is_outside_the_spherical_domain(self, call):
+        with pytest.raises(DomainError) as info:
+            call(SPH, self.POLE)
+        assert str(info.value) == \
+            "point [1.0, 0.0, 0.0] outside domain of chart 'spherical'"
+
+    def test_chart_to_chart_fails_where_the_charts_do_not_overlap(self):
+        f = TensorField.vector(lambda y: np.array([y[0], 1.0, y[2]]))
+        with pytest.raises(DomainError) as info:
+            chart_to_chart_transform(f, CYL, IDENT).evaluate([0.0, 0.0, 1.0])
+        assert str(info.value) == ("point [0.0, 0.0, 1.0] is outside chart "
+                                   "'cylindrical'; charts do not overlap here")
+        with pytest.raises(DomainError, match="^origin has no spherical coordinates$"):
+            chart_to_chart_transform(f, SPH, IDENT).evaluate([0.0, 0.0, 0.0])
+
+    def test_coordinate_line_axis_out_of_range(self):
+        with pytest.raises(tc.ShapeError, match=r"^axis 4 out of range 1\.\.3$"):
+            coordinate_line(CYL, [1.0, 0.0, 0.0], 4, [1.0])
+
+    def test_operators_reject_the_wrong_valency_or_dimension(self):
+        vector = TensorField.vector(lambda y: np.array(y))
+        for op, message in ((gradient_covector_in_chart, "gradient needs a scalar field"),
+                            (gradient_vector_in_chart, "gradient needs a scalar field"),
+                            (laplacian_in_chart, "laplacian needs a scalar field")):
+            with pytest.raises(tc.ShapeError, match=f"^{message}$"):
+                op(SPH, vector)
+        with pytest.raises(tc.ShapeError, match="^rotor needs a vector field$"):
+            rotor_in_chart(SPH, TensorField.scalar(lambda y: 1.0))
+        plane = tc.Chart("plane", lambda y: y, lambda x: x, dim=2)
+        with pytest.raises(tc.ShapeError, match="^rotor is defined for dimension 3$"):
+            rotor_in_chart(plane, TensorField.vector(lambda y: np.array(y), dim=2))
+
+
 class TestCustomCharts:
     def shear_config(self):
         return {

@@ -22,6 +22,7 @@ from tensorcalc import (
     parameter_derivative,
     rotor,
 )
+from tensorcalc.fields import _batched
 from conftest import random_invertible
 
 EUCLID = Metric.euclidean()
@@ -69,6 +70,20 @@ class TestTensorField:
         table = tc.derivative_table(f, [3.0, 0.0, 0.0])
         assert calls
         assert np.allclose(np.asarray(table).ravel(), [6.0, 0.0, 0.0])
+
+
+    def test_batched_function_of_the_wrong_shape_is_rejected(self):
+        @_batched
+        def func(points):
+            return np.zeros((len(points), 2)), {}
+
+        with pytest.raises(ShapeError, match=r"^field returned shape \(2,\), expected \(\)$"):
+            TensorField.scalar(func).evaluate_batch(np.zeros((3, 3)))
+
+    def test_arithmetic_error_outside_probing_propagates(self):
+        f = TensorField.scalar(lambda p: 1.0 / float(p[0]))
+        with pytest.raises(ZeroDivisionError):
+            f.evaluate_batch(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 class TestScheme:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tensorcalc as tc
 from tensorcalc import (
@@ -18,6 +20,7 @@ from tensorcalc import (
     compose_transitions,
     transition_between,
 )
+from tensorcalc.tensors import _apply_to_axis
 from conftest import random_invertible, random_pair
 
 
@@ -261,3 +264,68 @@ class TestPointCoordinates:
         direct = change_point_coordinates([1.0, 2.0, 3.0], old, new, pair)
         auto = change_point_coordinates([1.0, 2.0, 3.0], old, new)
         assert np.allclose(direct, auto, atol=1e-14)
+
+
+# -- the one direction rule ------------------------------------------------------
+#
+# The formulas below are the laws as each was written out before they read
+# tensors._slot_matrices; the new code must give their bits.
+
+
+def _law_reference(law, m, pair, direction):
+    S, T = pair.S, pair.T
+    if direction == OLD_TO_NEW:
+        return {"vector": lambda: T @ m, "covector": lambda: S.T @ m,
+                "operator": lambda: T @ m @ S, "bilinear": lambda: S.T @ m @ S}[law]()
+    return {"vector": lambda: S @ m, "covector": lambda: T.T @ m,
+            "operator": lambda: S @ m @ T, "bilinear": lambda: T.T @ m @ T}[law]()
+
+
+def _transform_reference(tensor, pair, direction):
+    if direction == OLD_TO_NEW:
+        up, low = pair.T, pair.S.T
+    else:
+        up, low = pair.S, pair.T.T
+    array = tensor.array
+    r, s = tensor.valency.r, tensor.valency.s
+    for axis in range(r):
+        array = _apply_to_axis(up, array, axis)
+    for axis in range(r, r + s):
+        array = _apply_to_axis(low, array, axis)
+    return array
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(0, 2), s=st.integers(0, 2), dim=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e4]),
+       direction=st.sampled_from([OLD_TO_NEW, NEW_TO_OLD]))
+def test_laws_keep_the_bits_of_their_written_out_formulas(r, s, dim, seed, scale, direction):
+    rng = np.random.default_rng(seed)
+    old = Basis(random_invertible(rng, dim))
+    new = Basis(random_invertible(rng, dim))
+    pair = transition_between(old, new)
+    S = np.linalg.solve(old.columns, new.columns)
+    assert np.array_equal(pair.S, S) and np.array_equal(pair.T, tc.invert_matrix(S))
+    x = scale * rng.uniform(-1.0, 1.0, (dim,) * (r + s))
+    tensor = DenseTensor((r, s), dim, x)
+    assert np.array_equal(tensor.transform(pair, direction).array,
+                          _transform_reference(tensor, pair, direction))
+    for law, shape in (("vector", (dim,)), ("covector", (dim,)),
+                       ("operator", (dim, dim)), ("bilinear", (dim, dim))):
+        m = scale * rng.uniform(-1.0, 1.0, shape)
+        got = getattr(tc, "transform_" + law)(m, pair, direction)
+        assert np.array_equal(got, _law_reference(law, m, pair, direction))
+
+
+@pytest.mark.parametrize("direction", ["sideways", "old->New", None])
+def test_every_entry_point_rejects_a_bad_direction_alike(direction, rng):
+    pair = random_pair(rng)
+    message = f"direction must be 'old->new' or 'new->old', got {direction!r}"
+    calls = [lambda: DenseTensor.from_array(np.ones((3, 3)), 2, 0).transform(pair, direction)]
+    calls += [lambda law=law, arg=arg: getattr(tc, "transform_" + law)(arg, pair, direction)
+              for law, arg in (("vector", np.ones(3)), ("covector", np.ones(3)),
+                               ("operator", np.eye(3)), ("bilinear", np.eye(3)))]
+    for call in calls:
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert str(info.value) == message

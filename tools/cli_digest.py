@@ -1,10 +1,12 @@
-"""Digest of every CLI job of the chart workloads, for byte-identity checks.
+"""Digest of every CLI job of the benchmark workloads, for byte-identity checks.
 
     python3 tools/cli_digest.py SRC [--cycles N] [--seed S]
 
 Imports tensorcalc from SRC (the src directory of a checkout) and runs
 in process every job of N cycles (default 3) of the grid-spherical and
-table-chart workloads in perfbench/workloads.py, then a fixed set of
+table-chart workloads in perfbench/workloads.py, the CLI jobs (check
+--explicit and eval, which build and print dense tensors) of one cycle
+of the notation-algebra workload, then a fixed set of
 jobs that those workloads never reach (FIXED_JOBS): christoffel, and
 field-op grad, div, rot and laplace on inline JSON fields, on the
 built-in identity and cylindrical charts (the identity chart is the flat
@@ -14,7 +16,7 @@ power and a zero frequency, with fields that include a 1e308 cubic term,
 so that every branch of the table differentiation runs, the overflowing
 multiplier kept as a trailing factor among them. Each christoffel and
 field-op job runs once with
-CSV and once with JSON output; audit has one format. One line per run:
+CSV and once with JSON output; audit, check and eval have one format. One line per run:
 workload, cycle, job, format, exit code, and the sha256 digests of stdout
 and stderr. The jobs depend only on the seed and come from this
 checkout's perfbench and FIXED_JOBS, so two source trees print the same
@@ -102,7 +104,8 @@ def _run(cli, argv):
 
 
 def runs(src: str, cycles: int, seed: int):
-    """Every run of the chart workloads' jobs, then of FIXED_JOBS (workload
+    """Every run of the chart workloads' jobs, then of the notation-algebra
+    CLI jobs (cycle 0, format "text"), then of FIXED_JOBS (workload
     "builtin", cycle 0), with tensorcalc from src, in a fixed order: tuples
     (workload, cycle, job number, job kind, format, exit code, stdout,
     stderr)."""
@@ -110,6 +113,7 @@ def runs(src: str, cycles: int, seed: int):
     sys.path.insert(0, src)
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import numpy as np
+    import tensorcalc
     from tensorcalc import cli
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         raise SystemExit(f"error: imported tensorcalc from {cli.__file__}")
@@ -127,6 +131,12 @@ def runs(src: str, cycles: int, seed: int):
                         formats["json"] = job.argv + ["--format", "json"]
                     for fmt, argv in formats.items():
                         yield (name, cycle, n, job.kind, fmt) + _run(cli, argv)
+    with tempfile.TemporaryDirectory() as workdir:  # eval reads its bindings here
+        jobs, _ = workloads.NotationWorkload(workdir, tensorcalc).cycle(
+            np.random.default_rng(seed))
+        for n, job in enumerate(jobs):
+            if isinstance(job, workloads.CliJob):
+                yield ("notation-algebra", 0, n, job.kind, "text") + _run(cli, job.argv)
     for n, (kind, argv) in enumerate(FIXED_JOBS):
         for fmt in ("csv", "json"):
             yield ("builtin", 0, n, kind, fmt) + _run(cli, argv + ["--format", fmt])

@@ -3,9 +3,10 @@
     python3 tools/cli_drift.py PARENT_SRC HEAD_SRC [--cycles N] [--seed S]
 
 Runs the jobs of tools/cli_digest.py (N cycles of the grid-spherical and
-table-chart workloads, then its fixed identity and cylindrical chart
-jobs, CSV and JSON output) once with tensorcalc from each tree, each tree
-in its own child process, and compares the two outputs of every run. Per workload and job kind it prints one line: "identical" when
+table-chart workloads, the CLI jobs of one notation-algebra cycle, then
+its fixed chart jobs) once with tensorcalc from each tree, each tree in
+its own child process, and compares the two outputs of every run. Per
+workload and job kind it prints one line: "identical" when
 every run of the kind printed the same bytes, else the largest
 |a - b| / (1 + |b|) over the printed numbers (a from HEAD_SRC, b from
 PARENT_SRC), plus the runs whose exit code or stderr changed. Output
