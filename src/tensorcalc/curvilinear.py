@@ -591,7 +591,14 @@ def jacobians(chart: Chart, y) -> TransitionPair:
     returned pair always satisfies the strict pair invariant: when the
     independently obtained T is not exact enough, S is inverted instead.
     """
-    state = _at(chart, y, transition=True)
+    return _pair(_at(chart, y))
+
+
+def _pair(state: ChartPoints) -> TransitionPair:
+    """The transition pair of a one-point state whose domain stage passed,
+    raising the point's failure in the transition stage."""
+    state._transition()
+    _raise_first(state.failures)
     return TransitionPair(state.S[0], state.T[0])
 
 
@@ -743,20 +750,21 @@ def chart_to_chart_transform(field: TensorField, source: Chart,
     Evaluation at target coordinates walks through the ambient Cartesian
     point: frame components at the matching source point are pushed to the
     ambient basis with the source Jacobians and pulled back with the
-    target's.
+    target's. Each chart's domain is checked once per point, by the state
+    its Jacobians then come from.
     """
 
     def func(y_target, t=None):
-        y_target = _at(target, y_target).points[0]
-        x = np.asarray(target.forward(y_target), dtype=float)
-        y_source = np.asarray(source.inverse(x), dtype=float)
-        if not source.contains(y_source):
+        there = _at(target, y_target)
+        x = np.asarray(target.forward(there.points[0]), dtype=float)
+        here = ChartPoints(source, _point(source.inverse(x), source.dim)[None])
+        if here.failures:
             raise DomainError(
                 f"point {x.tolist()} is outside chart {source.name!r}; "
                 "charts do not overlap here")
-        tensor = field.evaluate(y_source, t)
-        ambient = tensor.transform(jacobians(source, y_source), NEW_TO_OLD)
-        return ambient.transform(jacobians(target, y_target), OLD_TO_NEW).array
+        tensor = field.evaluate(here.points[0], t)
+        ambient = tensor.transform(_pair(here), NEW_TO_OLD)
+        return ambient.transform(_pair(there), OLD_TO_NEW).array
 
     return TensorField(field.valency, func, field.dim,
                        has_parameter=field.has_parameter)

@@ -14,6 +14,16 @@ letters. Whitespace is free, '*' between factors is optional, and a unary
 minus in front of a term folds into its coefficient. Both the ASCII '-' and
 the typographic minus are accepted.
 
+The tokenizer is one ``findall`` pass of one regular expression: each match
+is a token with the whitespace in front of it, and a token's offset is the
+sum of the match lengths before it. The AST records IndexOccurrence,
+Factor, Term and TermIndices are immutable named tuples. Being tuples, they
+compare equal to plain tuples of the same fields (they did not as frozen
+dataclasses), and ``_replace`` and ``_fields`` take the place of
+``dataclasses.replace`` and ``dataclasses.fields``. Violation (whose
+``index`` field would hide ``tuple.index``), ValidationReport and
+IndexExpression are frozen dataclasses.
+
 Validation applies the two classical well-formedness rules. Within each
 term an index letter occurring once is free and occurring twice is a
 summation index, which must pair one upper with one lower entry (rule 5.2);
@@ -27,10 +37,11 @@ letters; the result's slots follow the left side's index order.
 
 Each expression is compiled once. Constructing an IndexExpression (which
 ``parse`` does) classifies the indices of every term a single time and
-stores a private plan on it: the validation report and, for a valid
-expression, each term's coefficient, einsum subscripts and the valency each
-symbol must be bound to. ``validate`` returns the stored report, and
-``evaluate`` and ``explicit_form`` read the plan without classifying again.
+stores a private plan on it: the validation report, the factor texts
+``explicit_form`` writes and, for a valid expression, each term's
+coefficient, einsum subscripts and the valency each symbol must be bound
+to. ``validate`` returns the stored report, and ``evaluate`` and
+``explicit_form`` read the plan without classifying or rendering again.
 The plan lives on the expression; nothing is cached across expressions.
 """
 
@@ -56,24 +67,26 @@ __all__ = [
 UPPER = "upper"
 LOWER = "lower"
 
+# one match per token: (leading whitespace, number, name, operator, any other
+# non-space character); exactly one of the last four is non-empty
 _TOKEN_RE = re.compile(r"""
-    \s+
-  | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z][A-Za-z0-9]*)
-  | (?P<op>[\^_{}*+=\-])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+    (\s*)
+    (?:
+        (\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+      | ([A-Za-z][A-Za-z0-9]*)
+      | ([\^_{}*+=\-])
+      | (\S)
+    )
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class IndexOccurrence:
+class IndexOccurrence(NamedTuple):
     letter: str
     level: str              # "upper" or "lower"
     span: tuple[int, int]   # [start, end) offsets into the source text
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     name: str | None                     # None for numeric literals
     value: float | None                  # None for symbol factors
     indices: tuple[IndexOccurrence, ...]
@@ -90,8 +103,7 @@ class Factor:
         return [o.letter for o in self.indices if o.level == LOWER]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     sign: float
     factors: tuple[Factor, ...]
     span: tuple[int, int]
@@ -122,8 +134,7 @@ class Violation:
                 "message": self.message}
 
 
-@dataclass(frozen=True)
-class TermIndices:
+class TermIndices(NamedTuple):
     """Classified letters of one term: free letter -> level, summation set."""
     free: tuple[tuple[str, str], ...]
     summation: tuple[str, ...]
@@ -156,17 +167,27 @@ class ValidationReport:
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    # the typographic minus sign maps 1:1 onto '-', keeping offsets intact
+    # The matches are contiguous, so each token starts where the one before
+    # ended plus its own leading whitespace. Trailing whitespace holds no
+    # token, and stripping it keeps findall from rescanning it from every
+    # position. The typographic minus sign maps 1:1 onto '-', keeping
+    # offsets intact.
     tokens = []
-    for match in _TOKEN_RE.finditer(text.replace("−", "-")):
-        kind = match.lastgroup
-        if kind is None:        # whitespace
-            continue
-        piece = match.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {piece!r}", match.start())
-        tokens.append((piece if kind == "op" else kind, piece,
-                       match.start(), match.end()))
+    end = 0
+    for space, number, name, op, other in _TOKEN_RE.findall(
+            text.rstrip().replace("−", "-")):
+        start = end + len(space)
+        if number:
+            end = start + len(number)
+            tokens.append(("number", number, start, end))
+        elif name:
+            end = start + len(name)
+            tokens.append(("name", name, start, end))
+        elif op:
+            end = start + 1
+            tokens.append((op, op, start, end))
+        else:
+            raise ParseError(f"unexpected character {other!r}", start)
     tokens.append(("end", "", len(text), len(text)))
     return tokens
 
@@ -294,26 +315,32 @@ class _Plan(NamedTuple):
     ``terms`` is empty unless the report is valid. Each entry holds the
     term's coefficient (sign times its numbers), its einsum subscripts
     ending in the output subscript, and the (name, r, s) each symbol must
-    be bound to. ``valency`` is the result's (r, s).
+    be bound to. ``valency`` is the result's (r, s). ``texts`` holds the
+    left side's factor and each term's factors as explicit_form writes
+    them.
     """
     report: ValidationReport
     terms: tuple[tuple[float, str, tuple[tuple[str, int, int], ...]], ...]
     valency: tuple[int, int]
+    texts: tuple[str, ...]
 
 
 def _compile_term(sign: float, factors, violations):
     """Classify one term's letters (rule 5.2) and gather its einsum operands.
 
-    Returns the TermIndices and (coefficient, subscripts, (name, r, s) per
-    symbol); a symbol's subscript lists its upper letters, then its lower.
+    Returns the TermIndices, (coefficient, subscripts, (name, r, s) per
+    symbol) and the factors' text as explicit_form writes it; a symbol's
+    subscript lists its upper letters, then its lower.
     """
     coeff = sign
     subscripts = []
     needs = []
+    texts = []
     occurrences: dict[str, list[IndexOccurrence]] = {}
     for factor in factors:
         if factor.value is not None:
             coeff *= factor.value
+            texts.append(repr(factor.value))
             continue
         upper = lower = ""
         for occ in factor.indices:
@@ -328,6 +355,7 @@ def _compile_term(sign: float, factors, violations):
                 occurrences[letter] = [occ]
         subscripts.append(upper + lower)
         needs.append((factor.name, len(upper), len(lower)))
+        texts.append(_symbol_text(factor.name, upper, lower))
     free: list[tuple[str, str]] = []
     summation: list[str] = []
     for letter, occs in occurrences.items():
@@ -347,14 +375,14 @@ def _compile_term(sign: float, factors, violations):
                 f"index '{letter}' has {len(occs)} entries in one term; "
                 f"a summation index must have exactly two"))
     return (TermIndices(tuple(free), tuple(summation)),
-            (coeff, ",".join(subscripts), tuple(needs)))
+            (coeff, ",".join(subscripts), tuple(needs)), " ".join(texts))
 
 
 def _compile(expression: IndexExpression) -> _Plan:
     """Classify every term's indices once, apply rules 5.1 and 5.2, and plan."""
     violations: list[Violation] = []
     lhs = expression.lhs
-    lhs_indices, (_, out_subscript, ((_, out_r, out_s),)) = _compile_term(
+    lhs_indices, (_, out_subscript, ((_, out_r, out_s),)), lhs_text = _compile_term(
         1.0, (lhs,), violations)
     # an upper/lower pair on the left side would be a summation there, but
     # the left side names the result's slots, so every letter must be free
@@ -366,7 +394,8 @@ def _compile(expression: IndexExpression) -> _Plan:
             f"every left-side index must be free"))
     compiled = [_compile_term(term.sign, term.factors, violations)
                 for term in expression.rhs]
-    term_indices = tuple(classified for classified, _ in compiled)
+    term_indices = tuple(classified for classified, _, _ in compiled)
+    texts = (lhs_text, *(text for _, _, text in compiled))
 
     # rule 5.1: every term, and the left side, must expose the same free
     # letters on the same levels
@@ -397,10 +426,10 @@ def _compile(expression: IndexExpression) -> _Plan:
     report = ValidationReport("invalid" if violations else "valid",
                               tuple(violations), lhs_indices, term_indices)
     if violations:
-        return _Plan(report, (), (out_r, out_s))
+        return _Plan(report, (), (out_r, out_s), texts)
     return _Plan(report, tuple((coeff, subscripts + "->" + out_subscript, needs)
-                               for _, (coeff, subscripts, needs) in compiled),
-                 (out_r, out_s))
+                               for _, (coeff, subscripts, needs), _ in compiled),
+                 (out_r, out_s), texts)
 
 
 def _find_occurrence(factors, letter: str) -> tuple[int, int]:
@@ -477,27 +506,28 @@ def evaluate(expression: IndexExpression,
 
 def explicit_form(expression: IndexExpression, dim: int = DEFAULT_DIM) -> str:
     """Render the equation with the implicit sums spelled out."""
+    plan = expression._plan
+    lhs_text, *bodies = plan.texts
     pieces = []
-    term_indices = expression._plan.report.term_indices
-    for n, term in enumerate(expression.rhs):
-        classified = term_indices[n]
-        prefix = ""
-        for letter in classified.summation:
-            prefix += f"sum_{{{letter}=1..{dim}}} "
-        body = " ".join(_render_factor(f) for f in term.factors)
+    for n, (term, classified, body) in enumerate(
+            zip(expression.rhs, plan.report.term_indices, bodies)):
+        prefix = "".join(f"sum_{{{letter}=1..{dim}}} " for letter in classified.summation)
         sign = "- " if term.sign < 0 else ("+ " if n else "")
         pieces.append(f"{sign}{prefix}{body}")
-    return f"{_render_factor(expression.lhs)} = " + " ".join(pieces)
+    return f"{lhs_text} = " + " ".join(pieces)
+
+
+def _symbol_text(name: str, upper: str, lower: str) -> str:
+    """A symbol factor with braced index groups: name^{upper}_{lower}."""
+    if upper:
+        name += "^{" + upper + "}"
+    if lower:
+        name += "_{" + lower + "}"
+    return name
 
 
 def _render_factor(factor: Factor) -> str:
     if factor.is_number:
         return repr(factor.value)
-    text = factor.name
-    upper = factor.upper_letters()
-    lower = factor.lower_letters()
-    if upper:
-        text += "^{" + "".join(upper) + "}"
-    if lower:
-        text += "_{" + "".join(lower) + "}"
-    return text
+    return _symbol_text(factor.name, "".join(factor.upper_letters()),
+                        "".join(factor.lower_letters()))

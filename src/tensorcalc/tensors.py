@@ -132,6 +132,7 @@ class DenseTensor(_Frozen):
         if components is None:
             array = np.zeros(shape)
         else:
+            # np.array always copies, so the caller's buffer is never shared
             array = np.array(components, dtype=float)
             if array.shape != shape:
                 if array.ndim == 1 and array.size == dim ** valency.order:
@@ -141,12 +142,13 @@ class DenseTensor(_Frozen):
                         f"components of shape {array.shape} do not fit a "
                         f"({valency.r},{valency.s}) tensor over dim {dim}"
                     )
-        if not np.all(np.isfinite(array)):
+        if not np.isfinite(array).all():
             raise ShapeError("tensor components must all be finite")
-        # note: ascontiguousarray would promote 0-d arrays to shape (1,)
-        array = np.asarray(array, dtype=float, order="C")
-        if array.base is not None or not array.flags.owndata:
-            array = array.copy(order="C")
+        # np.array keeps the order of an F-ordered input and reshape returns a
+        # view; only those are copied again, so the stored array is C-ordered
+        # and owns its data (ndarray.copy keeps a 0-d array 0-d)
+        if array.base is not None or not array.flags.c_contiguous:
+            array = array.copy()
         array.flags.writeable = False
         object.__setattr__(self, "valency", valency)
         object.__setattr__(self, "dim", dim)

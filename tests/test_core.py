@@ -60,6 +60,82 @@ class TestConstruction:
             t.array[0] = 9.0
 
 
+def _nested():
+    rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    return rows, lambda: rows[1].__setitem__(2, -1)
+
+
+def _flat():
+    values = list(range(1, 10))
+    return values, lambda: values.__setitem__(0, -1)
+
+
+def _array(make):
+    """components made by make(base) from a writable base, and a scribble
+    over that base."""
+    def build():
+        base = np.arange(1.0, 10.0).reshape(3, 3)
+        return make(base), lambda: base.fill(-1.0)
+    return build
+
+
+def _own(make):
+    """components make() builds, and a scribble over them."""
+    def build():
+        components = make()
+        return components, lambda: components.fill(-1)
+    return build
+
+
+def _read_only(base):
+    view = base[:]
+    view.flags.writeable = False
+    return view
+
+
+class TestConstructorContract:
+    """Whatever the components' type, layout or ownership, the stored array
+    is a private read-only float64 C-ordered copy of them."""
+
+    CASES = {
+        "list": ((0, 2), _nested),
+        "flat list": ((1, 1), _flat),
+        "int array": ((0, 2), _own(lambda: np.arange(1, 10).reshape(3, 3))),
+        "C array": ((1, 1), _array(lambda base: base)),
+        "F array": ((1, 1), _array(np.asfortranarray)),
+        "transposed view": ((2, 0), _array(lambda base: base.T)),
+        "negative strides": ((0, 2), _array(lambda base: base[::-1, ::-1])),
+        "read-only": ((1, 1), _array(_read_only)),
+        "0-d array": ((0, 0), _own(lambda: np.array(2.5))),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_stored_array_is_a_private_frozen_c_copy(self, case):
+        valency, build = self.CASES[case]
+        components, scribble = build()
+        order = sum(valency)
+        want = np.array(components, dtype=float).reshape((3,) * order)
+        t = DenseTensor(valency, 3, components)
+        stored = t.array
+        assert stored.dtype == np.float64
+        assert stored.shape == (3,) * order
+        assert stored.flags.c_contiguous and stored.flags.owndata
+        assert not stored.flags.writeable
+        assert np.array_equal(stored, want)
+        scribble()
+        assert np.array_equal(t.array, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(3, 3), (9,), ()])
+    def test_non_finite_components_are_refused(self, bad, shape):
+        components = np.ones(shape)
+        components[(0,) * len(shape)] = bad
+        valency = (1, 1) if shape else (0, 0)
+        for given in (components, components.tolist()):
+            with pytest.raises(ShapeError, match="^tensor components must all be finite$"):
+                DenseTensor(valency, 3, given)
+
+
 class TestGetSet:
     def test_set_then_get_round_trips(self):
         t = tc.zeros(Valency(1, 1), 3)

@@ -330,6 +330,28 @@ class TestChartToChart:
             assert np.max(np.abs(back.evaluate_array(y) -
                                  f.evaluate_array(y))) < 1e-6
 
+    def test_each_domain_is_checked_once_per_point(self, rng, monkeypatch):
+        f = TensorField.vector(lambda y: np.array([y[0], 1.0, 0.5 * y[2]]))
+        points = SPH.sample_points(10, rng)
+        rows = {}
+        inside = tc.Chart._inside
+
+        def counting(chart, pts):
+            rows[chart.name] = rows.get(chart.name, 0) + len(pts)
+            return inside(chart, pts)
+
+        monkeypatch.setattr(tc.Chart, "_inside", counting)
+        values, failures = chart_to_chart_transform(f, CYL, SPH).evaluate_batch(points)
+        assert not failures
+        assert rows == {"cylindrical": 10, "spherical": 10}
+        monkeypatch.undo()
+        # the same bits as the walk through jacobians of both charts
+        for y, got in zip(points, values):
+            y_source = CYL.inverse(SPH.forward(y))
+            want = (f.evaluate(y_source).transform(jacobians(CYL, y_source), "new->old")
+                    .transform(jacobians(SPH, y), "old->new").array)
+            assert np.array_equal(got, want)
+
 
 class TestCoordinateLines:
     def test_circle_traced_by_angle_coordinate(self):

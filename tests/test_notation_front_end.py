@@ -6,9 +6,13 @@ what a user reads.
 """
 
 import json
+import re
+import string
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tensorcalc import (
     DenseTensor,
@@ -130,6 +134,52 @@ def test_parse_error_message_and_position_are_pinned(text, message, position):
         parse(text)
     assert err.value.position == position
     assert str(err.value) == f"{message} (at offset {position})"
+
+
+# the finditer tokenizer the findall pass replaced, kept as the reference
+_REFERENCE_TOKEN_RE = re.compile(r"""
+    \s+
+  | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+  | (?P<name>[A-Za-z][A-Za-z0-9]*)
+  | (?P<op>[\^_{}*+=\-])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def _reference_tokenize(text):
+    tokens = []
+    for match in _REFERENCE_TOKEN_RE.finditer(text.replace("\u2212", "-")):
+        kind = match.lastgroup
+        if kind is None:
+            continue
+        piece = match.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {piece!r}", match.start())
+        tokens.append((piece if kind == "op" else kind, piece,
+                       match.start(), match.end()))
+    tokens.append(("end", "", len(text), len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+_TOKEN_ALPHABET = (string.ascii_letters + string.digits + "^_{}*+=-.eE"
+                   + "\u2212 \t\n\u00a0%?$")
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(alphabet=_TOKEN_ALPHABET, max_size=40))
+@example(text="w^i = a^i \u2212 b^i ?")
+@example(text="1.e5x .5E-3 7e+ \u00a0\t\n")
+@example(text="")
+def test_tokenizer_matches_the_finditer_reference(text):
+    assert (_tokens_or_error(notation._tokenize, text)
+            == _tokens_or_error(_reference_tokenize, text))
 
 
 def test_non_string_input_is_an_empty_expression():

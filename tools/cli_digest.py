@@ -14,8 +14,12 @@ chart of the Cartesian operators); and christoffel and field-op laplace
 and div on a table chart whose tables hold a constant term, a fourth
 power and a zero frequency, with fields that include a 1e308 cubic term,
 so that every branch of the table differentiation runs, the overflowing
-multiplier kept as a trailing factor among them. Each christoffel and
-field-op job runs once with
+multiplier kept as a trailing factor among them. Last come fixed
+notation jobs (NOTATION_JOBS): check --explicit on one input per
+ParseError branch of the tokenizer and the parser, and on expressions
+written with tabs, newlines, U+00A0, the typographic minus and no spaces,
+then one eval of such an expression, so that every tokenizer branch and
+offset reaches the output. Each christoffel and field-op job runs once with
 CSV and once with JSON output; audit, check and eval have one format. One line per run:
 workload, cycle, job, format, exit code, and the sha256 digests of stdout
 and stderr. The jobs depend only on the seed and come from this
@@ -92,6 +96,28 @@ FIXED_JOBS += [(f"{command} quartic", [*command.split(), "--chart-file", _TABLE_
                                      ("field-op div", ["--field", _HUGE_VECTOR, *_SMALL]))]
 
 
+# one input per ParseError branch, in the order the parser raises them,
+# then inputs that reach some of them at other offsets
+_PARSE_ERRORS = ["y%i = 2", "y^i", "A^{i = x", "A = 1e999 B", "y^i = = x",
+                 "A^i_j = F_j^i", "A^{i1} = x", "A^{} = x", "A^ij = x", "A^ = x",
+                 "y^i z = x^i", "3 = x", "-y^i = x^i", "y^i = x^i = z^i", "y = x }",
+                 "   ", "w^i = a^i \u2212 b^i ?", "y^i\t=\u00a0x^i\n$", "y=x^i_j^k"]
+# expressions written with tabs, newlines, U+00A0, the typographic minus
+# and no spaces; each reaches the tokenizer's offsets past such characters
+_WRITTEN = ["y^i\t=\tF^i_j\tx^j", "y^i =\nF^i_j x^j\n",
+            "T^{ij}\u00a0=\u00a0A^i B^j\u00a0\u2212\u00a0B^j A^i",
+            "c=2.5e-1x^{i}y_{i}\u2212.5z", "y^i = F^i_j x^j \t\u00a0\n",
+            "\u2212c\t= x^i\u00a0y^i", "c\t= x^i\u00a0y^i", "y^i\n=\n3x^i\u2212F^i_{j}x^j"]
+_EVAL = "T_{ij}\t=\u00a0g_{ik}\nM^k_j\u22122h_{ij}"
+_BINDINGS = {"g": {"r": 0, "s": 2, "dim": 3, "components": [2, 1, 0, 1, 3, 1, 0, 1, 4]},
+             "M": {"r": 1, "s": 1, "dim": 3,
+                   "components": [k / 7 for k in range(-4, 5)]},
+             "h": {"r": 0, "s": 2, "dim": 3, "components": [0.1 * k for k in range(9)]}}
+NOTATION_JOBS = [("check", ["check", text, "--explicit"])
+                 for text in _PARSE_ERRORS + _WRITTEN]
+NOTATION_JOBS.append(("eval", ["eval", _EVAL, "--bindings", json.dumps(_BINDINGS)]))
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -106,7 +132,8 @@ def _run(cli, argv):
 def runs(src: str, cycles: int, seed: int):
     """Every run of the chart workloads' jobs, then of the notation-algebra
     CLI jobs (cycle 0, format "text"), then of FIXED_JOBS (workload
-    "builtin", cycle 0), with tensorcalc from src, in a fixed order: tuples
+    "builtin", cycle 0), then of NOTATION_JOBS (workload "notation", cycle
+    0, format "text"), with tensorcalc from src, in a fixed order: tuples
     (workload, cycle, job number, job kind, format, exit code, stdout,
     stderr)."""
     src = os.path.abspath(src)
@@ -140,6 +167,8 @@ def runs(src: str, cycles: int, seed: int):
     for n, (kind, argv) in enumerate(FIXED_JOBS):
         for fmt in ("csv", "json"):
             yield ("builtin", 0, n, kind, fmt) + _run(cli, argv + ["--format", fmt])
+    for n, (kind, argv) in enumerate(NOTATION_JOBS):
+        yield ("notation", 0, n, kind, "text") + _run(cli, argv)
 
 
 def main():
