@@ -43,15 +43,13 @@ Both commands write CSV through _csv, which runs no Python per row. A grid
 of n^3 points has only 3n distinct coordinates, and Christoffel symbols
 repeat along coordinates they do not depend on, so _csv sorts the printed
 floats by bit pattern and calls repr once per distinct pattern (0.0 and
--0.0 differ in bits, so each keeps its sign). _csv_rows builds one text
-prefix per point and puts the prefix, label and value texts of every row
-into one list, allocated before the gathers that fill it, and _csv joins
-that list in C and prepends the header. christoffel drops its Christoffel
-arrays before the join, so their memory is free when the ~5 MB text of a
-20^3 table is allocated. Without that, a process that runs many such
-tables (perfbench runs the CLI in-process) ended some runs 15-20 MB higher
-in peak RSS than others, depending on where the allocator had put each
-text.
+-0.0 differ in bits, so each keeps its sign). christoffel drops its chart
+state (S, T, residual) before it calls _csv and hands _csv the only
+references to the Christoffel table and its mask, which _csv frees before
+its join, so that memory is free when the ~5 MB text of a 20^3 table is
+allocated. With the state or the table alive, a process that runs many
+such tables in-process ended some runs 15-20 MB higher in peak RSS than
+others, depending on where the allocator had put each text.
 """
 
 from __future__ import annotations
@@ -197,14 +195,13 @@ def _report_failures(points: np.ndarray, failures: dict) -> bool:
 def _csv(header: str, points: np.ndarray, table: np.ndarray, keep: np.ndarray,
          labels: list) -> str:
     """CSV text with a row per point n and column c where keep[n, c],
-    holding the point's coordinates, labels[c] and table[n, c]."""
-    return header + "".join(_csv_rows(points, table, keep, labels))
+    holding the point's coordinates, labels[c] and table[n, c].
 
-
-def _csv_rows(points: np.ndarray, table: np.ndarray, keep: np.ndarray,
-              labels: list) -> list:
-    """The texts that follow the header in _csv: prefix, label and value of
-    each row, then the final newline. The gathers are freed on return."""
+    The prefix, label and value texts of every row go into one list,
+    allocated before the gathers that fill it. The gathers, and _csv's
+    references to table and keep, are freed before the list is joined in C;
+    a caller that passes its only references (CPython 3.11+ moves call
+    arguments into the callee) has those arrays freed before the join too."""
     parts = [None] * (3 * np.count_nonzero(keep) + 1)
     parts[-1] = "\n"
     rows, cols = keep.nonzero()
@@ -216,7 +213,8 @@ def _csv_rows(points: np.ndarray, table: np.ndarray, keep: np.ndarray,
     parts[0:-1:3] = prefixes[rows].tolist()
     parts[1:-1:3] = np.asarray(labels, dtype=object)[cols].tolist()
     parts[2:-1:3] = texts[size:].tolist()
-    return parts
+    del rows, cols, texts, y, prefixes, table, keep
+    return header + "".join(parts)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -270,12 +268,13 @@ def cmd_christoffel(ns: argparse.Namespace) -> int:
     state = curvilinear.ChartPoints(chart, points, christoffel=True)
     if _report_failures(points, state.failures):
         return EXIT_DOMAIN
-    gamma = state.gamma.reshape(len(state.index), 27)
+    points, gamma = state.points, state.gamma.reshape(len(state.index), 27)
+    del state  # free S, T and the residual before the output is built
     nonzero = np.abs(gamma) > 1e-12
     kij = [(k, i, j) for k in (1, 2, 3) for i in (1, 2, 3) for j in (1, 2, 3)]
     if ns.format == "json":
         rows, cols = np.nonzero(nonzero)
-        ys = state.points.tolist()
+        ys = points.tolist()
         payload = [
             {"y": ys[n], "k": kij[c][0], "i": kij[c][1], "j": kij[c][2], "gamma": value}
             for n, c, value in zip(rows.tolist(), cols.tolist(),
@@ -284,9 +283,9 @@ def cmd_christoffel(ns: argparse.Namespace) -> int:
         _emit(ns, _dump_json(payload))
     else:
         labels = ["%d,%d,%d," % idx for idx in kij]
-        parts = _csv_rows(state.points, gamma, nonzero, labels)
-        del state, gamma, nonzero  # free the Christoffel arrays before the join
-        _emit(ns, "y1,y2,y3,k,i,j,gamma" + "".join(parts))
+        owned = [gamma, nonzero]  # _csv gets the only references and frees them
+        del gamma, nonzero
+        _emit(ns, _csv("y1,y2,y3,k,i,j,gamma", points, owned.pop(0), owned.pop(), labels))
     return EXIT_OK
 
 

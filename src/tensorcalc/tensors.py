@@ -142,7 +142,7 @@ class DenseTensor(_Frozen):
                         f"components of shape {array.shape} do not fit a "
                         f"({valency.r},{valency.s}) tensor over dim {dim}"
                     )
-        if not np.isfinite(array).all():
+        if np.count_nonzero(np.isfinite(array)) != array.size:
             raise ShapeError("tensor components must all be finite")
         # np.array keeps the order of an F-ordered input and reshape returns a
         # view; only those are copied again, so the stored array is C-ordered

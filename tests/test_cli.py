@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, output formats."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import re
@@ -525,6 +527,63 @@ class TestCsvRows:
     def test_row_texts_match_the_list_form_of_a_point(self, inputs):
         points = inputs[0]
         assert _row_texts(points) == [str(row) for row in points.tolist()]
+
+
+@st.composite
+def _edge_grids(draw):
+    """A spherical or cylindrical grid of at most 5^3 points whose axes may
+    reach the domain edge: r = 0 and, on the sphere, the poles."""
+    name = draw(st.sampled_from(["spherical", "cylindrical"]))
+    counts = st.integers(1, 5)
+    radial = (draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+              draw(st.floats(0.5, 3.0)), draw(counts))
+    if name == "spherical":
+        polar = (draw(st.one_of(st.just(0.0), st.floats(0.0, math.pi))),
+                 draw(st.one_of(st.just(math.pi), st.floats(0.0, math.pi))), draw(counts))
+        third = (draw(st.floats(-math.pi, math.pi)), draw(st.floats(-math.pi, math.pi)),
+                 draw(counts))
+    else:
+        polar = (draw(st.floats(-math.pi, math.pi)), draw(st.floats(-math.pi, math.pi)),
+                 draw(counts))
+        third = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)), draw(counts))
+    return name, (radial, polar, third)
+
+
+def _christoffel_per_row(name, axes):
+    """The christoffel CSV one row at a time from ChartPoints, and the state."""
+    mesh = np.meshgrid(*[np.linspace(*axis) for axis in axes], indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    state = curvilinear.ChartPoints(curvilinear.builtin_chart(name), points,
+                                    christoffel=True)
+    lines = ["y1,y2,y3,k,i,j,gamma"]
+    for (a, b, c), gamma in zip(state.points.tolist(), state.gamma.tolist()):
+        for k in range(3):
+            for i in range(3):
+                for j in range(3):
+                    value = gamma[k][i][j]
+                    if abs(value) > 1e-12:
+                        lines.append(f"{a!r},{b!r},{c!r},{k + 1},{i + 1},{j + 1},{value!r}")
+    return "\n".join(lines) + "\n", state
+
+
+class TestChristoffelGridEdges:
+    @settings(max_examples=25, deadline=None)
+    @given(grid=_edge_grids())
+    def test_grid_table_matches_a_per_row_oracle(self, grid):
+        name, axes = grid
+        specs = []
+        for axis, (lo, hi, count) in enumerate(axes, start=1):
+            specs += ["--grid", f"y{axis}={lo!r}:{hi!r}:{count}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["christoffel", "--chart", name, *specs])
+        out, err = out.getvalue(), err.getvalue()
+        expected, state = _christoffel_per_row(name, axes)
+        assert err.count("warning: skipping") == len(state.failures)
+        if len(state.index):
+            assert (code, out) == (0, expected)
+        else:
+            assert (code, out) == (4, "")
 
 
 class TestNonFiniteFieldValues:
