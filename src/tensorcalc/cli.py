@@ -31,10 +31,11 @@ names it (exit 2).
 christoffel and field-op evaluate all their sample points as one array
 through the chart layer (curvilinear.ChartPoints, TensorField.evaluate_batch);
 a point that fails, or whose field-op value is not finite, is skipped with a
-warning on stderr, in sampling order. Every field-op operator checks the
-chart's T against S first, so a singular frame or a broken inverse map
-fails a point with DegenerateTransition (exit 4 when every point fails);
-when no point failed, field-op writes its values without filtering them.
+warning on stderr, in sampling order, and no numpy warning reaches stderr
+(main silences them). Every field-op operator checks the chart's T against
+S first, so a singular frame or a broken inverse map fails a point with
+DegenerateTransition (exit 4 when every point fails); when no point
+failed, field-op writes its values without filtering them.
 Output is deterministic: floats use the shortest round-trip representation,
 JSON keys are sorted, and rows follow the sampling order. The --seed flag
 (default 42) pins the audit's random points.
@@ -310,8 +311,7 @@ def cmd_field_op(ns: argparse.Namespace) -> int:
     field_input = load_field(ns.field)
     result = _build_operator(ns.op, chart, field_input, ns.slot, _scheme(ns))
     points = _sample_points(ns)
-    with np.errstate(all="ignore"):  # overflow shows as a non-finite row below
-        values, failures = result.evaluate_batch(points)
+    values, failures = result.evaluate_batch(points)
     if failures or not np.isfinite(values).all():
         ok = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
         for row in np.flatnonzero(~ok).tolist():
@@ -517,7 +517,8 @@ def main(argv=None) -> int:
         if "grid" in ns:  # sampling specs are checked before any other work
             ns.grid = dict(_parse_grid_spec(spec) for spec in ns.grid)
             ns.point = [_parse_point(text) for text in ns.point]
-        return handlers[ns.command](ns)
+        with np.errstate(all="ignore"):  # non-finite values are skipped rows or a BREACH
+            return handlers[ns.command](ns)
     except (TensorCalcError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)),

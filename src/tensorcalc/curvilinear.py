@@ -30,11 +30,11 @@ ChartPoints computes S, T, the metric and the Christoffel symbols of a
 point array once; the metric is the Gram matrix S^T S of the moving frame
 and its inverse the Gram matrix T T^T of the dual frame, both formed by
 the metric module, as is the volume |det S| (metric._gram, _dual_gram,
-_frame_volume). The chart operators evaluate a point array in one pass
-through it (TensorField.evaluate_batch); a point that fails, outside the
-domain, at a degenerate transition (a singular S among them), or in a
-chart callable (see fields._map_rows), fails alone, with the exception the
-single-point call raises.
+_frame_volume). The chart operators, chart_to_chart_transform among them,
+evaluate a point array in one pass through it (TensorField.evaluate_batch);
+a point that fails, outside the domain, at a degenerate transition (a
+singular S among them), or in a chart callable (see fields._map_rows),
+fails alone, with the exception the single-point call raises.
 
 The Cartesian operators (nabla, gradient_covector, gradient_vector,
 divergence, laplacian, rotor, dalembert) are the chart operators on the
@@ -88,6 +88,7 @@ from .tensors import (
     Valency,
     _Frozen,
     _invert_stack,
+    _transform_slots,
 )
 
 if TYPE_CHECKING:
@@ -106,6 +107,7 @@ __all__ = [
 
 FD_CONSISTENCY_TOL = 1e-4
 ANALYTIC_CONSISTENCY_TOL = 1e-6
+_REINVERT_TOL = 1e-10  # ChartPoints takes T as S^-1 where |T S - I| is above this
 
 
 class Chart(_Frozen):
@@ -530,7 +532,7 @@ class ChartPoints:
         with np.errstate(invalid="ignore", over="ignore"):  # judged just below
             residual = np.abs(T @ S - np.eye(chart.dim)).max(axis=(1, 2), initial=0.0)
         self.residual = residual
-        if residual.max(initial=0.0) <= 1e-10:  # every T exact enough (NaN is not)
+        if residual.max(initial=0.0) <= _REINVERT_TOL:  # every T exact enough (NaN is not)
             return
         tol = ANALYTIC_CONSISTENCY_TOL if chart.analytic else FD_CONSISTENCY_TOL
         bad = ~(residual <= tol)
@@ -541,7 +543,7 @@ class ChartPoints:
                 f"are not mutually inverse (residual {value!r})")
                 for k, y, value in zip(bad.tolist(), _row_texts(self.points[bad]),
                                        residual[bad].tolist())})
-        redo = self.residual > 1e-10
+        redo = self.residual > _REINVERT_TOL
         if redo.any():
             redo = np.flatnonzero(redo)
             self.T[redo], failures = _invert_stack(self.S[redo])
@@ -591,14 +593,7 @@ def jacobians(chart: Chart, y) -> TransitionPair:
     returned pair always satisfies the strict pair invariant: when the
     independently obtained T is not exact enough, S is inverted instead.
     """
-    return _pair(_at(chart, y))
-
-
-def _pair(state: ChartPoints) -> TransitionPair:
-    """The transition pair of a one-point state whose domain stage passed,
-    raising the point's failure in the transition stage."""
-    state._transition()
-    _raise_first(state.failures)
+    state = _at(chart, y, transition=True)
     return TransitionPair(state.S[0], state.T[0])
 
 
@@ -750,24 +745,38 @@ def chart_to_chart_transform(field: TensorField, source: Chart,
     Evaluation at target coordinates walks through the ambient Cartesian
     point: frame components at the matching source point are pushed to the
     ambient basis with the source Jacobians and pulled back with the
-    target's. Each chart's domain is checked once per point, by the state
-    its Jacobians then come from.
+    target's, as stacks. A point fails alone, at the first of: the target's
+    domain and transition (as in jacobians), its forward map, the source's
+    inverse map and domain ("charts do not overlap here"), the source's
+    transition, the field. Each domain is checked once per point.
     """
 
-    def func(y_target, t=None):
-        there = _at(target, y_target)
-        x = np.asarray(target.forward(there.points[0]), dtype=float)
-        here = ChartPoints(source, _point(source.inverse(x), source.dim)[None])
-        if here.failures:
-            raise DomainError(
-                f"point {x.tolist()} is outside chart {source.name!r}; "
-                "charts do not overlap here")
-        tensor = field.evaluate(here.points[0], t)
-        ambient = tensor.transform(_pair(here), NEW_TO_OLD)
-        return ambient.transform(_pair(there), OLD_TO_NEW).array
+    def pairs(state):  # jacobians' TransitionPair test, which only a re-inverted T can fail
+        failures = {}
+        for k in np.flatnonzero(state.residual > _REINVERT_TOL).tolist():
+            try:
+                TransitionPair(state.S[k], state.T[k])
+            except DegenerateTransition as exc:
+                failures[k] = exc
+        state._drop(failures)
 
-    return TensorField(field.valency, func, field.dim,
-                       has_parameter=field.has_parameter)
+    def body(there, t):
+        pairs(there)
+        x, failures = _map_rows(target.forward, there.points, (target.dim,), "forward")
+        y, more = _map_rows(source.inverse, x, (source.dim,), "inverse")
+        here = ChartPoints(source, y)
+        rows = list(here.failures)
+        here.failures = {k: failures.get(k) or more.get(k) or DomainError(
+            f"point {text} is outside chart {source.name!r}; charts do not overlap here")
+            for k, text in zip(rows, _row_texts(x[rows]))}
+        here._transition()
+        pairs(here)
+        values, failures = field.evaluate_batch(here.points, t)
+        values = _transform_slots(values, field.valency, here, NEW_TO_OLD)
+        values, failures = here.finish(values, failures)
+        return _transform_slots(values, field.valency, there, OLD_TO_NEW), failures
+
+    return _chart_field(target, field, field.valency, body, transition=True)
 
 
 def coordinate_line(chart: Chart, y0, axis: int, values) -> np.ndarray:

@@ -78,20 +78,29 @@ def _map_rows(fn, points: np.ndarray, shape: tuple, what: str, args: tuple = (),
 
     values has shape (N,) + shape. A callable the library marked takes the
     whole array and returns its values, or ``(values, failures)`` as
-    TensorField.evaluate_batch does. Any other is called once per row: a
-    point error raised there fails that row only, and when probing (finite
-    differences) so does an ArithmeticError or ValueError, as a DomainError
-    naming the probe. A failed row is NaN (False for a bool dtype). A
-    DenseTensor returned for a row must have the given valency.
+    TensorField.evaluate_batch does; a point error it raises is retried row
+    by row. Any other is called once per row: a point error raised there
+    fails that row only, and when probing (finite differences) so does an
+    ArithmeticError or ValueError, as a DomainError naming the probe. A
+    failed row is NaN (False for a bool dtype). A DenseTensor returned for
+    a row must have the given valency.
     """
+    fill = np.nan if dtype is float else 0
     if _is_batched(fn):
-        values = fn(points, *args)
+        try:
+            values = fn(points, *args)
+        except _POINT_ERRORS as exc:
+            if len(points) == 1:
+                return np.full((1,) + shape, fill, dtype=dtype), {0: exc}
+            return _map_rows(lambda point, *args: _first_row(*_map_rows(
+                fn, point[None], shape, what, args, dtype=dtype)),
+                points, shape, what, args, probing, valency, dtype)
         values, failures = values if isinstance(values, tuple) else (values, {})
         values = np.asarray(values, dtype=dtype)
         if values.shape != (len(points),) + shape:
             raise ShapeError(f"{what} returned shape {values.shape[1:]}, expected {shape}")
         return values, failures
-    values = np.full((len(points),) + shape, np.nan if dtype is float else 0, dtype=dtype)
+    values = np.full((len(points),) + shape, fill, dtype=dtype)
     failures = {}
     for n, point in enumerate(points):
         try:

@@ -14,10 +14,11 @@ Basis changes are driven by a pair of mutually inverse matrices (S, T).
 Columns of S are the coordinates of the new basis vectors in the old basis;
 T = S^-1. The one transformation law, old basis -> new, applies T to every
 upper slot and S^T to every lower slot; new -> old applies S and T^T. Its
-direction rule is _slot_matrices, which DenseTensor.transform and the
-vector, covector, operator and bilinear-form laws of the frames module (its
-(1,0), (0,1), (1,1) and (0,2) cases) all read. Chaining two changes of
-basis agrees with the composed transition pair.
+direction rule is _slot_matrices, read by the frames module's vector,
+covector, operator and bilinear-form laws and by the one slot loop,
+_transform_slots, that DenseTensor.transform runs on a tensor and
+chart_to_chart_transform on a stack of tensors with one (S, T) per row.
+Chaining two changes of basis agrees with the composed transition pair.
 """
 
 from __future__ import annotations
@@ -85,13 +86,13 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _slot_matrices(pair: "TransitionPair", direction: str):
+def _slot_matrices(pair, direction: str):
     """(matrix for every upper slot, matrix for every lower slot): (T, S^T)
-    for old->new, (S, T^T) for new->old."""
+    for old->new, (S, T^T) for new->old; S and T may be stacks (ChartPoints)."""
     if direction == OLD_TO_NEW:
-        return pair.T, pair.S.T
+        return pair.T, pair.S.swapaxes(-1, -2)
     if direction == NEW_TO_OLD:
-        return pair.S, pair.T.T
+        return pair.S, pair.T.swapaxes(-1, -2)
     raise ParameterError(
         f"direction must be {OLD_TO_NEW!r} or {NEW_TO_OLD!r}, got {direction!r}")
 
@@ -149,7 +150,7 @@ class DenseTensor(_Frozen):
         # and owns its data (ndarray.copy keeps a 0-d array 0-d)
         if array.base is not None or not array.flags.c_contiguous:
             array = array.copy()
-        array.flags.writeable = False
+        array.setflags(write=False)  # half the time of flags.writeable = False
         object.__setattr__(self, "valency", valency)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_array", array)
@@ -257,22 +258,13 @@ class DenseTensor(_Frozen):
         return DenseTensor(Valency(r - 1, s - 1), self.dim, array)
 
     def transform(self, pair: "TransitionPair", direction: str = OLD_TO_NEW) -> "DenseTensor":
-        """Components of the same tensor in the other basis.
-
-        ``old->new`` applies T to every upper slot and S^T to every lower
-        slot; ``new->old`` applies S and T^T (_slot_matrices). One matrix
-        application per slot, so valency is preserved.
-        """
+        """Components of the same tensor in the other basis: ``old->new``
+        applies T to every upper slot and S^T to every lower slot, ``new->old``
+        S and T^T (_slot_matrices), one slot at a time (_transform_slots)."""
         if pair.dim != self.dim:
             raise ShapeError("transition pair dimension does not match tensor")
-        up, low = _slot_matrices(pair, direction)
-        array = self._array
-        r, s = self.valency.r, self.valency.s
-        for axis in range(r):
-            array = _apply_to_axis(up, array, axis)
-        for axis in range(r, r + s):
-            array = _apply_to_axis(low, array, axis)
-        return DenseTensor(self.valency, self.dim, array)
+        return DenseTensor(self.valency, self.dim,
+                           _transform_slots(self._array, self.valency, pair, direction))
 
     # -- sugar -----------------------------------------------------------------
 
@@ -327,16 +319,33 @@ class DenseTensor(_Frozen):
         return cls.from_dict(json.loads(text))
 
 
+def _transform_slots(array: np.ndarray, valency: Valency, pair, direction: str) -> np.ndarray:
+    """_slot_matrices(pair, direction) applied slot by slot in slot order; for
+    stacks of S and T, array has a leading row axis and row n moves by pair n."""
+    up, low = _slot_matrices(pair, direction)
+    first = up.ndim - 2  # 1 past a leading row axis
+    r = first + valency.r
+    for axis in range(first, r):
+        array = _apply_to_axis(up, array, axis)
+    for axis in range(r, r + valency.s):
+        array = _apply_to_axis(low, array, axis)
+    return array
+
+
 def _apply_to_axis(matrix: np.ndarray, array: np.ndarray, axis: int) -> np.ndarray:
     """Contract ``matrix``'s second index against one axis of ``array``.
 
     Result keeps the axis in place: out[..., i, ...] = sum_h M[i, h] a[..., h, ...].
     Viewing ``array`` as (lead, dim, rest) puts that axis in the middle, where
-    one broadcast matmul contracts it without moving any axis.
+    one broadcast matmul contracts it without moving any axis. A stack of N
+    matrices applies matrix n to row n, as matrix n alone would.
     """
     shape = array.shape
-    lead = math.prod(shape[:axis])
-    return np.matmul(matrix, array.reshape(lead, shape[axis], -1)).reshape(shape)
+    if matrix.ndim == 2:
+        lead = math.prod(shape[:axis])
+        return np.matmul(matrix, array.reshape(lead, shape[axis], -1)).reshape(shape)
+    rows = (len(array), math.prod(shape[1:axis]), shape[axis], math.prod(shape[axis + 1:]))
+    return np.matmul(matrix[:, None], array.reshape(rows)).reshape(shape)
 
 
 def _invert_stack(matrices: np.ndarray):

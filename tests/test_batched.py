@@ -156,9 +156,7 @@ def _assert_same_failure(got, want):
 
 
 def _assert_close(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=150, deadline=None)

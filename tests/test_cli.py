@@ -182,6 +182,21 @@ class TestChristoffel:
             "error: every sample point failed",
         ]
 
+    @pytest.mark.parametrize("chart, point, text", [
+        ("spherical", "1,5e-324,0", "[1.0, 5e-324, 0.0]"),
+        ("cylindrical", "5e-324,1,0", "[5e-324, 1.0, 0.0]"),
+    ], ids=["spherical", "cylindrical"])
+    def test_domain_edge_point_is_skipped_without_a_numpy_warning(
+            self, capsys, chart, point, text):
+        # the inverse Jacobian overflows in a division there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "christoffel", "--chart", chart, "--point", point)
+        assert (code, out) == (4, "")
+        assert err == (f"warning: skipping {text}: Jacobi matrices of chart {chart!r} at "
+                       f"{text} are not mutually inverse (residual nan)\n"
+                       "error: every sample point failed\n")
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "christoffel", "--chart", "cylindrical",
                            "--point", "2,0,0", "--format", "json")

@@ -352,6 +352,19 @@ class TestChartToChart:
                     .transform(jacobians(SPH, y), "old->new").array)
             assert np.array_equal(got, want)
 
+    def test_origin_fails_alone_where_the_spherical_inverse_raises(self):
+        # the spherical inverse raises for a whole array that holds the origin
+        f = TensorField.vector(lambda y: np.array([y[0], 1.0, y[2] * y[1]]))
+        moved = chart_to_chart_transform(f, SPH, IDENT)
+        points = [[0.5, 0.2, 0.3], [0.0, 0.0, 0.0], [0.1, 0.1, 0.1]]
+        values, failures = moved.evaluate_batch(points)
+        assert {k: str(exc) for k, exc in failures.items()} == {
+            1: "origin has no spherical coordinates"}
+        assert isinstance(failures[1], DomainError)
+        assert np.all(np.isnan(values[1]))
+        for n in (0, 2):
+            assert np.array_equal(values[n], moved.evaluate_array(points[n]))
+
 
 class TestCoordinateLines:
     def test_circle_traced_by_angle_coordinate(self):

@@ -14,12 +14,16 @@ from tensorcalc import (
     OLD_TO_NEW,
     DenseTensor,
     Metric,
+    TensorField,
     TransitionPair,
+    builtin_chart,
+    chart_to_chart_transform,
+    jacobians,
     lower_index,
     notation,
     raise_index,
 )
-from tensorcalc.errors import ParseError
+from tensorcalc.errors import ParseError, ShapeError, TensorCalcError
 
 
 @st.composite
@@ -216,3 +220,113 @@ def test_overflowing_number_literal_is_a_parse_error():
     with pytest.raises(ParseError, match="number '1e999' is out of range") as info:
         notation.parse("A = 1e999 B")
     assert info.value.position == 4
+
+
+# -- chart_to_chart_transform on the built-in charts ------------------------------
+
+_CHARTS = {name: builtin_chart(name) for name in ("cylindrical", "spherical", "identity")}
+
+
+def _chart_field(valency):
+    """A smooth field of the valency, called once per point."""
+    order = sum(valency)
+    k = np.arange(3 ** order, dtype=float).reshape((3,) * order)
+
+    def func(y):
+        return np.sin(y[0] + 0.7 * k) * y[1] + np.cos(0.3 * k * y[2])
+
+    return TensorField(valency, func)
+
+
+@st.composite
+def _chart_cases(draw, valencies=st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1),
+                                                  (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)])):
+    """(source, target, valency, points): target points inside the target's
+    sampling box, a coordinate sometimes 0.0 (the cylindrical axis, the
+    spherical pole and origin, points the charts do not share)."""
+    source, target = (draw(st.sampled_from(sorted(_CHARTS))) for _ in range(2))
+    coordinate = [st.one_of(st.floats(lo, hi), st.just(0.0))
+                  for lo, hi in _CHARTS[target].sample_bounds]
+    points = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=6))
+    return _CHARTS[source], _CHARTS[target], draw(valencies), np.array(points)
+
+
+# T overflows next to the cylindrical axis and the spherical pole; the
+# properties judge the rows that come out, so numpy's warnings are noise
+_OVERFLOW_NEAR_THE_AXIS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+def _single(moved, y):
+    """(values, None) of one point evaluated alone, or (None, its error)."""
+    try:
+        return moved.evaluate_array(y), None
+    except TensorCalcError as exc:
+        return None, exc
+
+
+def _source_point(source, target, y):
+    return source.inverse(target.forward(y))
+
+
+@_OVERFLOW_NEAR_THE_AXIS
+@settings(max_examples=60, deadline=None)
+@given(case=_chart_cases())
+def test_chart_transform_rows_are_the_points_alone_and_the_jacobian_walk(case):
+    """Each row of a batch has the bits of its point evaluated alone, and
+    those of the walk through jacobians and DenseTensor.transform; a failing
+    row fails with the single point's error. Next to the cylindrical axis T
+    can be huge and the components overflow: the row holds them, as a chart
+    operator's row does, where the walk's DenseTensor refuses them."""
+    source, target, valency, points = case
+    field = _chart_field(valency)
+    moved = chart_to_chart_transform(field, source, target)
+    values, failures = moved.evaluate_batch(points)
+    for n, y in enumerate(points):
+        want, error = _single(moved, y)
+        if error is not None:
+            assert (type(failures[n]), str(failures[n])) == (type(error), str(error))
+            assert np.all(np.isnan(values[n]))
+            continue
+        assert n not in failures
+        assert np.array_equal(values[n], want, equal_nan=True)
+        y_source = _source_point(source, target, y)
+
+        def walk():
+            return (field.evaluate(y_source).transform(jacobians(source, y_source), NEW_TO_OLD)
+                    .transform(jacobians(target, y), OLD_TO_NEW).array)
+
+        if np.isfinite(values[n]).all():
+            assert np.array_equal(values[n], walk())
+        else:
+            with pytest.raises(ShapeError, match="must all be finite"):
+                walk()
+
+
+@_OVERFLOW_NEAR_THE_AXIS
+@settings(max_examples=40, deadline=None)
+@given(case=_chart_cases(valencies=st.just((0, 0))))
+def test_chart_transform_keeps_scalars_invariant(case):
+    source, target, valency, points = case
+    field = _chart_field(valency)
+    values, failures = chart_to_chart_transform(field, source, target).evaluate_batch(points)
+    for n, y in enumerate(points):
+        if n not in failures:
+            assert values[n] == field.evaluate_array(_source_point(source, target, y))
+
+
+@_OVERFLOW_NEAR_THE_AXIS
+@settings(max_examples=40, deadline=None)
+@given(case=_chart_cases(valencies=st.just((1, 0))))
+def test_chart_transform_moves_vectors_by_the_jacobians(case):
+    """v' = T(target) S(source) v, up to rounding of the two products."""
+    source, target, valency, points = case
+    field = _chart_field(valency)
+    values, failures = chart_to_chart_transform(field, source, target).evaluate_batch(points)
+    for n, y in enumerate(points):
+        if n in failures:
+            continue
+        y_source = _source_point(source, target, y)
+        S, T = jacobians(source, y_source).S, jacobians(target, y).T
+        v = field.evaluate_array(y_source)
+        bound = 1e-14 * (np.abs(T) @ np.abs(S) @ np.abs(v))
+        assert np.all(np.abs(values[n] - T @ (S @ v)) <= bound)

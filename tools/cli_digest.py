@@ -14,7 +14,9 @@ chart of the Cartesian operators); and christoffel and field-op laplace
 and div on a table chart whose tables hold a constant term, a fourth
 power and a zero frequency, with fields that include a 1e308 cubic term,
 so that every branch of the table differentiation runs, the overflowing
-multiplier kept as a trailing factor among them. Last come fixed
+multiplier kept as a trailing factor among them; and christoffel at one
+point next to the spherical pole and one next to the cylindrical axis,
+where the inverse Jacobian overflows. Last come fixed
 notation jobs (NOTATION_JOBS): check --explicit on one input per
 ParseError branch of the tokenizer and the parser, and on expressions
 written with tabs, newlines, U+00A0, the typographic minus and no spaces,
@@ -94,6 +96,10 @@ FIXED_JOBS += [(f"{command} quartic", [*command.split(), "--chart-file", _TABLE_
                                      ("field-op div", ["--field", _VECTOR, *_GRID]),
                                      ("field-op laplace", ["--field", _HUGE_SCALAR, *_SMALL]),
                                      ("field-op div", ["--field", _HUGE_VECTOR, *_SMALL]))]
+# points next to the spherical pole and the cylindrical axis, where the
+# inverse Jacobian overflows: each is skipped, and stderr holds no numpy warning
+FIXED_JOBS += [(f"christoffel {chart} edge", ["christoffel", "--chart", chart, "--point", point])
+               for chart, point in (("spherical", "1,5e-324,0"), ("cylindrical", "5e-324,1,0"))]
 
 
 # one input per ParseError branch, in the order the parser raises them,
