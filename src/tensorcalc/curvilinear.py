@@ -88,6 +88,7 @@ from .tensors import (
     Valency,
     _Frozen,
     _invert_stack,
+    _pair_test,
     _transform_slots,
 )
 
@@ -107,7 +108,6 @@ __all__ = [
 
 FD_CONSISTENCY_TOL = 1e-4
 ANALYTIC_CONSISTENCY_TOL = 1e-6
-_REINVERT_TOL = 1e-10  # ChartPoints takes T as S^-1 where |T S - I| is above this
 
 
 class Chart(_Frozen):
@@ -182,7 +182,10 @@ class Chart(_Frozen):
             if block <= 0:
                 raise DomainError(
                     f"could not sample {n} points inside chart {self.name!r}")
-            candidates = lo + (hi - lo) * rng.random((block, self.dim))
+            u = rng.random((block, self.dim))
+            with np.errstate(over="ignore", invalid="ignore"):  # where hi - lo overflows,
+                candidates = lo + (hi - lo) * u  # lo (1 - u) + hi u does not
+                candidates = np.where(np.isfinite(candidates), candidates, lo * (1 - u) + hi * u)
             attempts += block
             pts = np.concatenate([pts, candidates[self._inside(candidates)]])
         return pts
@@ -463,7 +466,8 @@ class ChartPoints:
     for.
 
     S, T, residual (transition): Jacobi matrices, and max |T S - I| from T
-        as the chart gives it (T is then re-inverted from S above 1e-10)
+        as the chart gives it; T is kept where it passes _pair_test, fails
+        above the chart tolerance, else is S^-1, held to _pair_test
     g, dual (metric): g = S^T S, the Gram matrix of the moving frame, and
         its inverse T T^T, the Gram matrix of the dual frame (rows of T);
         dual is exactly symmetric and C-contiguous
@@ -528,26 +532,23 @@ class ChartPoints:
         self._frame()
         self.T, failures = _inverse(chart, self.points)
         self._drop(failures)
-        S, T = self.S, self.T
-        with np.errstate(invalid="ignore", over="ignore"):  # judged just below
-            residual = np.abs(T @ S - np.eye(chart.dim)).max(axis=(1, 2), initial=0.0)
-        self.residual = residual
-        if residual.max(initial=0.0) <= _REINVERT_TOL:  # every T exact enough (NaN is not)
+        with np.errstate(invalid="ignore", over="ignore"):  # judged by _pair_test
+            self.residual, failures = _pair_test(self.S, self.T)
+        if not failures:  # every T as the chart gives it
             return
         tol = ANALYTIC_CONSISTENCY_TOL if chart.analytic else FD_CONSISTENCY_TOL
-        bad = ~(residual <= tol)
-        if bad.any():
-            bad = bad.nonzero()[0]
-            self._drop({k: DegenerateTransition(
-                f"Jacobi matrices of chart {chart.name!r} at {y} "
-                f"are not mutually inverse (residual {value!r})")
-                for k, y, value in zip(bad.tolist(), _row_texts(self.points[bad]),
-                                       residual[bad].tolist())})
-        redo = self.residual > _REINVERT_TOL
-        if redo.any():
-            redo = np.flatnonzero(redo)
-            self.T[redo], failures = _invert_stack(self.S[redo])
-            self._drop({redo[p]: exc for p, exc in failures.items()})
+        redo = np.fromiter(failures, dtype=np.intp, count=len(failures))
+        far = ~(self.residual[redo] <= tol)
+        bad, redo = redo[far], redo[~far]
+        failures = {k: DegenerateTransition(
+            f"Jacobi matrices of chart {chart.name!r} at {y} "
+            f"are not mutually inverse (residual {value!r})")
+            for k, y, value in zip(bad.tolist(), _row_texts(self.points[bad]),
+                                   self.residual[bad].tolist())}
+        self.T[redo], singular = _invert_stack(self.S[redo])  # held to the same test
+        with np.errstate(invalid="ignore", over="ignore"):
+            more = {**_pair_test(self.S[redo], self.T[redo])[1], **singular}
+        self._drop({**failures, **{redo[p]: exc for p, exc in more.items()}})
 
     def finish(self, values: np.ndarray, failures: dict = None):
         """Values and failures for every input row.
@@ -589,9 +590,9 @@ def jacobians(chart: Chart, y) -> TransitionPair:
 
     S comes from the forward map and T from the inverse map; their product
     is checked against the identity (1e-6 when both are analytic, 1e-4 for
-    FD) so a broken inverse map surfaces as DegenerateTransition. The
-    returned pair always satisfies the strict pair invariant: when the
-    independently obtained T is not exact enough, S is inverted instead.
+    FD) so a broken inverse map surfaces as DegenerateTransition. The pair
+    is the ChartPoints transition row at y (T, or S^-1 where T fails
+    TransitionPair's test), and it fails where every chart operator does.
     """
     state = _at(chart, y, transition=True)
     return TransitionPair(state.S[0], state.T[0])
@@ -746,22 +747,12 @@ def chart_to_chart_transform(field: TensorField, source: Chart,
     point: frame components at the matching source point are pushed to the
     ambient basis with the source Jacobians and pulled back with the
     target's, as stacks. A point fails alone, at the first of: the target's
-    domain and transition (as in jacobians), its forward map, the source's
+    domain and transition (the ChartPoints stages), its forward map, the source's
     inverse map and domain ("charts do not overlap here"), the source's
     transition, the field. Each domain is checked once per point.
     """
 
-    def pairs(state):  # jacobians' TransitionPair test, which only a re-inverted T can fail
-        failures = {}
-        for k in np.flatnonzero(state.residual > _REINVERT_TOL).tolist():
-            try:
-                TransitionPair(state.S[k], state.T[k])
-            except DegenerateTransition as exc:
-                failures[k] = exc
-        state._drop(failures)
-
     def body(there, t):
-        pairs(there)
         x, failures = _map_rows(target.forward, there.points, (target.dim,), "forward")
         y, more = _map_rows(source.inverse, x, (source.dim,), "inverse")
         here = ChartPoints(source, y)
@@ -770,7 +761,6 @@ def chart_to_chart_transform(field: TensorField, source: Chart,
             f"point {text} is outside chart {source.name!r}; charts do not overlap here")
             for k, text in zip(rows, _row_texts(x[rows]))}
         here._transition()
-        pairs(here)
         values, failures = field.evaluate_batch(here.points, t)
         values = _transform_slots(values, field.valency, here, NEW_TO_OLD)
         values, failures = here.finish(values, failures)
@@ -1256,7 +1246,8 @@ def load_chart(source) -> Chart:
         if not span > 0:
             raise ParameterError(f"chart {name!r} bounds: axis {a + 1} min {a_lo!r} "
                                  f"is not below max {a_hi!r}")
-        sample.append((a_lo + 0.1 * span, a_hi - 0.1 * span))
+        sample.append((a_lo + 0.1 * span, a_hi - 0.1 * span) if span < math.inf
+                      else (0.9 * a_lo + 0.1 * a_hi, 0.1 * a_lo + 0.9 * a_hi))  # no overflow
 
     has_domain = any(b is not None for b in lo + hi)
     return Chart(name, forward, inverse, jac_forward, jac_inverse, jac_forward_partials,

@@ -18,7 +18,9 @@ direction rule is _slot_matrices, read by the frames module's vector,
 covector, operator and bilinear-form laws and by the one slot loop,
 _transform_slots, that DenseTensor.transform runs on a tensor and
 chart_to_chart_transform on a stack of tensors with one (S, T) per row.
-Chaining two changes of basis agrees with the composed transition pair.
+Chaining two changes of basis agrees with the composed transition pair. The
+one T.S = I test, _pair_test, takes a stack of pairs: one in TransitionPair,
+one per point in the transition stage of curvilinear.ChartPoints.
 """
 
 from __future__ import annotations
@@ -365,6 +367,19 @@ def _invert_stack(matrices: np.ndarray):
     return inverses, failures
 
 
+def _pair_test(S: np.ndarray, T: np.ndarray):
+    """T S = I within INVERSE_TOL for a stack of pairs: ``(residual,
+    failures)``, residual[n] = max |T S - I| of pair n; failures maps every
+    pair above the tolerance or not finite to its DegenerateTransition."""
+    residual = np.abs(T @ S - np.eye(S.shape[-1])).max(axis=(1, 2))
+    if residual.max(initial=0.0) <= INVERSE_TOL:  # every pair passes (NaN does not)
+        return residual, {}
+    bad = np.flatnonzero(~(residual <= INVERSE_TOL))
+    return residual, {n: DegenerateTransition(
+        f"T.S deviates from identity by {value!r} (tolerance {INVERSE_TOL})")
+        for n, value in zip(bad.tolist(), residual[bad].tolist())}
+
+
 def invert_matrix(matrix: np.ndarray) -> np.ndarray:
     """Inverse with an explicit scale-aware singularity check.
 
@@ -398,11 +413,9 @@ class TransitionPair(_Frozen):
             raise ShapeError(f"S must be square, got shape {S.shape}")
         if T.shape != S.shape:
             raise ShapeError(f"T shape {T.shape} does not match S shape {S.shape}")
-        residual = float(np.max(np.abs(T @ S - np.eye(S.shape[0]))))
-        if not math.isfinite(residual) or residual > INVERSE_TOL:
-            raise DegenerateTransition(
-                f"T.S deviates from identity by {residual!r} (tolerance {INVERSE_TOL})"
-            )
+        failures = _pair_test(S[None], T[None])[1]
+        if failures:
+            raise failures[0]
         S = S.copy()
         T = T.copy()
         S.flags.writeable = False

@@ -129,9 +129,12 @@ OPERATORS.update({
 SCHEMES = [DifferentiationScheme(2), DifferentiationScheme(4),
            DifferentiationScheme(2, step=1e-4)]
 
-# points off the domain of some chart: poles, axis, origin, bounds, NaN
+# points off the domain of some chart: poles, axis, origin, bounds, NaN;
+# then points next to the spherical pole and the cylindrical axis, where a
+# T re-inverted from S can fail TransitionPair's test
 SPECIAL = [(1.0, 0.0, 0.3), (0.0, 1.0, 1.0), (-1.0, 1.0, 0.5), (2.5, 0.4, 0.0),
-           (0.0, 0.2, 0.1), (math.nan, 1.0, 1.0), (1.0, math.pi, 0.2)]
+           (0.0, 0.2, 0.1), (math.nan, 1.0, 1.0), (1.0, math.pi, 0.2),
+           (2.0, 1e-9, 1.0), (1e-9, 0.3, 1.0)]
 
 
 @st.composite
@@ -410,6 +413,13 @@ def test_sample_points_match_the_rejection_loop(name, seed):
         assert got_rng.random() == want_rng.random()
 
 
+def test_sample_points_in_a_box_wider_than_the_largest_float_are_finite():
+    wide = Chart("wide", lambda y: y, lambda x: x, sample_bounds=[(-1e308, 1e308)] * 3)
+    points = wide.sample_points(50, np.random.default_rng(0))
+    assert points.shape == (50, 3)
+    assert np.isfinite(points).all() and (np.abs(points) <= 1e308).all()
+
+
 def test_sample_points_gives_up_like_the_rejection_loop():
     never = Chart("never", lambda y: y, lambda x: x, domain=lambda y: False)
     with pytest.raises(DomainError, match="could not sample 3 points"):
@@ -464,8 +474,9 @@ def _scaled_inverse_chart(factor):
 
 
 class TestTransitionReinversion:
-    """A T within the transition tolerance but off by more than 1e-10 is
-    replaced by the inverse of S; one off by more than the tolerance fails."""
+    """A T within the transition tolerance but failing TransitionPair's
+    T S = I test (off by more than 1e-9) is replaced by the inverse of S;
+    one off by more than the tolerance fails."""
 
     POINTS = CHARTS["cylindrical"].sample_points(40, np.random.default_rng(3))
 
@@ -486,3 +497,37 @@ class TestTransitionReinversion:
         assert sorted(state.failures) == list(range(len(self.POINTS)))
         assert all(isinstance(exc, DegenerateTransition) and "not mutually inverse" in str(exc)
                    for exc in state.failures.values())
+
+
+# -- one T S = I rule at every entry point ----------------------------------------
+
+NEAR_EDGE = ([("spherical", (2.0, h, 1.0)) for h in (1e-10, 1e-9, 1e-8, 1e-7)]
+             + [("cylindrical", (h, 0.3, 1.0)) for h in (1e-10, 1e-9, 1e-8, 1e-7)])
+
+
+def _outcome(fn, y):
+    """("ok", value) or (exception class, message) of one single-point call."""
+    try:
+        return "ok", fn(y)
+    except (DomainError, DegenerateTransition, DegenerateMetric) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("chart, y", NEAR_EDGE)
+def test_every_entry_point_applies_the_one_transition_rule(chart, y):
+    chart = CHARTS[chart]
+    calls = {"jacobians": lambda y: tc.jacobians(chart, y),
+             "metric_in_chart": lambda y: metric_in_chart(chart, y),
+             "christoffel": lambda y: tc.christoffel(chart, y),
+             "transform": tc.chart_to_chart_transform(VECTOR, CHARTS["identity"], chart).evaluate}
+    # not nabla-g: the probes of its field, the chart metric, cross the pole and the axis
+    calls.update((op, OPERATORS[op](chart, DifferentiationScheme(2)).evaluate)
+                 for op in OPERATORS if not op.startswith(("cartesian", "nabla-g")))
+    outcomes = {name: _outcome(fn, y) for name, fn in calls.items()}
+    state = ChartPoints(chart, [y], transition=True, metric=True, christoffel=True)
+    if state.failures:
+        outcomes["ChartPoints"] = type(state.failures[0]), str(state.failures[0])
+        assert len(set(outcomes.values())) == 1, outcomes
+    else:
+        assert all(kind == "ok" for kind, _ in outcomes.values()), outcomes
+        assert np.array_equal(state.T[0], outcomes["jacobians"][1].T)

@@ -323,6 +323,21 @@ def test_a_one_sided_bound_beyond_the_default_loads_and_samples_its_domain(bound
     assert chart.domain(points).all()
 
 
+_IDENTITY_TABLES = [[{"coeff": 1.0, "powers": p}] for p in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+
+
+@pytest.mark.parametrize("bound, box", [(1e300, (-1e300 + 0.1 * 2e300, 1e300 - 0.1 * 2e300)),
+                                        (1e308, (-8e307, 8e307))])
+def test_bounds_wider_than_the_largest_float_sample_and_audit(capsys, tmp_path, bound, box):
+    # max - min overflows at 1e308: the box is then 0.9 min + 0.1 max to 0.1 min + 0.9 max
+    config = {"name": "wide", "forward": _IDENTITY_TABLES, "inverse": _IDENTITY_TABLES,
+              "bounds": {"min": [-bound] * 3, "max": [bound] * 3}}
+    assert load_chart(config).sample_bounds == (pytest.approx(box, rel=1e-15),) * 3
+    code, out = _audit(capsys, tmp_path, config)
+    assert code == 0
+    assert out.endswith("verdict: PASS\n")
+
+
 def test_integral_float_powers_count_and_fractional_ones_fail():
     config = json.loads(json.dumps(SHEAR_CONFIG))
     config["forward"][2] = [{"coeff": 1.0, "powers": [0, 0, 2.0]}]

@@ -16,7 +16,10 @@ power and a zero frequency, with fields that include a 1e308 cubic term,
 so that every branch of the table differentiation runs, the overflowing
 multiplier kept as a trailing factor among them; and christoffel at one
 point next to the spherical pole and one next to the cylindrical axis,
-where the inverse Jacobian overflows. Last come fixed
+where the inverse Jacobian overflows; then christoffel at spherical
+[2, 1e-9, 1] and field-op laplace of r^2 at cylindrical [1e-9, 0.3, 1] and
+[1e-8, 0.3, 1], where the transition stage's T S = I test decides whether
+the point is skipped and which T it keeps. Last come fixed
 notation jobs (NOTATION_JOBS): check --explicit on one input per
 ParseError branch of the tokenizer and the parser, and on expressions
 written with tabs, newlines, U+00A0, the typographic minus and no spaces,
@@ -100,6 +103,15 @@ FIXED_JOBS += [(f"{command} quartic", [*command.split(), "--chart-file", _TABLE_
 # inverse Jacobian overflows: each is skipped, and stderr holds no numpy warning
 FIXED_JOBS += [(f"christoffel {chart} edge", ["christoffel", "--chart", chart, "--point", point])
                for chart, point in (("spherical", "1,5e-324,0"), ("cylindrical", "5e-324,1,0"))]
+# points nearer the pole and the axis, where T re-inverted from S may fail
+# the T S = I test of TransitionPair (then the point is skipped) and where
+# a T that passes it is kept as the chart gives it
+_RADIUS_SQUARED = '{"r": 0, "s": 0, "components": [[{"coeff": 1.0, "powers": [2, 0, 0]}]]}'
+FIXED_JOBS += [("christoffel spherical near pole",
+                ["christoffel", "--chart", "spherical", "--point", "2,1e-9,1"])]
+FIXED_JOBS += [("field-op laplace cylindrical near axis",
+                ["field-op", "laplace", "--chart", "cylindrical", "--field", _RADIUS_SQUARED,
+                 "--point", point]) for point in ("1e-9,0.3,1", "1e-8,0.3,1")]
 
 
 # one input per ParseError branch, in the order the parser raises them,
