@@ -93,7 +93,7 @@ from .curvilinear import (
 
 __version__ = "0.1.0"
 
-zeros = DenseTensor.zeros  # the public name stays; the tensors.zeros wrapper is gone
+zeros = DenseTensor.zeros
 
 # Re-exported names of the modules that load on first access. __getattr__
 # looks each one up on every access and never stores it in this namespace:

@@ -100,10 +100,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _scheme(ns: argparse.Namespace) -> DifferentiationScheme:
-    return DifferentiationScheme(4 if ns.scheme == "central4" else 2, ns.step)
-
-
 def _chart(ns: argparse.Namespace) -> curvilinear.Chart:
     if ns.chart_file:
         return curvilinear.load_chart(ns.chart_file)
@@ -293,23 +289,22 @@ def cmd_christoffel(ns: argparse.Namespace) -> int:
 _FIELD_OPS = ("grad", "div", "rot", "laplace")
 
 
-def _build_operator(op: str, chart, field_input: TensorField, slot: int,
-                    scheme: DifferentiationScheme) -> TensorField:
+def _build_operator(op: str, chart, field_input: TensorField, slot: int) -> TensorField:
     if op == "grad":
-        return curvilinear.gradient_vector_in_chart(chart, field_input, scheme)
+        return curvilinear.gradient_vector_in_chart(chart, field_input)
     if op == "div":
-        return curvilinear.divergence_in_chart(chart, field_input, slot, scheme)
+        return curvilinear.divergence_in_chart(chart, field_input, slot)
     if op == "rot":
-        return curvilinear.rotor_in_chart(chart, field_input, scheme)
+        return curvilinear.rotor_in_chart(chart, field_input)
     if op == "laplace":
-        return curvilinear.laplacian_in_chart(chart, field_input, scheme)
+        return curvilinear.laplacian_in_chart(chart, field_input)
     raise ParameterError(f"unknown operator {op!r}; choose from {_FIELD_OPS}")
 
 
 def cmd_field_op(ns: argparse.Namespace) -> int:
     chart = _chart(ns)
     field_input = load_field(ns.field)
-    result = _build_operator(ns.op, chart, field_input, ns.slot, _scheme(ns))
+    result = _build_operator(ns.op, chart, field_input, ns.slot)
     points = _sample_points(ns)
     values, failures = result.evaluate_batch(points)
     if failures or not np.isfinite(values).all():
@@ -377,7 +372,8 @@ def cmd_audit(ns: argparse.Namespace) -> int:
     breached = False
     try:
         points = chart.sample_points(ns.points, rng)
-        checks = _audit_checks(chart, points, _scheme(ns))
+        scheme = DifferentiationScheme(4 if ns.scheme == "central4" else 2, ns.step)
+        checks = _audit_checks(chart, points, scheme)
     except (DomainError, DegenerateTransition, DegenerateMetric, ShapeError) as exc:
         lines.append(f"check aborted: {exc}")
         lines.append("verdict: FAIL")
@@ -422,12 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to a file instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    def add_scheme_flags(p):
-        p.add_argument("--scheme", choices=("central2", "central4"),
-                       default="central2")
-        p.add_argument("--step", type=float, default=None,
-                       help="fixed finite-difference step")
-
     p_check = sub.add_parser("check", help="validate an index expression")
     p_check.add_argument("expr")
     p_check.add_argument("--dim", type=int, default=3)
@@ -454,14 +444,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fop.add_argument("--slot", type=int, default=1,
                        help="upper slot for div on multi-index fields")
     add_sampling_flags(p_fop)
-    add_scheme_flags(p_fop)
+    p_fop.add_argument("--scheme", choices=("central2", "central4"),
+                       help="ignored: table fields take no finite differences")
     add_output_flags(p_fop)
 
     p_audit = sub.add_parser("audit", help="run chart invariant checks")
     add_chart_flags(p_audit)
     p_audit.add_argument("--points", type=int, default=100)
     p_audit.add_argument("--seed", type=int, default=42)
-    add_scheme_flags(p_audit)
+    p_audit.add_argument("--scheme", choices=("central2", "central4"),
+                         default="central2")
+    p_audit.add_argument("--step", type=float, default=None,
+                         help="fixed finite-difference step")
     p_audit.add_argument("--out")
 
     return parser

@@ -26,15 +26,16 @@ else then falls back to central finite differences, taken for a whole
 point array at once. Singular points (cylindrical axis, spherical poles)
 are excluded by domain predicates and fail fast with DomainError.
 
-ChartPoints computes S, T, the metric and the Christoffel symbols of a
-point array once; the metric is the Gram matrix S^T S of the moving frame
-and its inverse the Gram matrix T T^T of the dual frame, both formed by
-the metric module, as is the volume |det S| (metric._gram, _dual_gram,
-_frame_volume). The chart operators, chart_to_chart_transform among them,
-evaluate a point array in one pass through it (TensorField.evaluate_batch);
-a point that fails, outside the domain, at a degenerate transition (a
-singular S among them), or in a chart callable (see fields._map_rows),
-fails alone, with the exception the single-point call raises.
+ChartPoints computes S, T and the Christoffel symbols of a point array
+once, and the metric from S and T when it is read: the Gram matrix S^T S
+of the moving frame and its inverse the Gram matrix T T^T of the dual
+frame, both formed by the metric module, as is the volume |det S|
+(metric._gram, _dual_gram, _frame_volume). The chart operators,
+chart_to_chart_transform among them, evaluate a point array in one pass
+through it (TensorField.evaluate_batch); a point that fails, outside the
+domain, at a degenerate transition (a singular S among them), or in a
+chart callable (see fields._map_rows), fails alone, with the exception
+the single-point call raises.
 
 The Cartesian operators (nabla, gradient_covector, gradient_vector,
 divergence, laplacian, rotor, dalembert) are the chart operators on the
@@ -87,6 +88,7 @@ from .tensors import (
     TransitionPair,
     Valency,
     _Frozen,
+    _check_slot,
     _invert_stack,
     _pair_test,
     _transform_slots,
@@ -454,35 +456,35 @@ def _second_partials(chart: Chart, y: np.ndarray):
 class ChartPoints:
     """Chart quantities at an (N, dim) array of points, each computed once.
 
-    The stages asked for run in a fixed order (domain, transition, metric,
-    Christoffel symbols), each on the rows that passed the ones before it;
-    the metric and the Christoffel symbols imply the transition stage. A
-    row that fails a stage is dropped, and ``failures`` maps its row number
-    to the exception the single-point functions raise there, with the same
-    message: DomainError outside the domain, DegenerateTransition where S
-    and T are not mutually inverse (a singular S among them). ``index``
-    holds the rows that passed and ``points`` their coordinates; the arrays
-    below have one entry per such row and are None for stages not asked
-    for.
+    The stages are the steps that can fail a row. Those asked for run in a
+    fixed order (domain, transition, Christoffel symbols), each on the rows
+    that passed the ones before it; the Christoffel symbols imply the
+    transition stage. A row that fails a stage is dropped, and
+    ``failures`` maps its row number to the exception the single-point
+    functions raise there, with the same message: DomainError outside the
+    domain, DegenerateTransition where S and T are not mutually inverse (a
+    singular S among them). ``index`` holds the rows that passed and
+    ``points`` their coordinates; the arrays below have one entry per such
+    row and are None for stages not asked for.
 
     S, T, residual (transition): Jacobi matrices, and max |T S - I| from T
         as the chart gives it; T is kept where it passes _pair_test, fails
         above the chart tolerance, else is S^-1, held to _pair_test
-    g, dual (metric): g = S^T S, the Gram matrix of the moving frame, and
-        its inverse T T^T, the Gram matrix of the dual frame (rows of T);
-        dual is exactly symmetric and C-contiguous
     gamma (christoffel): gamma[n, k, i, j] with upper index k and lower
         indices i, j
+    g, dual (transition; formed from S and T on each read): g = S^T S, the
+        Gram matrix of the moving frame, and its inverse T T^T, that of the
+        dual frame (rows of T); dual is exactly symmetric and C-contiguous
 
     dual and gamma are each one stacked matmul on C-contiguous operands, so
     a row gets the same bits alone as in any batch.
     """
 
-    _ROWS = ("index", "points", "S", "T", "residual", "g", "dual", "gamma")
-    S = T = residual = g = dual = gamma = None
+    _ROWS = ("index", "points", "S", "T", "residual", "gamma")
+    S = T = residual = gamma = None
 
     def __init__(self, chart: Chart, points, transition: bool = False,
-                 metric: bool = False, christoffel: bool = False):
+                 christoffel: bool = False):
         points = _points(points, chart.dim)
         self.chart = chart
         self.count = len(points)
@@ -494,19 +496,23 @@ class ChartPoints:
             outside = outside.nonzero()[0]
             self._drop({k: DomainError(f"point {y} outside domain of chart {chart.name!r}")
                         for k, y in zip(outside.tolist(), _row_texts(points[outside]))})
-        if not (transition or metric or christoffel):
+        if not (transition or christoffel):
             return
         self._transition()
-        T = np.ascontiguousarray(self.T)
-        if metric:
-            self.g = _gram(self.S)
-            self.dual = _dual_gram(T)
         if christoffel:
             dS, failures = _second_partials(chart, self.points)
             n, d = dS.shape[:2]
-            # one (d, d) @ (d, d*d) product per point
+            T = np.ascontiguousarray(self.T)  # one (d, d) @ (d, d*d) product per point
             self.gamma = (T @ dS.reshape(n, d, d * d)).reshape(dS.shape)
             self._drop(failures)
+
+    @property
+    def g(self):
+        return None if self.T is None else _gram(self.S)
+
+    @property
+    def dual(self):
+        return None if self.T is None else _dual_gram(self.T)
 
     def _drop(self, errors: dict):
         """Record errors[k] for every row k listed and drop those rows."""
@@ -624,7 +630,7 @@ def metric_in_chart(chart: Chart, y) -> Metric:
 
     Metric.from_frame(jacobians(chart, y)): it fails where jacobians does
     (DegenerateTransition at a singular frame), and its matrix, dual and
-    sqrt_det are the ChartPoints metric stage's at y, bit for bit.
+    sqrt_det are the ChartPoints g, dual and |det S| at y, bit for bit.
     """
     return Metric.from_frame(jacobians(chart, y))
 
@@ -706,8 +712,8 @@ def _covariant(state: ChartPoints, field: TensorField, t,
 def _chart_field(chart: Chart, field: TensorField, valency: Valency, body: Callable,
                  **stages) -> TensorField:
     """The chart operator field of ``valency`` over ``field``: body(state, t)
-    gives ``(values, failures)`` at the rows that pass state =
-    ChartPoints(chart, points, **stages), and state.finish spreads them."""
+    gives ``(values, failures)`` at the rows left in state = ChartPoints(chart,
+    points, **stages), if any, and state.finish spreads them."""
     if field.dim != chart.dim:
         raise ShapeError(f"field of dimension {field.dim} on chart {chart.name!r} "
                          f"of dimension {chart.dim}")
@@ -715,6 +721,8 @@ def _chart_field(chart: Chart, field: TensorField, valency: Valency, body: Calla
     @_batched
     def func(points, t=None):
         state = ChartPoints(chart, points, **stages)
+        if not len(state.index):
+            return state.finish(np.empty((0,) + (field.dim,) * valency.order))
         return state.finish(*body(state, t))
 
     return TensorField(valency, func, field.dim, has_parameter=field.has_parameter)
@@ -810,7 +818,7 @@ def gradient_vector_in_chart(chart: Chart, phi: TensorField,
         # elementwise, then summed along each row: einsum's last bits vary with N
         return np.sum(state.dual * covector[:, None, :], axis=2), failures
 
-    return _chart_field(chart, phi, Valency(1, 0), body, metric=True)
+    return _chart_field(chart, phi, Valency(1, 0), body, transition=True)
 
 
 def divergence_in_chart(chart: Chart, field: TensorField, slot: int = 1,
@@ -819,8 +827,7 @@ def divergence_in_chart(chart: Chart, field: TensorField, slot: int = 1,
     r = field.valency.r
     if r < 1:
         raise ShapeError("divergence needs at least one upper slot")
-    if not 1 <= slot <= r:
-        raise ShapeError(f"upper slot {slot} out of range 1..{r}")
+    _check_slot("upper", slot, r)
     scheme = _scheme(scheme)
 
     def body(state, t):
@@ -847,7 +854,7 @@ def laplacian_in_chart(chart: Chart, phi: TensorField,
         second = hess - np.einsum("nkij,nk->nij", state.gamma, first)
         return np.sum(state.dual * second, axis=(1, 2)), failures
 
-    return _chart_field(chart, phi, Valency(0, 0), body, metric=True, christoffel=True)
+    return _chart_field(chart, phi, Valency(0, 0), body, christoffel=True)
 
 
 def rotor_in_chart(chart: Chart, field: TensorField,
@@ -876,7 +883,7 @@ def rotor_in_chart(chart: Chart, field: TensorField,
             np.add, (dual[:, :, i] * low[:, i, None] for i in range(3)))
         return rot, failures
 
-    return _chart_field(chart, field, Valency(1, 0), body, metric=True, christoffel=True)
+    return _chart_field(chart, field, Valency(1, 0), body, christoffel=True)
 
 
 # -- Cartesian operators: the chart operators on a flat chart ----------------------

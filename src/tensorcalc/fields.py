@@ -29,7 +29,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .tensors import DEFAULT_DIM, DenseTensor, Valency, _Frozen
+from .tensors import DEFAULT_DIM, DenseTensor, Valency, _Frozen, _as_valency
 
 __all__ = ["DifferentiationScheme", "TensorField", "derivative_table",
            "parameter_derivative"]
@@ -236,9 +236,7 @@ class TensorField(_Frozen):
 
     def __init__(self, valency, func, dim: int = DEFAULT_DIM,
                  partials=None, has_parameter: bool = False, second_partials=None):
-        if not isinstance(valency, Valency):
-            valency = Valency(*valency)
-        object.__setattr__(self, "valency", valency)
+        object.__setattr__(self, "valency", _as_valency(valency))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "has_parameter", bool(has_parameter))
         object.__setattr__(self, "_func", func)

@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateMetric, ShapeError, TensorIndexError, UnsupportedDimension
-from .tensors import DEFAULT_DIM, DenseTensor, TransitionPair, Valency, _Frozen
+from .errors import DegenerateMetric, ShapeError, UnsupportedDimension
+from .tensors import DEFAULT_DIM, DenseTensor, TransitionPair, Valency, _Frozen, _check_slot
 
 if TYPE_CHECKING:  # frames loads on first use (see the package docstring)
     from .frames import Basis
@@ -174,8 +174,7 @@ def raise_index(metric: Metric, tensor: DenseTensor, lower_slot: int) -> DenseTe
     X^{p ...} = sum_s g^{ps} X_{... s ...}, valency (r, s) -> (r+1, s-1).
     """
     r, s = tensor.valency.r, tensor.valency.s
-    if not 1 <= lower_slot <= s:
-        raise TensorIndexError(f"lower slot {lower_slot} out of range 1..{s}")
+    _check_slot("lower", lower_slot, s)
     if metric.dim != tensor.dim:
         raise ShapeError("metric dimension does not match tensor")
     axis = r + lower_slot - 1
@@ -190,8 +189,7 @@ def lower_index(metric: Metric, tensor: DenseTensor, upper_slot: int) -> DenseTe
     X_{p ...} = sum_s g_{ps} X^{... s ...}, valency (r, s) -> (r-1, s+1).
     """
     r, s = tensor.valency.r, tensor.valency.s
-    if not 1 <= upper_slot <= r:
-        raise TensorIndexError(f"upper slot {upper_slot} out of range 1..{r}")
+    _check_slot("upper", upper_slot, r)
     if metric.dim != tensor.dim:
         raise ShapeError("metric dimension does not match tensor")
     axis = upper_slot - 1

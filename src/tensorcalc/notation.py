@@ -18,11 +18,11 @@ The tokenizer is one ``findall`` pass of one regular expression: each match
 is a token with the whitespace in front of it, and a token's offset is the
 sum of the match lengths before it. The AST records IndexOccurrence,
 Factor, Term and TermIndices are immutable named tuples. Being tuples, they
-compare equal to plain tuples of the same fields (they did not as frozen
-dataclasses), and ``_replace`` and ``_fields`` take the place of
-``dataclasses.replace`` and ``dataclasses.fields``. Violation (whose
-``index`` field would hide ``tuple.index``), ValidationReport and
-IndexExpression are frozen dataclasses.
+compare equal to plain tuples of the same fields, and ``_replace`` and
+``_fields`` take the place of ``dataclasses.replace`` and
+``dataclasses.fields``. Violation (whose ``index`` field would hide
+``tuple.index``), ValidationReport and IndexExpression are frozen
+dataclasses.
 
 Validation applies the two classical well-formedness rules. Within each
 term an index letter occurring once is free and occurring twice is a

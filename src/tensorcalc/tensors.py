@@ -99,6 +99,11 @@ def _slot_matrices(pair, direction: str):
         f"direction must be {OLD_TO_NEW!r} or {NEW_TO_OLD!r}, got {direction!r}")
 
 
+def _check_slot(level: str, slot: int, count: int):
+    if not 1 <= slot <= count:
+        raise TensorIndexError(f"{level} slot {slot} out of range 1..{count}")
+
+
 def _check_slot_indices(name: str, idx: Sequence[int], count: int, dim: int):
     if len(idx) != count:
         raise TensorIndexError(
@@ -252,10 +257,8 @@ class DenseTensor(_Frozen):
     def contract(self, upper_slot: int, lower_slot: int) -> "DenseTensor":
         """Sum over one upper and one lower slot (1-based slot numbers)."""
         r, s = self.valency.r, self.valency.s
-        if not 1 <= upper_slot <= r:
-            raise TensorIndexError(f"upper slot {upper_slot} out of range 1..{r}")
-        if not 1 <= lower_slot <= s:
-            raise TensorIndexError(f"lower slot {lower_slot} out of range 1..{s}")
+        _check_slot("upper", upper_slot, r)
+        _check_slot("lower", lower_slot, s)
         array = np.trace(self._array, axis1=upper_slot - 1, axis2=r + lower_slot - 1)
         return DenseTensor(Valency(r - 1, s - 1), self.dim, array)
 

@@ -1,8 +1,8 @@
-"""The chart metric stage: g^-1 from the dual frame, sqrt(g) from the frame.
+"""The chart metric: g^-1 from the dual frame, sqrt(g) from the frame.
 
-ChartPoints(metric=True) takes g = S^T S and its inverse as T T^T, the Gram
-matrix of the dual frame, after the transition stage has checked T against
-S; the rotor takes sqrt(det g) as |det S|. These tests pin the dual against
+ChartPoints(transition=True) gives g = S^T S and its inverse as T T^T, the
+Gram matrix of the dual frame, after the transition stage has checked T
+against S; the rotor takes sqrt(det g) as |det S|. These tests pin the dual against
 closed forms down to the spherical poles, its layout and its bits, the
 volume against r^2 sin(theta), and the stage contract: metric_field never
 evaluates T, and every chart operator fails a singular S in the transition
@@ -71,7 +71,7 @@ def _assert_close_to_largest(got, want, tol):
 
 def test_spherical_dual_matches_its_closed_form_down_to_the_poles():
     points = _points(np.random.default_rng(3), 2000)
-    state = ChartPoints(SPH, points, metric=True)
+    state = ChartPoints(SPH, points, transition=True)
     assert not state.failures
     r, theta = points[:, 0], points[:, 1]
     want = np.zeros((len(points), 3, 3))
@@ -86,7 +86,7 @@ def test_spherical_dual_matches_its_closed_form_down_to_the_poles():
 
 def test_cylindrical_dual_matches_its_closed_form():
     points = _points(np.random.default_rng(4), 2000)
-    state = ChartPoints(CYL, points, metric=True)
+    state = ChartPoints(CYL, points, transition=True)
     assert not state.failures
     want = np.zeros((len(points), 3, 3))
     want[:, 0, 0] = want[:, 2, 2] = 1.0
@@ -148,7 +148,7 @@ LAYOUT_CHARTS = {"spherical": SPH, "cylindrical": CYL, "skew": SKEW,
 @pytest.mark.parametrize("name", sorted(LAYOUT_CHARTS))
 def test_dual_is_exactly_symmetric_and_c_contiguous(name):
     points = _points(np.random.default_rng(6), 500, theta_lo=0.3, r_hi=1.9)
-    state = ChartPoints(LAYOUT_CHARTS[name], points, metric=True)
+    state = ChartPoints(LAYOUT_CHARTS[name], points, transition=True)
     assert len(state.index) == len(points)
     assert state.dual.flags.c_contiguous
     assert np.array_equal(state.dual, np.swapaxes(state.dual, 1, 2))
@@ -158,9 +158,9 @@ def test_dual_is_exactly_symmetric_and_c_contiguous(name):
 @pytest.mark.parametrize("n", [2, 7, 1000])
 def test_one_point_dual_equals_its_row_in_a_batch(name, n):
     points = _points(np.random.default_rng(n), n, theta_lo=0.3, r_hi=1.9)
-    batch = ChartPoints(LAYOUT_CHARTS[name], points, metric=True)
+    batch = ChartPoints(LAYOUT_CHARTS[name], points, transition=True)
     for k in range(0, n, max(1, n // 25)):
-        alone = ChartPoints(LAYOUT_CHARTS[name], points[k:k + 1], metric=True)
+        alone = ChartPoints(LAYOUT_CHARTS[name], points[k:k + 1], transition=True)
         assert np.array_equal(alone.dual[0], batch.dual[k])
         assert np.array_equal(alone.g[0], batch.g[k])
 
@@ -187,7 +187,7 @@ def test_metric_field_never_calls_jac_inverse(name):
     for scheme in (DifferentiationScheme(2), DifferentiationScheme(4)):
         _partials(field, points, None, scheme, second=True)   # the audit's FD probes
     assert calls == []
-    ChartPoints(chart, points, metric=True)   # the counter does count
+    ChartPoints(chart, points, transition=True)   # the counter does count
     assert calls == [(20, 3)]
 
 
@@ -269,7 +269,7 @@ def test_metric_in_chart_fails_a_singular_frame_as_jacobians_does():
 def test_metric_in_chart_is_the_chart_points_metric_bit_for_bit(name):
     chart = LAYOUT_CHARTS[name]
     points = _points(np.random.default_rng(9), 400, theta_lo=0.3, r_hi=1.9)
-    state = ChartPoints(chart, points, metric=True)
+    state = ChartPoints(chart, points, transition=True)
     assert len(state.index) == len(points)
     volume = _frame_volume(state.S)
     for k, y in enumerate(points):

@@ -498,6 +498,15 @@ class TestRejectedInputs:
             rotor_in_chart(plane, TensorField.vector(lambda y: np.array(y), dim=2))
 
 
+    def test_divergence_slot_beyond_the_upper_slots_is_contract_s_error(self):
+        vector = TensorField.vector(lambda y: np.array(y))
+        with pytest.raises(TensorIndexError) as got:
+            divergence_in_chart(SPH, vector, slot=2)
+        with pytest.raises(TensorIndexError) as want:
+            tc.DenseTensor.from_array(np.eye(3), 1, 1).contract(2, 1)
+        assert str(got.value) == str(want.value) == "upper slot 2 out of range 1..1"
+
+
 class TestCustomCharts:
     def shear_config(self):
         return {

@@ -53,6 +53,12 @@ class TestTensorField:
         f = TensorField.constant(t)
         assert f.evaluate(rng.normal(size=3)).allclose(t)
 
+    def test_valency_pair_of_floats_is_coerced_as_for_dense_tensors(self):
+        f = TensorField((1.0, 0), lambda p: np.asarray(p, dtype=float))
+        assert f.valency == Valency(1, 0)
+        want = DenseTensor.from_array([1.0, 2.0, 5.0], 1, 0)
+        assert f.evaluate(want.array).allclose(want)
+
     def test_parameter_required_when_declared(self):
         f = TensorField.scalar(lambda p, t: t * p[0], has_parameter=True)
         with pytest.raises(ParameterError):

@@ -101,7 +101,10 @@ def test_field_op_runs_no_finite_differences(capsys, tmp_path, monkeypatch, op, 
 def test_scheme_and_step_do_not_change_a_table_field(capsys, tmp_path, op, chart):
     want = _field_op(capsys, tmp_path, op, chart, "--scheme", "central2")
     assert _field_op(capsys, tmp_path, op, chart, "--scheme", "central4") == want
-    assert _field_op(capsys, tmp_path, op, chart, "--step", "0.1") == want
+    # field-op has no --step: a table field takes no finite differences
+    assert main(["field-op", op, *_chart_argv(chart, tmp_path), "--field",
+                 str(tmp_path / f"{op}.json"), *SAMPLES[chart], "--step", "0.1"]) == 2
+    assert "unrecognized arguments: --step" in capsys.readouterr().err
 
 
 # -- closed forms ------------------------------------------------------------------

@@ -19,7 +19,10 @@ point next to the spherical pole and one next to the cylindrical axis,
 where the inverse Jacobian overflows; then christoffel at spherical
 [2, 1e-9, 1] and field-op laplace of r^2 at cylindrical [1e-9, 0.3, 1] and
 [1e-8, 0.3, 1], where the transition stage's T S = I test decides whether
-the point is skipped and which T it keeps. Last come fixed
+the point is skipped and which T it keeps; field-op grad, div, rot and
+laplace at the spherical pole [1, 0, 0.3], where no row is left for the
+operator (exit 4), div with --slot 2 on a vector field, and laplace with
+--step, which field-op does not take (exit 2). Last come fixed
 notation jobs (NOTATION_JOBS): check --explicit on one input per
 ParseError branch of the tokenizer and the parser, and on expressions
 written with tabs, newlines, U+00A0, the typographic minus and no spaces,
@@ -112,6 +115,15 @@ FIXED_JOBS += [("christoffel spherical near pole",
 FIXED_JOBS += [("field-op laplace cylindrical near axis",
                 ["field-op", "laplace", "--chart", "cylindrical", "--field", _RADIUS_SQUARED,
                  "--point", point]) for point in ("1e-9,0.3,1", "1e-8,0.3,1")]
+# no row left for the operator body; a slot beyond the upper slots; --step
+FIXED_JOBS += [(f"field-op {op} spherical pole",
+                ["field-op", op, "--chart", "spherical", "--field", field, "--point", "1,0,0.3"])
+               for op, field in (("grad", _SCALAR), ("div", _VECTOR), ("rot", _VECTOR),
+                                 ("laplace", _SCALAR))]
+FIXED_JOBS += [("field-op div slot 2", ["field-op", "div", "--chart", "cylindrical",
+                                        "--field", _VECTOR, "--slot", "2", *_GRID]),
+               ("field-op laplace step", ["field-op", "laplace", "--chart", "cylindrical",
+                                          "--field", _SCALAR, "--step", "0.1", *_GRID])]
 
 
 # one input per ParseError branch, in the order the parser raises them,
