@@ -27,9 +27,9 @@ point array at once. Singular points (cylindrical axis, spherical poles)
 are excluded by domain predicates and fail fast with DomainError.
 
 ChartPoints computes S, T and the Christoffel symbols of a point array
-once, and the metric from S and T when it is read: the Gram matrix S^T S
-of the moving frame and its inverse the Gram matrix T T^T of the dual
-frame, both formed by the metric module, as is the volume |det S|
+once. The metric is arithmetic on S and T that fails no point: the Gram
+matrix S^T S of the moving frame and its inverse the Gram matrix T T^T of
+the dual frame, both formed by the metric module, as is the volume |det S|
 (metric._gram, _dual_gram, _frame_volume). The chart operators,
 chart_to_chart_transform among them, evaluate a point array in one pass
 through it (TensorField.evaluate_batch); a point that fails, outside the
@@ -472,12 +472,11 @@ class ChartPoints:
         above the chart tolerance, else is S^-1, held to _pair_test
     gamma (christoffel): gamma[n, k, i, j] with upper index k and lower
         indices i, j
-    g, dual (transition; formed from S and T on each read): g = S^T S, the
-        Gram matrix of the moving frame, and its inverse T T^T, that of the
-        dual frame (rows of T); dual is exactly symmetric and C-contiguous
 
-    dual and gamma are each one stacked matmul on C-contiguous operands, so
-    a row gets the same bits alone as in any batch.
+    The metric g = S^T S and its inverse T T^T are metric._gram(S) and
+    metric._dual_gram(T), which fail no row. gamma is one stacked matmul on
+    C-contiguous operands, so a row gets the same bits alone as in any
+    batch.
     """
 
     _ROWS = ("index", "points", "S", "T", "residual", "gamma")
@@ -502,17 +501,10 @@ class ChartPoints:
         if christoffel:
             dS, failures = _second_partials(chart, self.points)
             n, d = dS.shape[:2]
-            T = np.ascontiguousarray(self.T)  # one (d, d) @ (d, d*d) product per point
+            T = np.ascontiguousarray(self.T)
+            # one (d, d) @ (d, d*d) product per point
             self.gamma = (T @ dS.reshape(n, d, d * d)).reshape(dS.shape)
             self._drop(failures)
-
-    @property
-    def g(self):
-        return None if self.T is None else _gram(self.S)
-
-    @property
-    def dual(self):
-        return None if self.T is None else _dual_gram(self.T)
 
     def _drop(self, errors: dict):
         """Record errors[k] for every row k listed and drop those rows."""
@@ -630,7 +622,8 @@ def metric_in_chart(chart: Chart, y) -> Metric:
 
     Metric.from_frame(jacobians(chart, y)): it fails where jacobians does
     (DegenerateTransition at a singular frame), and its matrix, dual and
-    sqrt_det are the ChartPoints g, dual and |det S| at y, bit for bit.
+    sqrt_det are _gram(S), _dual_gram(T) and |det S| of the ChartPoints
+    transition stage at y, bit for bit.
     """
     return Metric.from_frame(jacobians(chart, y))
 
@@ -712,8 +705,8 @@ def _covariant(state: ChartPoints, field: TensorField, t,
 def _chart_field(chart: Chart, field: TensorField, valency: Valency, body: Callable,
                  **stages) -> TensorField:
     """The chart operator field of ``valency`` over ``field``: body(state, t)
-    gives ``(values, failures)`` at the rows left in state = ChartPoints(chart,
-    points, **stages), if any, and state.finish spreads them."""
+    gives ``(values, failures)`` at the rows that pass state =
+    ChartPoints(chart, points, **stages), and state.finish spreads them."""
     if field.dim != chart.dim:
         raise ShapeError(f"field of dimension {field.dim} on chart {chart.name!r} "
                          f"of dimension {chart.dim}")
@@ -721,8 +714,6 @@ def _chart_field(chart: Chart, field: TensorField, valency: Valency, body: Calla
     @_batched
     def func(points, t=None):
         state = ChartPoints(chart, points, **stages)
-        if not len(state.index):
-            return state.finish(np.empty((0,) + (field.dim,) * valency.order))
         return state.finish(*body(state, t))
 
     return TensorField(valency, func, field.dim, has_parameter=field.has_parameter)
@@ -816,7 +807,7 @@ def gradient_vector_in_chart(chart: Chart, phi: TensorField,
     def body(state, t):
         covector, failures = _covariant(state, phi, t, scheme)
         # elementwise, then summed along each row: einsum's last bits vary with N
-        return np.sum(state.dual * covector[:, None, :], axis=2), failures
+        return np.sum(_dual_gram(state.T) * covector[:, None, :], axis=2), failures
 
     return _chart_field(chart, phi, Valency(1, 0), body, transition=True)
 
@@ -852,7 +843,7 @@ def laplacian_in_chart(chart: Chart, phi: TensorField,
     def body(state, t):
         first, hess, failures = _partials(phi, state.points, t, scheme, second=True)
         second = hess - np.einsum("nkij,nk->nij", state.gamma, first)
-        return np.sum(state.dual * second, axis=(1, 2)), failures
+        return np.sum(_dual_gram(state.T) * second, axis=(1, 2)), failures
 
     return _chart_field(chart, phi, Valency(0, 0), body, christoffel=True)
 
@@ -875,7 +866,7 @@ def rotor_in_chart(chart: Chart, field: TensorField,
         # rot^r = sqrt(det g) g^ri epsilon_ijk g^jm nabla_m X^k; products taken
         # elementwise and summed in index order, so no row depends on the
         # batch or on the operands' memory layout
-        dual = state.dual
+        dual = _dual_gram(state.T)
         up = functools.reduce(np.add, (dual[:, :, m, None] * table[:, None, m, :]
                                        for m in range(3)))   # [n, j, k]
         low = up[:, _NEXT, _LAST] - up[:, _LAST, _NEXT]      # epsilon_ijk up[j, k]

@@ -1,9 +1,9 @@
 """The chart metric: g^-1 from the dual frame, sqrt(g) from the frame.
 
-ChartPoints(transition=True) gives g = S^T S and its inverse as T T^T, the
-Gram matrix of the dual frame, after the transition stage has checked T
-against S; the rotor takes sqrt(det g) as |det S|. These tests pin the dual against
-closed forms down to the spherical poles, its layout and its bits, the
+The chart operators take g = S^T S and its inverse as T T^T, the Gram
+matrix of the dual frame (metric._gram, _dual_gram), from the S and T that
+ChartPoints' transition stage has checked against each other; the rotor
+takes sqrt(det g) as |det S|. These tests pin the dual against closed forms down to the spherical poles, its layout and its bits, the
 volume against r^2 sin(theta), and the stage contract: metric_field never
 evaluates T, and every chart operator fails a singular S in the transition
 stage. metric_in_chart is Metric.from_frame of the checked pair at one
@@ -44,7 +44,7 @@ from tensorcalc import (
 )
 from tensorcalc.curvilinear import _flat_chart, _frame_volume
 from tensorcalc.fields import _batched, _partials
-from tensorcalc.metric import _LAST, _NEXT
+from tensorcalc.metric import _LAST, _NEXT, _dual_gram, _gram
 
 from test_batched import CHARTS, SCALAR, TABLE_CONFIG, VECTOR
 
@@ -78,10 +78,10 @@ def test_spherical_dual_matches_its_closed_form_down_to_the_poles():
     want[:, 0, 0] = 1.0
     want[:, 1, 1] = 1.0 / r ** 2
     want[:, 2, 2] = 1.0 / (r * np.sin(theta)) ** 2
-    _assert_close_to_largest(state.dual, want, 1e-13)
+    _assert_close_to_largest(_dual_gram(state.T), want, 1e-13)
     g = np.zeros_like(want)
     g[:, 0, 0], g[:, 1, 1], g[:, 2, 2] = 1.0, r ** 2, (r * np.sin(theta)) ** 2
-    _assert_close_to_largest(state.g, g, 1e-13)
+    _assert_close_to_largest(_gram(state.S), g, 1e-13)
 
 
 def test_cylindrical_dual_matches_its_closed_form():
@@ -91,7 +91,7 @@ def test_cylindrical_dual_matches_its_closed_form():
     want = np.zeros((len(points), 3, 3))
     want[:, 0, 0] = want[:, 2, 2] = 1.0
     want[:, 1, 1] = 1.0 / points[:, 0] ** 2
-    _assert_close_to_largest(state.dual, want, 1e-13)
+    _assert_close_to_largest(_dual_gram(state.T), want, 1e-13)
 
 
 def test_frame_volume_is_r_squared_sin_theta():
@@ -150,8 +150,9 @@ def test_dual_is_exactly_symmetric_and_c_contiguous(name):
     points = _points(np.random.default_rng(6), 500, theta_lo=0.3, r_hi=1.9)
     state = ChartPoints(LAYOUT_CHARTS[name], points, transition=True)
     assert len(state.index) == len(points)
-    assert state.dual.flags.c_contiguous
-    assert np.array_equal(state.dual, np.swapaxes(state.dual, 1, 2))
+    dual = _dual_gram(state.T)
+    assert dual.flags.c_contiguous
+    assert np.array_equal(dual, np.swapaxes(dual, 1, 2))
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_CHARTS))
@@ -159,10 +160,11 @@ def test_dual_is_exactly_symmetric_and_c_contiguous(name):
 def test_one_point_dual_equals_its_row_in_a_batch(name, n):
     points = _points(np.random.default_rng(n), n, theta_lo=0.3, r_hi=1.9)
     batch = ChartPoints(LAYOUT_CHARTS[name], points, transition=True)
+    dual, g = _dual_gram(batch.T), _gram(batch.S)
     for k in range(0, n, max(1, n // 25)):
         alone = ChartPoints(LAYOUT_CHARTS[name], points[k:k + 1], transition=True)
-        assert np.array_equal(alone.dual[0], batch.dual[k])
-        assert np.array_equal(alone.g[0], batch.g[k])
+        assert np.array_equal(_dual_gram(alone.T)[0], dual[k])
+        assert np.array_equal(_gram(alone.S)[0], g[k])
 
 
 def _counting(chart: Chart, counter: list) -> Chart:
@@ -271,11 +273,11 @@ def test_metric_in_chart_is_the_chart_points_metric_bit_for_bit(name):
     points = _points(np.random.default_rng(9), 400, theta_lo=0.3, r_hi=1.9)
     state = ChartPoints(chart, points, transition=True)
     assert len(state.index) == len(points)
-    volume = _frame_volume(state.S)
+    g, dual, volume = _gram(state.S), _dual_gram(state.T), _frame_volume(state.S)
     for k, y in enumerate(points):
         metric = metric_in_chart(chart, y)
-        assert np.array_equal(metric.matrix, state.g[k])
-        assert np.array_equal(metric.dual, state.dual[k])
+        assert np.array_equal(metric.matrix, g[k])
+        assert np.array_equal(metric.dual, dual[k])
         assert metric.sqrt_det == volume[k]
 
 

@@ -20,8 +20,8 @@ where the inverse Jacobian overflows; then christoffel at spherical
 [2, 1e-9, 1] and field-op laplace of r^2 at cylindrical [1e-9, 0.3, 1] and
 [1e-8, 0.3, 1], where the transition stage's T S = I test decides whether
 the point is skipped and which T it keeps; field-op grad, div, rot and
-laplace at the spherical pole [1, 0, 0.3], where no row is left for the
-operator (exit 4), div with --slot 2 on a vector field, and laplace with
+laplace at the spherical pole [1, 0, 0.3], where every row fails the
+domain stage (exit 4), div with --slot 2 on a vector field, and laplace with
 --step, which field-op does not take (exit 2). Last come fixed
 notation jobs (NOTATION_JOBS): check --explicit on one input per
 ParseError branch of the tokenizer and the parser, and on expressions
@@ -115,7 +115,7 @@ FIXED_JOBS += [("christoffel spherical near pole",
 FIXED_JOBS += [("field-op laplace cylindrical near axis",
                 ["field-op", "laplace", "--chart", "cylindrical", "--field", _RADIUS_SQUARED,
                  "--point", point]) for point in ("1e-9,0.3,1", "1e-8,0.3,1")]
-# no row left for the operator body; a slot beyond the upper slots; --step
+# every row outside the domain; a slot beyond the upper slots; --step
 FIXED_JOBS += [(f"field-op {op} spherical pole",
                 ["field-op", op, "--chart", "spherical", "--field", field, "--point", "1,0,0.3"])
                for op, field in (("grad", _SCALAR), ("div", _VECTOR), ("rot", _VECTOR),
