@@ -18,9 +18,11 @@ and analytic Jacobian derivatives, and so do charts loaded from JSON
 coefficient tables: their Jacobians and second partials are the tables
 differentiated term by term. Fields loaded from such tables (load_field)
 carry their first and second partials the same way; both loaders take a
-dict, a JSON text or a path. These maps and domain predicates broadcast
-over leading axes, so one call covers an (N, 3) array of points; other
-Python callables given to Chart are called once per point. A chart built
+dict, a JSON text or a path. Each built-in chart is one frozen Chart per
+process; its maps compute every distinct product of a point once and leave
+structural zeros unwritten (_stack). These maps and domain predicates
+broadcast over leading axes, so one call covers an (N, 3) array of points;
+other Python callables given to Chart are called once per point. A chart built
 from Python callables may supply only the forward/inverse maps; everything
 else then falls back to central finite differences, taken for a whole
 point array at once. Singular points (cylindrical axis, spherical poles)
@@ -236,12 +238,19 @@ def _coords(y) -> tuple:
 
 
 def _stack(entries, like: np.ndarray, shape: tuple) -> np.ndarray:
-    """like.shape + shape array from row-major entries (arrays like ``like``
-    or scalars)."""
-    out = np.empty(like.shape + (len(entries),))
+    """like.shape + shape array from row-major entries: arrays like ``like``,
+    scalars, or None for a structural zero, which is left unwritten as the
+    exact +0.0 of the zeroed array. The result is C-contiguous."""
+    out = np.zeros(like.shape + (len(entries),))
     for k, entry in enumerate(entries):
-        out[..., k] = entry
+        if entry is not None:
+            out[..., k] = entry
     return out.reshape(like.shape + shape)
+
+
+# Each map below computes every distinct product once and builds each entry
+# from them in the operation order of its formula: -r*s*c reads
+# ((-r)*s)*c, and (-r)*s is -(r*s) bit for bit, so it is taken as nrs*c.
 
 
 def _cylindrical() -> Chart:
@@ -259,26 +268,28 @@ def _cylindrical() -> Chart:
     def jac_forward(y):
         r, th, _ = _coords(y)
         c, s = np.cos(th), np.sin(th)
-        return _stack([c, -r * s, 0.0,
-                       s, r * c, 0.0,
-                       0.0, 0.0, 1.0], r, (3, 3))
+        return _stack([c, -r * s, None,
+                       s, r * c, None,
+                       None, None, 1.0], r, (3, 3))
 
     @_batched
     def jac_inverse(y):
         r, th, _ = _coords(y)
         c, s = np.cos(th), np.sin(th)
-        return _stack([c, s, 0.0,
-                       -s / r, c / r, 0.0,
-                       0.0, 0.0, 1.0], r, (3, 3))
+        return _stack([c, s, None,
+                       -s / r, c / r, None,
+                       None, None, 1.0], r, (3, 3))
 
     @_batched
     def jac_forward_partials(y):
         r, th, _ = _coords(y)
         c, s = np.cos(th), np.sin(th)
-        d_r = [0.0, -s, 0.0, 0.0, c, 0.0, 0.0, 0.0, 0.0]
-        d_theta = [-s, -r * c, 0.0, c, -r * s, 0.0, 0.0, 0.0, 0.0]
-        d_z = [0.0] * 9
-        return _stack([e for qi in zip(d_r, d_theta, d_z) for e in qi], r, (3, 3, 3))
+        ns, nr = -s, -r
+        # dS[q, i, j] with the derivative index j last; d/dz is zero
+        return _stack([None, ns, None,      ns, nr * c, None,      None, None, None,
+                       None, c, None,       c, nr * s, None,       None, None, None,
+                       None, None, None,    None, None, None,      None, None, None],
+                      r, (3, 3, 3))
 
     @_batched
     def domain(y):
@@ -300,7 +311,8 @@ def _spherical() -> Chart:
     @_batched
     def forward(y):
         r, st, ct, cp, sp = angles(y)
-        return _stack([r * st * cp, r * st * sp, r * ct], r, (3,))
+        rs = r * st
+        return _stack([rs * cp, rs * sp, r * ct], r, (3,))
 
     @_batched
     def inverse(x):
@@ -314,31 +326,32 @@ def _spherical() -> Chart:
     @_batched
     def jac_forward(y):
         r, st, ct, cp, sp = angles(y)
-        return _stack([st * cp, r * ct * cp, -r * st * sp,
-                       st * sp, r * ct * sp, r * st * cp,
-                       ct, -r * st, 0.0], r, (3, 3))
+        rs, rc = r * st, r * ct
+        nrs = -rs
+        return _stack([st * cp, rc * cp, nrs * sp,
+                       st * sp, rc * sp, rs * cp,
+                       ct, nrs, None], r, (3, 3))
 
     @_batched
     def jac_inverse(y):
         r, st, ct, cp, sp = angles(y)
+        rs = r * st
         return _stack([st * cp, st * sp, ct,
                        ct * cp / r, ct * sp / r, -st / r,
-                       -sp / (r * st), cp / (r * st), 0.0], r, (3, 3))
+                       -sp / rs, cp / rs, None], r, (3, 3))
 
     @_batched
     def jac_forward_partials(y):
         r, st, ct, cp, sp = angles(y)
-        d_r = [0.0, ct * cp, -st * sp,
-               0.0, ct * sp, st * cp,
-               0.0, -st, 0.0]
-        d_theta = [ct * cp, -r * st * cp, -r * ct * sp,
-                   ct * sp, -r * st * sp, r * ct * cp,
-                   -st, -r * ct, 0.0]
-        d_phi = [-st * sp, -r * ct * sp, -r * st * cp,
-                 st * cp, r * ct * cp, -r * st * sp,
-                 0.0, 0.0, 0.0]
-        # dS[q, i, j] with the derivative index j last
-        return _stack([e for qi in zip(d_r, d_theta, d_phi) for e in qi], r, (3, 3, 3))
+        rc = r * ct
+        nst, nrs, nrc = -st, -(r * st), -rc
+        ctcp, ctsp, stcp, nstsp = ct * cp, ct * sp, st * cp, nst * sp
+        nrscp, nrssp, nrcsp, rccp = nrs * cp, nrs * sp, nrc * sp, rc * cp
+        # dS[q, i, j] with the derivative index j last (r, theta, phi)
+        return _stack([None, ctcp, nstsp,   ctcp, nrscp, nrcsp,    nstsp, nrcsp, nrscp,
+                       None, ctsp, stcp,    ctsp, nrssp, rccp,     stcp, rccp, nrssp,
+                       None, nst, None,     nst, nrc, None,        None, None, None],
+                      r, (3, 3, 3))
 
     @_batched
     def domain(y):
@@ -383,19 +396,23 @@ def _flat_chart(g: Metric, name: str = "cartesian",
                  dim=g.dim)
 
 
-_BUILTIN = {"cylindrical": _cylindrical, "spherical": _spherical,
-            "identity": lambda: _flat_chart(Metric.euclidean(3), "identity",
-                                            ((-2.0, 2.0),) * 3)}
+# each built-in chart is immutable, so one instance serves every caller
+_BUILTIN = {chart.name: chart for chart in (
+    _cylindrical(), _spherical(),
+    _flat_chart(Metric.euclidean(3), "identity", ((-2.0, 2.0),) * 3))}
 
 
 def builtin_chart(name: str) -> Chart:
-    """Named chart with analytic Jacobians: cylindrical, spherical, identity."""
+    """Named chart with analytic Jacobians: cylindrical, spherical, identity.
+
+    Every call with the same name returns the same frozen Chart, built once
+    when the module is imported.
+    """
     try:
-        factory = _BUILTIN[name]
+        return _BUILTIN[name]
     except KeyError:
         raise ParameterError(
             f"unknown chart {name!r}; choose from {sorted(_BUILTIN)}")
-    return factory()
 
 
 # -- Jacobi matrices at a point array --------------------------------------------

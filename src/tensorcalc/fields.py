@@ -228,7 +228,8 @@ class TensorField(_Frozen):
         signature, an array of shape (dim, dim) + component shape whose
         entry [i, j] holds the second partial of every component along
         coordinates i and j (symmetric in i, j). Without it, second
-        partials are central differences of ``partials``.
+        partials are central differences of ``partials``. Given without
+        ``partials`` it raises ParameterError: it would never be called.
     """
 
     __slots__ = ("valency", "dim", "has_parameter", "_func", "_partials",
@@ -236,6 +237,8 @@ class TensorField(_Frozen):
 
     def __init__(self, valency, func, dim: int = DEFAULT_DIM,
                  partials=None, has_parameter: bool = False, second_partials=None):
+        if second_partials is not None and partials is None:
+            raise ParameterError("second_partials needs partials")
         object.__setattr__(self, "valency", _as_valency(valency))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "has_parameter", bool(has_parameter))

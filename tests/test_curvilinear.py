@@ -42,10 +42,86 @@ SPH = builtin_chart("spherical")
 IDENT = builtin_chart("identity")
 
 
+def _formula_maps(name, y):
+    """forward, jac_forward, jac_inverse and jac_forward_partials of a
+    built-in chart at an (N, 3) array, one formula per entry, each written
+    as the chart's closed form reads (a product of several factors taken
+    from the left), with 0.0 for a structural zero."""
+    r, a, b = y[:, 0], y[:, 1], y[:, 2]
+    zero, one = np.zeros_like(r), np.ones_like(r)
+    if name == "cylindrical":
+        c, s = np.cos(a), np.sin(a)
+        forward = [r * c, r * s, b]
+        S = [c, -r * s, zero, s, r * c, zero, zero, zero, one]
+        T = [c, s, zero, -s / r, c / r, zero, zero, zero, one]
+        d1 = [zero, -s, zero, zero, c, zero, zero, zero, zero]
+        d2 = [-s, -r * c, zero, c, -r * s, zero, zero, zero, zero]
+        d3 = [zero] * 9
+    else:
+        st, ct, cp, sp = np.sin(a), np.cos(a), np.cos(b), np.sin(b)
+        forward = [r * st * cp, r * st * sp, r * ct]
+        S = [st * cp, r * ct * cp, -r * st * sp,
+             st * sp, r * ct * sp, r * st * cp,
+             ct, -r * st, zero]
+        T = [st * cp, st * sp, ct,
+             ct * cp / r, ct * sp / r, -st / r,
+             -sp / (r * st), cp / (r * st), zero]
+        d1 = [zero, ct * cp, -st * sp, zero, ct * sp, st * cp, zero, -st, zero]
+        d2 = [ct * cp, -r * st * cp, -r * ct * sp,
+              ct * sp, -r * st * sp, r * ct * cp,
+              -st, -r * ct, zero]
+        d3 = [-st * sp, -r * ct * sp, -r * st * cp,
+              st * cp, r * ct * cp, -r * st * sp,
+              zero, zero, zero]
+    dS = [e for qi in zip(d1, d2, d3) for e in qi]  # derivative index last
+    n = len(y)
+    return {"forward": np.stack(forward, axis=-1),
+            "jac_forward": np.stack(S, axis=-1).reshape(n, 3, 3),
+            "jac_inverse": np.stack(T, axis=-1).reshape(n, 3, 3),
+            "jac_forward_partials": np.stack(dS, axis=-1).reshape(n, 3, 3, 3)}
+
+
+def _exact_angle_points():
+    """Points whose sines and cosines are exact, so that entries are +0.0,
+    -0.0 or exact products: theta = pi/2, 0 and -0, phi = +-0 and +-pi."""
+    return np.array([[r, th, ph] for r in (1.5, -2.0)
+                     for th in (math.pi / 2.0, 0.0, -0.0, math.pi)
+                     for ph in (0.0, -0.0, math.pi, -math.pi)])
+
+
 class TestBuiltinCharts:
     def test_unknown_name_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=(
+                r"^unknown chart 'toroidal'; choose from "
+                r"\['cylindrical', 'identity', 'spherical'\]$")):
             builtin_chart("toroidal")
+
+    @pytest.mark.parametrize("name", ["cylindrical", "spherical", "identity"])
+    def test_one_frozen_chart_per_name(self, name):
+        chart = builtin_chart(name)
+        assert builtin_chart(name) is chart
+        with pytest.raises(AttributeError, match="^Chart is immutable$"):
+            chart.forward = None
+        assert builtin_chart(name).forward is chart.forward
+
+    @pytest.mark.parametrize("name", ["cylindrical", "spherical"])
+    @pytest.mark.parametrize("points", ["one", "thousand", "exact angles"])
+    def test_maps_equal_their_formulas_bit_for_bit(self, name, points):
+        # int64 views: a signed zero or a last-bit difference counts
+        rng = np.random.default_rng(11)
+        y = {"one": lambda: rng.uniform(-4.0, 4.0, (1, 3)),
+             "thousand": lambda: rng.uniform(-4.0, 4.0, (1000, 3)),
+             "exact angles": _exact_angle_points}[points]()
+        chart = builtin_chart(name)
+        with np.errstate(all="ignore"):  # 1/r and 1/(r sin theta) at exact zeros
+            want = _formula_maps(name, y)
+            for attr, expected in want.items():
+                got = getattr(chart, attr)(y)
+                assert got.flags.c_contiguous, attr
+                assert got.shape == expected.shape, attr
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), attr
+                one = getattr(chart, attr)(y[0])  # a single point, shape (3,)
+                assert np.array_equal(one.view(np.int64), expected[0].view(np.int64)), attr
 
     def test_cylindrical_forward_value(self):
         assert np.allclose(CYL.forward([2.0, 0.0, 1.0]), [2.0, 0.0, 1.0])

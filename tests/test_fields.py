@@ -77,6 +77,12 @@ class TestTensorField:
         assert calls
         assert np.allclose(np.asarray(table).ravel(), [6.0, 0.0, 0.0])
 
+    def test_second_partials_without_partials_are_rejected(self):
+        # the operators would difference the function and never call them
+        with pytest.raises(ParameterError, match="^second_partials needs partials$"):
+            TensorField(Valency(0, 0), lambda p: p[0] ** 2,
+                        second_partials=lambda p: np.zeros((3, 3)))
+
 
     def test_batched_function_of_the_wrong_shape_is_rejected(self):
         @_batched

@@ -19,7 +19,10 @@ point next to the spherical pole and one next to the cylindrical axis,
 where the inverse Jacobian overflows; then christoffel at spherical
 [2, 1e-9, 1] and field-op laplace of r^2 at cylindrical [1e-9, 0.3, 1] and
 [1e-8, 0.3, 1], where the transition stage's T S = I test decides whether
-the point is skipped and which T it keeps; field-op grad, div, rot and
+the point is skipped and which T it keeps; christoffel and field-op grad,
+div, rot and laplace at exact angles of the spherical and cylindrical
+charts (theta = pi/2, phi = +-0 and +-pi; theta = +-0 and +-pi), where
+the maps' entries include signed zeros; field-op grad, div, rot and
 laplace at the spherical pole [1, 0, 0.3], where every row fails the
 domain stage (exit 4), div with --slot 2 on a vector field, and laplace with
 --step, which field-op does not take (exit 2). Last come fixed
@@ -45,6 +48,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -120,6 +124,25 @@ FIXED_JOBS += [(f"field-op {op} spherical pole",
                 ["field-op", op, "--chart", "spherical", "--field", field, "--point", "1,0,0.3"])
                for op, field in (("grad", _SCALAR), ("div", _VECTOR), ("rot", _VECTOR),
                                  ("laplace", _SCALAR))]
+# exact angles, where sines and cosines are 0, -0, +-1 or a last-bit
+# remainder and the maps' entries include signed zeros. The operators' sums
+# absorb a zero's sign before output, so the maps' own bits, signed zeros
+# among them, are pinned by tests/test_curvilinear.py; these jobs pin the
+# printed results at those points
+_EXACT_POINTS = {"spherical": [f"1.5,{math.pi / 2!r},{phi!r}"
+                               for phi in (0.0, -0.0, math.pi, -math.pi)],
+                 "cylindrical": [f"1,{theta!r},{z!r}"
+                                 for theta, z in ((0.0, 0.0), (-0.0, -0.0), (math.pi, 0.0),
+                                                  (-math.pi, 1.0))]}
+FIXED_JOBS += [(f"{command} {chart} exact angles",
+                [*command.split(), "--chart", chart, *field,
+                 *[arg for point in points for arg in ("--point", point)]])
+               for chart, points in _EXACT_POINTS.items()
+               for command, field in (("christoffel", []),
+                                      ("field-op grad", ["--field", _SCALAR]),
+                                      ("field-op div", ["--field", _VECTOR]),
+                                      ("field-op rot", ["--field", _VECTOR]),
+                                      ("field-op laplace", ["--field", _SCALAR]))]
 FIXED_JOBS += [("field-op div slot 2", ["field-op", "div", "--chart", "cylindrical",
                                         "--field", _VECTOR, "--slot", "2", *_GRID]),
                ("field-op laplace step", ["field-op", "laplace", "--chart", "cylindrical",
