@@ -298,7 +298,6 @@ def _build_operator(op: str, chart, field_input: TensorField, slot: int) -> Tens
         return curvilinear.rotor_in_chart(chart, field_input)
     if op == "laplace":
         return curvilinear.laplacian_in_chart(chart, field_input)
-    raise ParameterError(f"unknown operator {op!r}; choose from {_FIELD_OPS}")
 
 
 def cmd_field_op(ns: argparse.Namespace) -> int:
@@ -345,7 +344,8 @@ def _audit_checks(chart, points, scheme) -> list:
     _raise_first(failures)
     back, failures = _map_rows(chart.inverse, x, (chart.dim,), "inverse")
     _raise_first(failures)
-    roundtrip = float(np.max(np.abs(back - points), initial=0.0))
+    roundtrip = float(np.max(np.abs(back - points) / np.maximum(1.0, np.abs(points)),
+                             initial=0.0))
     state = curvilinear.ChartPoints(chart, points, christoffel=True)
     _raise_first(state.failures)
     jacobian = float(np.max(state.residual, initial=0.0))

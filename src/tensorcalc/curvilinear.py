@@ -514,14 +514,15 @@ class ChartPoints:
                         for k, y in zip(outside.tolist(), _row_texts(points[outside]))})
         if not (transition or christoffel):
             return
-        self._transition()
-        if christoffel:
-            dS, failures = _second_partials(chart, self.points)
-            n, d = dS.shape[:2]
-            T = np.ascontiguousarray(self.T)
-            # one (d, d) @ (d, d*d) product per point
-            self.gamma = (T @ dS.reshape(n, d, d * d)).reshape(dS.shape)
-            self._drop(failures)
+        with np.errstate(all="ignore"):  # a non-finite entry fails its row, not a warning
+            self._transition()
+            if christoffel:
+                dS, failures = _second_partials(chart, self.points)
+                n, d = dS.shape[:2]
+                T = np.ascontiguousarray(self.T)
+                # one (d, d) @ (d, d*d) product per point
+                self.gamma = (T @ dS.reshape(n, d, d * d)).reshape(dS.shape)
+                self._drop(failures)
 
     def _drop(self, errors: dict):
         """Record errors[k] for every row k listed and drop those rows."""
@@ -547,8 +548,7 @@ class ChartPoints:
         self._frame()
         self.T, failures = _inverse(chart, self.points)
         self._drop(failures)
-        with np.errstate(invalid="ignore", over="ignore"):  # judged by _pair_test
-            self.residual, failures = _pair_test(self.S, self.T)
+        self.residual, failures = _pair_test(self.S, self.T)
         if not failures:  # every T as the chart gives it
             return
         tol = ANALYTIC_CONSISTENCY_TOL if chart.analytic else FD_CONSISTENCY_TOL
@@ -561,8 +561,7 @@ class ChartPoints:
             for k, y, value in zip(bad.tolist(), _row_texts(self.points[bad]),
                                    self.residual[bad].tolist())}
         self.T[redo], singular = _invert_stack(self.S[redo])  # held to the same test
-        with np.errstate(invalid="ignore", over="ignore"):
-            more = {**_pair_test(self.S[redo], self.T[redo])[1], **singular}
+        more = {**_pair_test(self.S[redo], self.T[redo])[1], **singular}
         self._drop({**failures, **{redo[p]: exc for p, exc in more.items()}})
 
     def finish(self, values: np.ndarray, failures: dict = None):
@@ -776,7 +775,8 @@ def chart_to_chart_transform(field: TensorField, source: Chart,
         here.failures = {k: failures.get(k) or more.get(k) or DomainError(
             f"point {text} is outside chart {source.name!r}; charts do not overlap here")
             for k, text in zip(rows, _row_texts(x[rows]))}
-        here._transition()
+        with np.errstate(all="ignore"):  # as in ChartPoints' own stages
+            here._transition()
         values, failures = field.evaluate_batch(here.points, t)
         values = _transform_slots(values, field.valency, here, NEW_TO_OLD)
         values, failures = here.finish(values, failures)

@@ -5,6 +5,13 @@ can catch the package's failures with a single except clause. The CLI maps
 these onto its documented exit codes.
 """
 
+__all__ = [
+    "TensorCalcError", "CapacityError", "TensorIndexError", "ShapeError",
+    "DegenerateTransition", "DegenerateMetric", "UnsupportedDimension",
+    "DomainError", "ParameterError", "ParseError", "BindingError",
+    "ValidationError",
+]
+
 
 class TensorCalcError(Exception):
     """Base class for every deliberate failure in this package."""

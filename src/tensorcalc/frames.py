@@ -34,13 +34,12 @@ from .tensors import (
     Valency,
     _Frozen,
     _slot_matrices,
-    compose_transitions,
     invert_matrix,
 )
 
 __all__ = [
     "Basis", "CartesianSystem", "BilinearForm",
-    "transition_between", "compose_transitions",
+    "transition_between",
     "transform_vector", "transform_covector", "transform_operator",
     "transform_bilinear", "pair_covector_vector", "apply_operator",
     "compose_operators", "evaluate_bilinear", "symmetrize", "quadratic",

@@ -40,6 +40,11 @@ from .errors import (
     TensorIndexError,
 )
 
+__all__ = [
+    "DEFAULT_DIM", "MAX_ORDER", "NEW_TO_OLD", "OLD_TO_NEW", "Valency",
+    "DenseTensor", "TransitionPair", "compose_transitions", "invert_matrix",
+]
+
 MAX_ORDER = 8
 DEFAULT_DIM = 3
 

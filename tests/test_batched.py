@@ -533,3 +533,18 @@ def test_every_entry_point_applies_the_one_transition_rule(chart, y):
     else:
         assert all(kind == "ok" for kind, _ in outcomes.values()), outcomes
         assert np.array_equal(state.T[0], outcomes["jacobians"][1].T)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chart, y", [("spherical", (1.0, 5e-324, 0.3)),
+                                      ("cylindrical", (5e-324, 0.3, 1.0))])
+def test_chart_stages_fail_a_row_without_a_numpy_warning(chart, y):
+    # T = S^-1 overflows at the smallest float: the row fails, nothing warns
+    chart = CHARTS[chart]
+    for stages in ({"transition": True}, {"christoffel": True}):
+        state = ChartPoints(chart, [y], **stages)
+        assert isinstance(state.failures[0], DegenerateTransition)
+    # the source chart's transition stage in chart_to_chart_transform
+    move = tc.chart_to_chart_transform(VECTOR, CHARTS["cylindrical"], CHARTS["identity"])
+    _, failures = move.evaluate_batch([[5e-324, 0.0, 1.0]])
+    assert isinstance(failures[0], DegenerateTransition)

@@ -340,6 +340,17 @@ class TestAudit:
         assert code == 0
         assert "verdict: PASS" in out
 
+    def test_exact_chart_far_from_the_origin_passes(self, capsys, tmp_path):
+        # the round trip is |inverse(forward(y)) - y| / max(1, |y|): an
+        # absolute residual of 1e291 at |y| ~ 1e307 is rounding
+        path = tmp_path / "shear.json"
+        path.write_text(json.dumps(dict(SHEAR_CONFIG, bounds={"min": [-1e308] * 3,
+                                                              "max": [1e308] * 3})))
+        code, out, _ = run(capsys, "audit", "--chart-file", str(path), "--points", "20")
+        assert code == 0
+        assert out.splitlines()[1] == ("inverse-roundtrip: max residual "
+                                       "1.3671750224021017e-16 (tolerance 1e-09) ok")
+
     def test_broken_inverse_exits_five(self, capsys, tmp_path):
         config = json.loads(json.dumps(SHEAR_CONFIG))
         config["name"] = "broken"

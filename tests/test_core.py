@@ -435,3 +435,34 @@ def test_every_kernel_class_is_read_only(obj, attr):
             setattr(obj, name, None)
     assert getattr(obj, attr) is before
     assert not hasattr(obj, "__dict__")
+
+
+_V3 = DenseTensor.from_array([1.0, 0.0, 0.0], 1, 0)
+_PAIR2 = TransitionPair(np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Valency(-1, 0), "valency must be non-negative, got (-1, 0)"),
+    (lambda: DenseTensor((1, 0), 0), "dimension must be positive, got 0"),
+    (lambda: DenseTensor.from_array(np.zeros((3, 3)), 1, 0),
+     "array with 2 axes cannot hold a (1,0) tensor"),
+    (lambda: _V3.item(), "item() is only defined for (0,0) tensors"),
+    (lambda: _V3.add(1.0), "can only add another DenseTensor"),
+    (lambda: _V3.tensor_product(1.0), "tensor_product needs another DenseTensor"),
+    (lambda: _V3.tensor_product(DenseTensor.zeros((1, 0), 2)),
+     "tensor_product operands must share the dimension"),
+    (lambda: _V3.transform(_PAIR2, OLD_TO_NEW),
+     "transition pair dimension does not match tensor"),
+    (lambda: tc.invert_matrix(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+    (lambda: TransitionPair(np.zeros((2, 3)), np.zeros((2, 3))),
+     "S must be square, got shape (2, 3)"),
+    (lambda: TransitionPair(np.eye(3), np.eye(2)), "T shape (2, 2) does not match S shape (3, 3)"),
+    (lambda: compose_transitions(TransitionPair(np.eye(3), np.eye(3)), _PAIR2),
+     "cannot compose transitions of different dimensions"),
+], ids=["negative-valency", "zero-dim", "from-array-axes", "item-of-vector", "add-non-tensor",
+        "product-non-tensor", "product-dims", "transform-dims", "invert-non-square",
+        "pair-non-square", "pair-shapes", "compose-dims"])
+def test_rejected_input_names_the_fault(call, message):
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert str(info.value) == message

@@ -560,6 +560,10 @@ class TestRejectedInputs:
         with pytest.raises(tc.ShapeError, match=r"^axis 4 out of range 1\.\.3$"):
             coordinate_line(CYL, [1.0, 0.0, 0.0], 4, [1.0])
 
+    def test_christoffel_array_needs_three_by_three_by_three(self):
+        with pytest.raises(tc.ShapeError, match=r"^expected a 3x3x3 array, got \(3, 3\)$"):
+            tc.ChristoffelArray(np.zeros((3, 3)), [1.0, 0.5, 0.0])
+
     def test_operators_reject_the_wrong_valency_or_dimension(self):
         vector = TensorField.vector(lambda y: np.array(y))
         for op, message in ((gradient_covector_in_chart, "gradient needs a scalar field"),

@@ -457,6 +457,19 @@ class TestDimensionMismatch:
             with pytest.raises(ShapeError, match="dimension 2.*dimension 3"):
                 build(EUCLID, phi)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: TensorField.scalar(lambda y: DenseTensor.from_array([1.0, 0, 0], 1, 0))
+         .evaluate([1.0, 2.0, 3.0]), "field returned a tensor of the wrong valency"),
+        (lambda: TensorField.scalar(lambda y: 1.0).evaluate([1.0, 2.0]),
+         "point shape (2,) does not match dim 3"),
+        (lambda: TensorField.scalar(lambda y: 1.0).evaluate_batch(np.zeros((2, 2))),
+         "points shape (2, 2) does not match dim 3"),
+    ], ids=["value-valency", "point-shape", "points-shape"])
+    def test_rejected_input_names_the_fault(self, call, message):
+        with pytest.raises(ShapeError) as info:
+            call()
+        assert str(info.value) == message
+
 
 class TestFirstPartialsOnly:
     """A field with analytic first partials but no second partials: its

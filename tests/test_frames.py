@@ -15,6 +15,7 @@ from tensorcalc import (
     DegenerateTransition,
     DenseTensor,
     ParameterError,
+    ShapeError,
     TransitionPair,
     change_point_coordinates,
     compose_transitions,
@@ -41,6 +42,15 @@ class TestBasis:
         d = b.as_dict()
         assert d["columns"] == [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         assert np.array_equal(Basis.from_dict(d).columns, b.columns)
+
+    def test_cartesian_system_dict_round_trip(self):
+        system = CartesianSystem(Basis.from_vectors([1, 0, 0], [1, 1, 0], [0, 0, 1]),
+                                 [1.0, -2.0, 0.5])
+        d = system.as_dict()
+        assert d["origin"] == [1.0, -2.0, 0.5]
+        back = CartesianSystem.from_dict(d)
+        assert np.array_equal(back.basis.columns, system.basis.columns)
+        assert np.array_equal(back.origin, system.origin)
 
 
 class TestTransitionBetween:
@@ -329,3 +339,28 @@ def test_every_entry_point_rejects_a_bad_direction_alike(direction, rng):
         with pytest.raises(ParameterError) as info:
             call()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Basis(np.zeros((2, 3))), "basis needs a square matrix, got shape (2, 3)"),
+    (lambda: Basis.standard().vector(4), "basis has no vector 4"),
+    (lambda: Basis.from_dict({}), "malformed basis record: 'columns'"),
+    (lambda: CartesianSystem(Basis.standard(), [0.0, 0.0]),
+     "origin shape (2,) does not match dim 3"),
+    (lambda: transition_between(Basis.standard(3), Basis.standard(2)),
+     "bases live in different dimensions"),
+    (lambda: tc.transform_vector([1.0, 0.0], TransitionPair(np.eye(3), np.eye(3))),
+     "expected a vector of length 3, got shape (2,)"),
+    (lambda: tc.transform_operator(np.zeros((2, 3)), TransitionPair(np.eye(3), np.eye(3))),
+     "expected a square matrix, got shape (2, 3)"),
+    (lambda: BilinearForm(np.diag([np.nan, 1.0, 1.0])), "bilinear form entries must be finite"),
+    (lambda: change_point_coordinates([0.0, 0.0, 0.0], CartesianSystem.standard(3),
+                                      CartesianSystem.standard(2)),
+     "systems live in different dimensions"),
+], ids=["basis-non-square", "basis-vector-index", "basis-record", "origin-shape",
+        "transition-dims", "vector-length", "operator-non-square", "bilinear-non-finite",
+        "systems-dims"])
+def test_rejected_input_names_the_fault(call, message):
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert str(info.value) == message

@@ -103,6 +103,9 @@ class TestDot:
     def test_squared_length(self):
         assert Metric.euclidean().dot([1, 2, 3], [1, 2, 3]) == 14.0
 
+    def test_norm_is_the_root_of_the_squared_length(self):
+        assert Metric(np.diag([4.0, 1.0, 1.0])).norm([1.0, 0.0, 0.0]) == 2.0
+
     def test_symmetry(self, rng):
         g = random_metric(rng)
         x, y = rng.normal(size=3), rng.normal(size=3)
@@ -271,3 +274,29 @@ class TestCrossProduct:
             z = cross_product(g, x, y)
             back = tc.transform_vector(z, pair, "new->old")
             assert np.max(np.abs(back - np.cross(xo, yo))) < 1e-9
+
+
+_E2, _E3 = Metric.euclidean(2), Metric.euclidean(3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Metric(np.zeros((2, 3))), ShapeError,
+     "metric must be a square matrix, got shape (2, 3)"),
+    (lambda: _E3.dot([1, 0], [0, 1, 0]), ShapeError,
+     "dot expects two vectors matching the metric dimension"),
+    (lambda: raise_index(_E2, DenseTensor.from_array([1.0, 0, 0], 0, 1), 1), ShapeError,
+     "metric dimension does not match tensor"),
+    (lambda: lower_index(_E2, DenseTensor.from_array([1.0, 0, 0], 1, 0), 1), ShapeError,
+     "metric dimension does not match tensor"),
+    (lambda: volume_tensor(_E2), UnsupportedDimension, "volume tensor needs dimension 3"),
+    (lambda: dual_volume_tensor(_E2), UnsupportedDimension, "volume tensor needs dimension 3"),
+    (lambda: cross_product(_E2, [1, 0], [0, 1]), UnsupportedDimension,
+     "cross product needs dimension 3"),
+    (lambda: cross_product(_E3, [1, 0], [0, 1, 0]), ShapeError,
+     "cross product expects two 3-vectors"),
+], ids=["non-square", "dot-lengths", "raise-dims", "lower-dims", "volume-dim",
+        "dual-volume-dim", "cross-dim", "cross-lengths"])
+def test_rejected_input_names_the_fault(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
