@@ -29,13 +29,13 @@ curvilinear._read_json: an unreadable or non-JSON input is an error that
 names it (exit 2).
 
 christoffel and field-op evaluate all their sample points as one array
-through the chart layer (curvilinear.ChartPoints, TensorField.evaluate_batch);
-a point that fails, or whose field-op value is not finite, is skipped with a
-warning on stderr, in sampling order, and no numpy warning reaches stderr
-(main silences them). Every field-op operator checks the chart's T against
-S first, so a singular frame or a broken inverse map fails a point with
-DegenerateTransition (exit 4 when every point fails); when no point
-failed, field-op writes its values without filtering them.
+through the chart layer (curvilinear.ChartPoints, TensorField.evaluate_batch),
+which fails a point whose Christoffel symbols or operator value are not
+finite. A failed point is skipped with a warning on stderr, in sampling
+order; no numpy warning reaches stderr. Every field-op operator checks the
+chart's T against S first, so a singular frame or a broken inverse map
+fails a point with DegenerateTransition (exit 4 when every point fails);
+when no point failed, field-op writes its values without filtering them.
 Output is deterministic: floats use the shortest round-trip representation,
 JSON keys are sorted, and rows follow the sampling order. The --seed flag
 (default 42) pins the audit's random points.
@@ -306,13 +306,10 @@ def cmd_field_op(ns: argparse.Namespace) -> int:
     result = _build_operator(ns.op, chart, field_input, ns.slot)
     points = _sample_points(ns)
     values, failures = result.evaluate_batch(points)
-    if failures or not np.isfinite(values).all():
-        ok = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
-        for row in np.flatnonzero(~ok).tolist():
-            failures.setdefault(row, DomainError("tensor components must all be finite"))
-        if _report_failures(points, failures):
-            return EXIT_DOMAIN
-        points, values = points[ok], values[ok]
+    if _report_failures(points, failures):
+        return EXIT_DOMAIN
+    if failures:
+        points, values = (np.delete(a, list(failures), axis=0) for a in (points, values))
     valency = result.valency
     if ns.format == "json":
         payload = [
@@ -380,10 +377,10 @@ def cmd_audit(ns: argparse.Namespace) -> int:
         _emit(ns, "\n".join(lines) + "\n")
         return EXIT_AUDIT
     for name, residual, tolerance in checks:
-        status = "ok" if residual <= tolerance else "BREACH"
-        breached = breached or residual > tolerance
+        ok = residual <= tolerance  # False for a NaN residual
+        breached = breached or not ok
         lines.append(f"{name}: max residual {_fmt(residual)} "
-                     f"(tolerance {_fmt(tolerance)}) {status}")
+                     f"(tolerance {_fmt(tolerance)}) {'ok' if ok else 'BREACH'}")
     lines.append("verdict: " + ("FAIL" if breached else "PASS"))
     _emit(ns, "\n".join(lines) + "\n")
     return EXIT_AUDIT if breached else EXIT_OK
@@ -511,7 +508,7 @@ def main(argv=None) -> int:
         if "grid" in ns:  # sampling specs are checked before any other work
             ns.grid = dict(_parse_grid_spec(spec) for spec in ns.grid)
             ns.point = [_parse_point(text) for text in ns.point]
-        with np.errstate(all="ignore"):  # non-finite values are skipped rows or a BREACH
+        with np.errstate(all="ignore"):  # audit differences outside the chart layer
             return handlers[ns.command](ns)
     except (TensorCalcError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -479,10 +479,11 @@ class ChartPoints:
     transition stage. A row that fails a stage is dropped, and
     ``failures`` maps its row number to the exception the single-point
     functions raise there, with the same message: DomainError outside the
-    domain, DegenerateTransition where S and T are not mutually inverse (a
-    singular S among them). ``index`` holds the rows that passed and
-    ``points`` their coordinates; the arrays below have one entry per such
-    row and are None for stages not asked for.
+    domain or where a Christoffel symbol is not finite, DegenerateTransition
+    where S and T are not mutually inverse (a singular S among them); finish
+    fails a row whose value is not finite. ``index`` holds the rows that
+    passed and ``points`` their coordinates; the arrays below have one
+    entry per such row and are None for stages not asked for.
 
     S, T, residual (transition): Jacobi matrices, and max |T S - I| from T
         as the chart gives it; T is kept where it passes _pair_test, fails
@@ -523,6 +524,11 @@ class ChartPoints:
                 # one (d, d) @ (d, d*d) product per point
                 self.gamma = (T @ dS.reshape(n, d, d * d)).reshape(dS.shape)
                 self._drop(failures)
+                if not np.isfinite(self.gamma).all():
+                    bad = np.flatnonzero(~np.isfinite(self.gamma).all(axis=(1, 2, 3)))
+                    self._drop({k: DomainError(f"Christoffel symbols of chart {chart.name!r} "
+                                               f"at {y} are not finite")
+                                for k, y in zip(bad.tolist(), _row_texts(self.points[bad]))})
 
     def _drop(self, errors: dict):
         """Record errors[k] for every row k listed and drop those rows."""
@@ -568,12 +574,17 @@ class ChartPoints:
         """Values and failures for every input row.
 
         values has one entry per row that passed the chart stages; failures
-        maps positions among those rows to later errors (field probes).
-        Returns ``(values, failures)`` over all N rows, failed rows NaN, as
-        TensorField.evaluate_batch does.
+        maps positions among those rows to later errors (field probes), and
+        a row not failed there whose values are not finite fails with
+        DomainError. Returns ``(values, failures)`` over all N rows, failed
+        rows NaN, as TensorField.evaluate_batch does.
         """
         out = np.full((self.count,) + values.shape[1:], np.nan)
         out[self.index] = values
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1))
+            failures = {**{k: DomainError("tensor components must all be finite")
+                           for k in bad.tolist()}, **(failures or {})}
         merged = dict(self.failures)
         if failures:
             rows = self.index[np.fromiter(failures, dtype=np.intp, count=len(failures))]
@@ -720,17 +731,18 @@ def _covariant(state: ChartPoints, field: TensorField, t,
 
 def _chart_field(chart: Chart, field: TensorField, valency: Valency, body: Callable,
                  **stages) -> TensorField:
-    """The chart operator field of ``valency`` over ``field``: body(state, t)
-    gives ``(values, failures)`` at the rows that pass state =
-    ChartPoints(chart, points, **stages), and state.finish spreads them."""
+    """The chart operator field of ``valency`` over ``field``: state =
+    ChartPoints(chart, points, **stages), body(state, t) giving ``(values,
+    failures)`` at its rows and state.finish, all with numpy warnings off."""
     if field.dim != chart.dim:
         raise ShapeError(f"field of dimension {field.dim} on chart {chart.name!r} "
                          f"of dimension {chart.dim}")
 
     @_batched
     def func(points, t=None):
-        state = ChartPoints(chart, points, **stages)
-        return state.finish(*body(state, t))
+        with np.errstate(all="ignore"):
+            state = ChartPoints(chart, points, **stages)
+            return state.finish(*body(state, t))
 
     return TensorField(valency, func, field.dim, has_parameter=field.has_parameter)
 
@@ -775,8 +787,7 @@ def chart_to_chart_transform(field: TensorField, source: Chart,
         here.failures = {k: failures.get(k) or more.get(k) or DomainError(
             f"point {text} is outside chart {source.name!r}; charts do not overlap here")
             for k, text in zip(rows, _row_texts(x[rows]))}
-        with np.errstate(all="ignore"):  # as in ChartPoints' own stages
-            here._transition()
+        here._transition()
         values, failures = field.evaluate_batch(here.points, t)
         values = _transform_slots(values, field.valency, here, NEW_TO_OLD)
         values, failures = here.finish(values, failures)

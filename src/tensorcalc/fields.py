@@ -480,26 +480,23 @@ def _parameter_partial(field: TensorField, points: np.ndarray, t: float,
                        scheme: DifferentiationScheme, second: bool = False):
     """d/dt of a field (d2/dt2 when second) at t, at every row of points.
 
-    The t value is the one-column point array of _differences; each of its
-    probes evaluates the field over all points. Returns ``(values,
-    failures)`` as TensorField.evaluate_batch does, a point failing at its
-    first failing probe.
+    Each probe t + offset * h of the stencil evaluates the field over all
+    points, and the weighted values are added in stencil order. Returns
+    ``(values, failures)`` as TensorField.evaluate_batch does, a point
+    failing at its first failing probe.
     """
-    failures = {}
-
-    def rows(taus):
-        values = []
-        for tau in taus[:, 0]:
-            value, more = _map_rows(field._func, points, field._shape, "field", (tau,),
-                                    probing=True, valency=field.valency)
-            values.append(value)
-            for row, exc in more.items():
-                failures.setdefault(row, exc)
-        return np.stack(values), {}
-
-    d1, d2, _ = _differences(rows, np.array([[float(t)]]), scheme,
-                             first=not second, second=second)
-    return (d2[0, 0, 0] if second else d1[0, 0]), dict(sorted(failures.items()))
+    t = float(t)
+    denom, stencil = (_PURE_STENCIL if second else _FIRST_STENCIL)[scheme.order]
+    h = np.float64(scheme.second_step(t) if second else scheme.first_step(t))
+    terms, failures = [], {}
+    for offset, weight in stencil:
+        value, more = _map_rows(field._func, points, field._shape, "field",
+                                (t + offset * h,), probing=True, valency=field.valency)
+        terms.append(weight * value)
+        for row, exc in more.items():
+            failures.setdefault(row, exc)
+    total = functools.reduce(np.add, terms)
+    return total / (denom * h * h if second else denom * h), dict(sorted(failures.items()))
 
 
 def parameter_derivative(field: TensorField, t0: float,

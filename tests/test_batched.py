@@ -548,3 +548,51 @@ def test_chart_stages_fail_a_row_without_a_numpy_warning(chart, y):
     move = tc.chart_to_chart_transform(VECTOR, CHARTS["cylindrical"], CHARTS["identity"])
     _, failures = move.evaluate_batch([[5e-324, 0.0, 1.0]])
     assert isinstance(failures[0], DegenerateTransition)
+
+
+# -- a non-finite chart result fails its row -----------------------------------------
+
+
+def _cylindrical_with_partials(scale):
+    """The cylindrical chart with its second partials multiplied by scale(y)."""
+    cyl = CHARTS["cylindrical"]
+    return Chart("scaled", cyl.forward, cyl.inverse, cyl.jac_forward, cyl.jac_inverse,
+                 lambda y: cyl.jac_forward_partials(y) * scale(y), cyl.domain)
+
+
+def test_christoffel_stage_fails_exactly_the_rows_whose_symbols_are_not_finite():
+    points = np.array([[1.0, 0.3, 0.0], [2.0, 0.5, 1.0], [1.5, -1.0, 0.2], [1.2, 0.1, 0.9]])
+    chart = _cylindrical_with_partials(lambda y: np.inf if y[2] > 0.5 else 1.0)
+    state = ChartPoints(chart, points, christoffel=True)
+    texts = {1: "[2.0, 0.5, 1.0]", 3: "[1.2, 0.1, 0.9]"}
+    assert {k: (type(e), str(e)) for k, e in state.failures.items()} == {
+        k: (DomainError, f"Christoffel symbols of chart 'scaled' at {text} are not finite")
+        for k, text in texts.items()}
+    want = ChartPoints(_cylindrical_with_partials(lambda y: 1.0), points, christoffel=True)
+    assert state.index.tolist() == [0, 2]
+    assert state.gamma.tobytes() == want.gamma[[0, 2]].tobytes()
+    with pytest.raises(DomainError, match=r"at \[2.0, 0.5, 1.0\] are not finite"):
+        tc.christoffel(chart, points[1])
+
+
+def test_operator_fails_a_row_whose_value_is_not_finite():
+    # 1e308 y1^3: its laplacian 6e308 y1 overflows at y1 = 2, not at 0.05
+    cube = load_field({"r": 0, "s": 0, "components": [[{"coeff": 1e308, "powers": [3, 0, 0]}]]})
+    lap = laplacian_in_chart(CHARTS["spherical"], cube)
+    values, failures = lap.evaluate_batch([[2.0, 1.0, 0.5], [0.05, 1.0, 0.5]])
+    assert np.isnan(values[0]) and values[1] == pytest.approx(6e307, rel=1e-12)
+    assert {k: (type(e), str(e)) for k, e in failures.items()} == {
+        0: (DomainError, "tensor components must all be finite")}
+    for evaluate in (lap.evaluate_array, lap.evaluate):
+        with pytest.raises(DomainError, match="^tensor components must all be finite$"):
+            evaluate([2.0, 1.0, 0.5])
+
+
+def test_chart_transform_fails_an_overflowing_row_without_a_numpy_warning():
+    # next to the cylindrical axis T is huge and (2, 2) components overflow
+    field = TensorField((2, 2), lambda y: np.full((3,) * 4, 1.0))
+    move = tc.chart_to_chart_transform(field, CHARTS["cylindrical"], CHARTS["identity"])
+    values, failures = move.evaluate_batch([[5e-324, 1e-300, 1.0], [1.0, 0.5, 1.0]])
+    assert {k: (type(e), str(e)) for k, e in failures.items()} == {
+        0: (DomainError, "tensor components must all be finite")}
+    assert np.isnan(values[0]).all() and np.isfinite(values[1]).all()

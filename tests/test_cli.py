@@ -138,6 +138,23 @@ class TestEval:
                            "--bindings", str(tmp_path / "nope.json"))
         assert code == 2
 
+# x1 = y1 + 1e308 y2^2: S and T are finite, d2x1/dy2^2 = 2e308 overflows
+STEEP_CONFIG = {
+    "name": "steep",
+    "forward": [[{"coeff": 1.0, "powers": [1, 0, 0]}, {"coeff": 1e308, "powers": [0, 2, 0]}],
+                [{"coeff": 1.0, "powers": [0, 1, 0]}], [{"coeff": 1.0, "powers": [0, 0, 1]}]],
+    "inverse": [[{"coeff": 1.0, "powers": [1, 0, 0]}, {"coeff": -1e308, "powers": [0, 2, 0]}],
+                [{"coeff": 1.0, "powers": [0, 1, 0]}], [{"coeff": 1.0, "powers": [0, 0, 1]}]],
+}
+# x1 = 5.5e153 y1: g11 ~ 3e307, so central4's stencil weight 8 overflows
+STRETCH_CONFIG = {
+    "name": "stretch",
+    "forward": [[{"coeff": 5.5e153, "powers": [1, 0, 0]}],
+                [{"coeff": 1.0, "powers": [0, 1, 0]}], [{"coeff": 1.0, "powers": [0, 0, 1]}]],
+    "inverse": [[{"coeff": 1.818181818181818e-154, "powers": [1, 0, 0]}],
+                [{"coeff": 1.0, "powers": [0, 1, 0]}], [{"coeff": 1.0, "powers": [0, 0, 1]}]],
+}
+
 
 class TestChristoffel:
     def test_cylindrical_grid_rows(self, capsys):
@@ -195,6 +212,15 @@ class TestChristoffel:
         assert (code, out) == (4, "")
         assert err == (f"warning: skipping {text}: Jacobi matrices of chart {chart!r} at "
                        f"{text} are not mutually inverse (residual nan)\n"
+                       "error: every sample point failed\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_point_with_a_non_finite_symbol_is_skipped(self, capsys, fmt):
+        code, out, err = run(capsys, "christoffel", "--chart-file", json.dumps(STEEP_CONFIG),
+                             "--point", "0.1,0.5,0.2", "--format", fmt)
+        assert (code, out) == (4, "")
+        assert err == ("warning: skipping [0.1, 0.5, 0.2]: Christoffel symbols of chart "
+                       "'steep' at [0.1, 0.5, 0.2] are not finite\n"
                        "error: every sample point failed\n")
 
     def test_json_format(self, capsys):
@@ -350,6 +376,21 @@ class TestAudit:
         assert code == 0
         assert out.splitlines()[1] == ("inverse-roundtrip: max residual "
                                        "1.3671750224021017e-16 (tolerance 1e-09) ok")
+
+    def test_nan_residual_is_a_breach(self, capsys):
+        code, out, _ = run(capsys, "audit", "--chart-file", json.dumps(STRETCH_CONFIG),
+                           "--points", "5", "--scheme", "central4")
+        assert code == 5
+        assert out.splitlines()[-2:] == [
+            "concordance: max residual nan (tolerance 1e-06) BREACH", "verdict: FAIL"]
+
+    def test_non_finite_christoffel_symbol_aborts(self, capsys):
+        code, out, _ = run(capsys, "audit", "--chart-file", json.dumps(STEEP_CONFIG),
+                           "--points", "5")
+        assert code == 5
+        assert out.splitlines()[1:] == [
+            "check aborted: Christoffel symbols of chart 'steep' at [0.43832967768954134, "
+            "-0.09779449639671633, 0.5737566718582119] are not finite", "verdict: FAIL"]
 
     def test_broken_inverse_exits_five(self, capsys, tmp_path):
         config = json.loads(json.dumps(SHEAR_CONFIG))

@@ -52,6 +52,13 @@ class TestBasis:
         assert np.array_equal(back.basis.columns, system.basis.columns)
         assert np.array_equal(back.origin, system.origin)
 
+    def test_cartesian_system_takes_a_raw_matrix_as_its_basis(self):
+        columns = [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
+        system = CartesianSystem(columns)
+        assert isinstance(system.basis, Basis)
+        assert np.array_equal(system.basis.columns, columns)
+        assert np.array_equal(system.origin, np.zeros(3))
+
 
 class TestTransitionBetween:
     def test_same_basis_gives_identity_pair(self):

@@ -11,10 +11,11 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import tensorcalc
-from tensorcalc import notation
+from tensorcalc import cli, notation
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 MODULES = ("errors", "tensors", "frames", "metric", "fields", "curvilinear", "notation")
@@ -138,3 +139,36 @@ def test_lazy_names_are_looked_up_on_every_access(monkeypatch):
     assert tensorcalc.parse is wrapped
     monkeypatch.undo()
     assert tensorcalc.parse is original
+
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["check", "c = x^j y_j"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-m", "tensorcalc", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code = cli.main(argv)
+    assert (done.returncode, done.stdout) == (code, capsys.readouterr().out)
+
+
+REPRS = {
+    "Chart('spherical')": lambda: tensorcalc.builtin_chart("spherical"),
+    "ChristoffelArray(point=[1.0, 0.5, 2.0])":
+        lambda: tensorcalc.ChristoffelArray(np.zeros((3, 3, 3)), [1.0, 0.5, 2.0]),
+    "DifferentiationScheme(order=4, step=0.01)":
+        lambda: tensorcalc.DifferentiationScheme(4, 0.01),
+    "TensorField(r=1, s=2, dim=2)": lambda: tensorcalc.TensorField((1, 2), abs, 2),
+    "TensorField(r=0, s=0, dim=3, t)":
+        lambda: tensorcalc.TensorField.scalar(max, has_parameter=True),
+    "Basis(dim=2)": lambda: tensorcalc.Basis.standard(2),
+    "CartesianSystem(dim=3, origin=[1.0, 0.0, -2.5])":
+        lambda: tensorcalc.CartesianSystem(tensorcalc.Basis.standard(), [1.0, 0.0, -2.5]),
+    "Metric(dim=4)": lambda: tensorcalc.Metric.euclidean(4),
+    "DenseTensor(r=2, s=1, dim=3)": lambda: tensorcalc.DenseTensor.zeros((2, 1), 3),
+    "TransitionPair(dim=2)": lambda: tensorcalc.TransitionPair(np.eye(2), np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("text", REPRS)
+def test_repr_names_the_class_and_its_shape(text):
+    assert repr(REPRS[text]()) == text

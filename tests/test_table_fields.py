@@ -182,12 +182,11 @@ def test_operator_rows_equal_single_points(scalar, vector, points, chart, op):
     spec = ({"r": 0, "s": 0, "components": [scalar]} if op in ("grad", "laplace")
             else {"r": 1, "s": 0, "components": vector})
     result = OPERATORS[op](CHARTS[chart], load_field(spec))
-    with np.errstate(all="ignore"):
-        values, failures = result.evaluate_batch(points)
-        for n in range(len(points)):
-            alone, alone_failures = result.evaluate_batch(points[n:n + 1])
-            assert np.array_equal(values[n], alone[0], equal_nan=True), (op, n)
-            assert (n in failures) == bool(alone_failures)
+    values, failures = result.evaluate_batch(points)
+    for n in range(len(points)):
+        alone, alone_failures = result.evaluate_batch(points[n:n + 1])
+        assert np.array_equal(values[n], alone[0], equal_nan=True), (op, n)
+        assert (n in failures) == bool(alone_failures)
 
 
 # -- derivative multipliers that overflow the coefficient -----------------------------

@@ -25,13 +25,17 @@ charts (theta = pi/2, phi = +-0 and +-pi; theta = +-0 and +-pi), where
 the maps' entries include signed zeros; field-op grad, div, rot and
 laplace at the spherical pole [1, 0, 0.3], where every row fails the
 domain stage (exit 4), div with --slot 2 on a vector field, and laplace with
---step, which field-op does not take (exit 2). Last come fixed
-notation jobs (NOTATION_JOBS): check --explicit on one input per
-ParseError branch of the tokenizer and the parser, and on expressions
-written with tabs, newlines, U+00A0, the typographic minus and no spaces,
-then one eval of such an expression, so that every tokenizer branch and
-offset reaches the output. Each christoffel and field-op job runs once with
-CSV and once with JSON output; audit, check and eval have one format. One line per run:
+--step, which field-op does not take (exit 2); and christoffel on a table
+chart whose Christoffel symbols overflow (the point is skipped, exit 4).
+Then come fixed notation jobs (NOTATION_JOBS): check --explicit on one
+input per ParseError branch of the tokenizer and the parser, and on
+expressions written with tabs, newlines, U+00A0, the typographic minus and
+no spaces, then one eval of such an expression, so that every tokenizer
+branch and offset reaches the output. Last comes a fixed audit job
+(AUDIT_JOBS): a table chart whose metric overflows in central4's stencil,
+so the concordance residual is NaN (BREACH, exit 5). Each christoffel and
+field-op job runs once with CSV and once with JSON output; audit, check
+and eval have one format. One line per run:
 workload, cycle, job, format, exit code, and the sha256 digests of stdout
 and stderr. The jobs depend only on the seed and come from this
 checkout's perfbench and FIXED_JOBS, so two source trees print the same
@@ -147,6 +151,28 @@ FIXED_JOBS += [("field-op div slot 2", ["field-op", "div", "--chart", "cylindric
                                         "--field", _VECTOR, "--slot", "2", *_GRID]),
                ("field-op laplace step", ["field-op", "laplace", "--chart", "cylindrical",
                                           "--field", _SCALAR, "--step", "0.1", *_GRID])]
+# x1 = y1 + 1e308 y2^2 and its exact inverse: S and T are finite, but the
+# second partial 2e308 overflows, so the Christoffel symbols are not finite
+# and the point is skipped (exit 4)
+_STEEP_CHART = json.dumps({
+    "name": "steep",
+    "forward": [_table((1.0, [1, 0, 0], None), (1e308, [0, 2, 0], None)),
+                _table((1.0, [0, 1, 0], None)), _table((1.0, [0, 0, 1], None))],
+    "inverse": [_table((1.0, [1, 0, 0], None), (-1e308, [0, 2, 0], None)),
+                _table((1.0, [0, 1, 0], None)), _table((1.0, [0, 0, 1], None))]})
+FIXED_JOBS += [("christoffel steep", ["christoffel", "--chart-file", _STEEP_CHART,
+                                      "--point", "0.1,0.5,0.2"])]
+# x1 = 5.5e153 y1: the chart metric g11 ~ 3e307 is finite, but central4's
+# stencil weight 8 overflows it in the concordance check, whose NaN
+# residual is a BREACH (exit 5). audit has no --format: AUDIT_JOBS run once
+_STRETCH_CHART = json.dumps({
+    "name": "stretch",
+    "forward": [_table((5.5e153, [1, 0, 0], None)),
+                _table((1.0, [0, 1, 0], None)), _table((1.0, [0, 0, 1], None))],
+    "inverse": [_table((1.818181818181818e-154, [1, 0, 0], None)),
+                _table((1.0, [0, 1, 0], None)), _table((1.0, [0, 0, 1], None))]})
+AUDIT_JOBS = [("audit stretch central4", ["audit", "--chart-file", _STRETCH_CHART,
+                                          "--points", "5", "--scheme", "central4"])]
 
 
 # one input per ParseError branch, in the order the parser raises them,
@@ -186,7 +212,8 @@ def runs(src: str, cycles: int, seed: int):
     """Every run of the chart workloads' jobs, then of the notation-algebra
     CLI jobs (cycle 0, format "text"), then of FIXED_JOBS (workload
     "builtin", cycle 0), then of NOTATION_JOBS (workload "notation", cycle
-    0, format "text"), with tensorcalc from src, in a fixed order: tuples
+    0, format "text"), then of AUDIT_JOBS (workload "audit", cycle 0,
+    format "text"), with tensorcalc from src, in a fixed order: tuples
     (workload, cycle, job number, job kind, format, exit code, stdout,
     stderr)."""
     src = os.path.abspath(src)
@@ -222,6 +249,8 @@ def runs(src: str, cycles: int, seed: int):
             yield ("builtin", 0, n, kind, fmt) + _run(cli, argv + ["--format", fmt])
     for n, (kind, argv) in enumerate(NOTATION_JOBS):
         yield ("notation", 0, n, kind, "text") + _run(cli, argv)
+    for n, (kind, argv) in enumerate(AUDIT_JOBS):
+        yield ("audit", 0, n, kind, "text") + _run(cli, argv)
 
 
 def main():

@@ -4,9 +4,9 @@
 
 Runs the jobs of tools/cli_digest.py (N cycles of the grid-spherical and
 table-chart workloads, the CLI jobs of one notation-algebra cycle, then
-its fixed chart and notation jobs) once with tensorcalc from each tree,
-each tree in its own child process, and compares the two outputs of every
-run. Per workload and job kind it prints one line: "identical" when
+its fixed chart, notation and audit jobs) once with tensorcalc from each
+tree, each tree in its own child process, and compares the two outputs of
+every run. Per workload and job kind it prints one line: "identical" when
 every run of the kind printed the same bytes, else the largest
 |a - b| / (1 + |b|) over the printed numbers (a from HEAD_SRC, b from
 PARENT_SRC), plus the runs whose exit code or stderr changed. Output
