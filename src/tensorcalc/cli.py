@@ -40,17 +40,22 @@ Output is deterministic: floats use the shortest round-trip representation,
 JSON keys are sorted, and rows follow the sampling order. The --seed flag
 (default 42) pins the audit's random points.
 
-Both commands write CSV through _csv, which runs no Python per row. A grid
-of n^3 points has only 3n distinct coordinates, and Christoffel symbols
-repeat along coordinates they do not depend on, so _csv sorts the printed
-floats by bit pattern and calls repr once per distinct pattern (0.0 and
--0.0 differ in bits, so each keeps its sign). christoffel drops its chart
-state (S, T, residual) before it calls _csv and hands _csv the only
-references to the Christoffel table and its mask, which _csv frees before
-its join, so that memory is free when the ~5 MB text of a 20^3 table is
-allocated. With the state or the table alive, a process that runs many
-such tables in-process ended some runs 15-20 MB higher in peak RSS than
-others, depending on where the allocator had put each text.
+Both commands write CSV through _csv, which runs no Python per grid row.
+Coordinates are formatted where the points are made: _sample_points
+returns each row's CSV prefix "\\na,b,c," with the points, calling repr
+once per --point coordinate and once per grid axis value (a grid of n^3
+points has 3n), and builds a grid's prefixes as the row-major product of
+its axes' texts. A command drops a skipped row's prefix with its point.
+Christoffel symbols and operator values repeat along coordinates they do
+not depend on, so _csv sorts the printed values by bit pattern and calls
+repr once per distinct pattern (0.0 and -0.0 differ in bits, so each
+keeps its sign). christoffel drops its chart state (S, T, residual)
+before it calls _csv and hands _csv the only references to the
+Christoffel table and its mask, which _csv frees before its join, so that
+memory is free when the ~5 MB text of a 20^3 table is allocated. With
+the state or the table alive, a process that runs many such tables
+in-process ended some runs 15-20 MB higher in peak RSS than others,
+depending on where the allocator had put each text.
 """
 
 from __future__ import annotations
@@ -108,21 +113,38 @@ def _chart(ns: argparse.Namespace) -> curvilinear.Chart:
     raise ParameterError("no chart given; pass --chart or --chart-file")
 
 
-def _sample_points(ns: argparse.Namespace) -> np.ndarray:
-    """(N, 3) points: --point flags, then the --grid product in row-major order."""
-    pts = [np.reshape(ns.point, (-1, 3))]
+def _point_prefixes(points: np.ndarray) -> np.ndarray:
+    """The CSV row prefix "\\na,b,c," of each of the (N, 3) points, as an
+    object array, with one repr per coordinate."""
+    return np.array([f"\n{a!r},{b!r},{c!r}," for a, b, c in points.tolist()], dtype=object)
+
+
+def _sample_points(ns: argparse.Namespace) -> tuple:
+    """(N, 3) points, the --point flags then the --grid product in row-major
+    order, and the CSV row prefix of each (see _csv). A grid's prefixes are
+    the row-major product of its axes' texts, one repr per axis value, built
+    once the points exist; a grid numpy cannot allocate is a ParameterError."""
+    points = np.reshape(ns.point, (-1, 3))
+    prefixes = _point_prefixes(points)
     if ns.grid:
         missing = sorted(set(range(3)) - set(ns.grid))
         if missing:
             raise ParameterError(
                 f"grid is missing axis {missing[0] + 1}; give all three axes")
         axes = [np.linspace(*ns.grid[a]) for a in range(3)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts.append(np.stack([m.ravel() for m in mesh], axis=1))
-    pts = np.concatenate(pts)
-    if not len(pts):
+        try:
+            grid = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+        except MemoryError:
+            count = math.prod(len(axis) for axis in axes)
+            raise ParameterError(f"grid of {count} points does not fit in memory") from None
+        texts = [np.array([repr(v) + "," for v in axis.tolist()], dtype=object)
+                 for axis in axes]
+        grid_prefixes = np.add.outer(np.add.outer("\n" + texts[0], texts[1]), texts[2])
+        points = np.concatenate((points, grid.reshape(-1, 3)))
+        prefixes = np.concatenate((prefixes, grid_prefixes.ravel()))
+    if not len(points):
         raise ParameterError("no evaluation points; pass --point or --grid")
-    return pts
+    return points, prefixes
 
 
 def _parse_grid_spec(text: str):
@@ -189,28 +211,26 @@ def _report_failures(points: np.ndarray, failures: dict) -> bool:
     return every
 
 
-def _csv(header: str, points: np.ndarray, table: np.ndarray, keep: np.ndarray,
+def _csv(header: str, prefixes: np.ndarray, table: np.ndarray, keep: np.ndarray,
          labels: list) -> str:
-    """CSV text with a row per point n and column c where keep[n, c],
-    holding the point's coordinates, labels[c] and table[n, c].
+    """CSV text with a row per table row n and column c where keep[n, c],
+    holding prefixes[n] (the point's "\\na,b,c,", see _sample_points),
+    labels[c] and table[n, c].
 
     The prefix, label and value texts of every row go into one list,
     allocated before the gathers that fill it. The gathers, and _csv's
-    references to table and keep, are freed before the list is joined in C;
-    a caller that passes its only references (CPython 3.11+ moves call
-    arguments into the callee) has those arrays freed before the join too."""
+    references to prefixes, table and keep, are freed before the list is
+    joined in C; a caller that passes its only references (CPython 3.11+
+    moves call arguments into the callee) has those arrays freed before the
+    join too."""
     parts = [None] * (3 * np.count_nonzero(keep) + 1)
     parts[-1] = "\n"
     rows, cols = keep.nonzero()
-    size = points.size
-    texts = _reprs(np.concatenate((points.ravel(), table[rows, cols])))
-    y = texts[:size].tolist()
-    prefixes = np.array([f"\n{a},{b},{c}," for a, b, c in zip(y[0::3], y[1::3], y[2::3])],
-                        dtype=object)
+    texts = _reprs(table[rows, cols])
     parts[0:-1:3] = prefixes[rows].tolist()
     parts[1:-1:3] = np.asarray(labels, dtype=object)[cols].tolist()
-    parts[2:-1:3] = texts[size:].tolist()
-    del rows, cols, texts, y, prefixes, table, keep
+    parts[2:-1:3] = texts.tolist()
+    del rows, cols, texts, prefixes, table, keep
     return header + "".join(parts)
 
 
@@ -261,11 +281,12 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 def cmd_christoffel(ns: argparse.Namespace) -> int:
     chart = _chart(ns)
-    points = _sample_points(ns)
+    points, prefixes = _sample_points(ns)
     state = curvilinear.ChartPoints(chart, points, christoffel=True)
     if _report_failures(points, state.failures):
         return EXIT_DOMAIN
-    points, gamma = state.points, state.gamma.reshape(len(state.index), 27)
+    points, prefixes = state.points, prefixes[state.index]
+    gamma = state.gamma.reshape(len(state.index), 27)
     del state  # free S, T and the residual before the output is built
     nonzero = np.abs(gamma) > 1e-12
     kij = [(k, i, j) for k in (1, 2, 3) for i in (1, 2, 3) for j in (1, 2, 3)]
@@ -282,7 +303,7 @@ def cmd_christoffel(ns: argparse.Namespace) -> int:
         labels = ["%d,%d,%d," % idx for idx in kij]
         owned = [gamma, nonzero]  # _csv gets the only references and frees them
         del gamma, nonzero
-        _emit(ns, _csv("y1,y2,y3,k,i,j,gamma", points, owned.pop(0), owned.pop(), labels))
+        _emit(ns, _csv("y1,y2,y3,k,i,j,gamma", prefixes, owned.pop(0), owned.pop(), labels))
     return EXIT_OK
 
 
@@ -304,12 +325,13 @@ def cmd_field_op(ns: argparse.Namespace) -> int:
     chart = _chart(ns)
     field_input = load_field(ns.field)
     result = _build_operator(ns.op, chart, field_input, ns.slot)
-    points = _sample_points(ns)
+    points, prefixes = _sample_points(ns)
     values, failures = result.evaluate_batch(points)
     if _report_failures(points, failures):
         return EXIT_DOMAIN
     if failures:
-        points, values = (np.delete(a, list(failures), axis=0) for a in (points, values))
+        points, prefixes, values = (np.delete(a, list(failures), axis=0)
+                                    for a in (points, prefixes, values))
     valency = result.valency
     if ns.format == "json":
         payload = [
@@ -322,7 +344,7 @@ def cmd_field_op(ns: argparse.Namespace) -> int:
     else:
         paths = [path + "," for path in _component_paths(valency)]
         table = values.reshape(len(values), -1)
-        _emit(ns, _csv("x1,x2,x3,component-path,value", points, table,
+        _emit(ns, _csv("x1,x2,x3,component-path,value", prefixes, table,
                            np.ones(table.shape, dtype=bool), paths))
     return EXIT_OK
 

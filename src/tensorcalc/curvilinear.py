@@ -648,7 +648,8 @@ def metric_in_chart(chart: Chart, y) -> Metric:
     """Gram matrix of the moving frame: g_ij = (E_i, E_j) = (S^T S)_ij.
 
     Metric.from_frame(jacobians(chart, y)): it fails where jacobians does
-    (DegenerateTransition at a singular frame), and its matrix, dual and
+    (DegenerateTransition at a singular frame) and where S^T S is not
+    finite (DegenerateMetric), and its matrix, dual and
     sqrt_det are _gram(S), _dual_gram(T) and |det S| of the ChartPoints
     transition stage at y, bit for bit.
     """
@@ -662,13 +663,14 @@ def metric_field(chart: Chart) -> TensorField:
     Only S is evaluated: the field needs neither T nor the metric's
     inverse, so its finite-difference probes (the audit's concordance
     check) never call jac_inverse. A point outside the domain or where S
-    fails fails alone.
+    fails fails alone, and so does a point whose g is not finite.
     """
 
     @_batched
     def func(points):
-        state = ChartPoints(chart, points)
-        return state.finish(_gram(state._frame()))
+        with np.errstate(all="ignore"):  # a non-finite g fails its row in finish
+            state = ChartPoints(chart, points)
+            return state.finish(_gram(state._frame()))
 
     return TensorField(Valency(0, 2), func, chart.dim)
 

@@ -112,9 +112,14 @@ class Metric(_Frozen):
     @classmethod
     def from_frame(cls, pair: TransitionPair) -> "Metric":
         """The metric of the frame pair.S, with T = pair.T its checked
-        inverse: g = S^T S and g^-1 = T T^T."""
+        inverse: g = S^T S and g^-1 = T T^T. A g that overflows raises
+        DegenerateMetric, as Metric(g) does for a non-finite g."""
+        with np.errstate(all="ignore"):
+            g = _gram(pair.S)
+        if not np.isfinite(g).all():
+            raise DegenerateMetric("metric is not positive definite")
         metric = object.__new__(cls)
-        metric._set(_gram(pair.S), pair.S, pair.T)
+        metric._set(g, pair.S, pair.T)
         return metric
 
     def _set(self, g, S, T):

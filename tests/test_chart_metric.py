@@ -24,6 +24,7 @@ import tensorcalc as tc
 from tensorcalc import (
     Chart,
     ChartPoints,
+    DegenerateMetric,
     DegenerateTransition,
     DifferentiationScheme,
     Metric,
@@ -293,6 +294,35 @@ def test_from_frame_is_the_gram_matrix_of_the_frame():
         assert metric.S is pair.S and metric.T is pair.T
         det = abs(np.linalg.det(S))
         assert abs(metric.sqrt_det - det) <= 1e-14 * det
+
+
+# x1 = 1e200 y1: S and T are finite and mutually inverse, but g11 = 1e400
+# overflows. Tier-1 turns a RuntimeWarning into an error, so these tests
+# also check that no numpy warning leaves the library
+HUGE = load_chart({"name": "huge",
+                   "forward": [[{"coeff": 1e200, "powers": [1, 0, 0]}],
+                               [{"coeff": 1.0, "powers": [0, 1, 0]}],
+                               [{"coeff": 1.0, "powers": [0, 0, 1]}]],
+                   "inverse": [[{"coeff": 1e-200, "powers": [1, 0, 0]}],
+                               [{"coeff": 1.0, "powers": [0, 1, 0]}],
+                               [{"coeff": 1.0, "powers": [0, 0, 1]}]]})
+
+
+def test_metric_field_fails_a_row_whose_metric_overflows():
+    values, failures = metric_field(HUGE).evaluate_batch([[0.5, 0.1, 0.2], [0.5, 0.1, 0.3]])
+    assert list(failures) == [0, 1]
+    assert {str(exc) for exc in failures.values()} == {"tensor components must all be finite"}
+    assert np.isnan(values).all()
+
+
+def test_metric_in_chart_fails_an_overflowing_metric_as_metric_does():
+    with pytest.raises(DegenerateMetric, match="^metric is not positive definite$"):
+        metric_in_chart(HUGE, [0.5, 0.1, 0.2])
+    with pytest.raises(DegenerateMetric, match="^metric is not positive definite$"):
+        Metric.from_frame(tc.TransitionPair(np.diag([1e200, 1.0, 1.0]),
+                                            np.diag([1e-200, 1.0, 1.0])))
+    with pytest.raises(DegenerateMetric, match="^metric is not positive definite$"):
+        Metric(np.diag([np.inf, 1.0, 1.0]))
 
 
 def test_a_metric_frame_is_read_only():

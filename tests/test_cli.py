@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from tensorcalc import DenseTensor, ParameterError, ShapeError, curvilinear, load_chart
 from tensorcalc import cli
 from tensorcalc import errors as tc_errors
-from tensorcalc.cli import _csv, main
+from tensorcalc.cli import _csv, _point_prefixes, main
 from tensorcalc.fields import _row_texts
 
 
@@ -503,7 +503,7 @@ class TestCsvFormatter:
     @given(inputs=_csv_inputs())
     def test_matches_one_repr_per_float(self, inputs):
         points, table, keep, labels = inputs
-        assert (_csv("h", points, table, keep, labels)
+        assert (_csv("h", _point_prefixes(points), table, keep, labels)
                 == _csv_oracle("h", points, table, keep, labels))
 
     def test_signed_zero_coordinates_keep_their_sign(self, capsys, tmp_path):
@@ -573,17 +573,18 @@ class TestCsvRows:
     @given(inputs=_csv_tables())
     def test_matches_a_per_row_reference(self, inputs):
         points, table, keep, labels = inputs
-        assert (_csv("x1,x2,x3,c,v", points, table, keep, labels)
+        assert (_csv("x1,x2,x3,c,v", _point_prefixes(points), table, keep, labels)
                 == _csv_per_row("x1,x2,x3,c,v", points, table, keep, labels))
 
     @settings(max_examples=150, deadline=None)
     @given(inputs=_csv_tables())
     def test_lines_of_a_point_do_not_depend_on_the_other_points(self, inputs):
         points, table, keep, labels = inputs
-        lines = _csv("h", points, table, keep, labels).splitlines()[1:]
+        prefixes = _point_prefixes(points)
+        lines = _csv("h", prefixes, table, keep, labels).splitlines()[1:]
         start = 0
         for n in range(len(points)):
-            alone = _csv("h", points[n:n + 1], table[n:n + 1], keep[n:n + 1],
+            alone = _csv("h", prefixes[n:n + 1], table[n:n + 1], keep[n:n + 1],
                          labels).splitlines()[1:]
             assert lines[start:start + len(alone)] == alone
             start += len(alone)
@@ -651,6 +652,103 @@ class TestChristoffelGridEdges:
             assert (code, out) == (0, expected)
         else:
             assert (code, out) == (4, "")
+
+
+@st.composite
+def _points_then_pole_grid(draw):
+    """Up to four spherical --point rows, some outside the domain or with
+    signed zeros, then a grid of at most 3 x 4 x 3 points whose theta axis
+    runs from pole to pole, so its first and last theta rows are skipped."""
+    coordinate = st.one_of(st.sampled_from([0.0, -0.0, math.pi, 1.0]), st.floats(-4.0, 4.0))
+    points = draw(st.lists(st.tuples(st.floats(-0.5, 3.0), coordinate, coordinate),
+                           max_size=4))
+    counts = st.integers(1, 3)
+    axes = ((draw(st.floats(0.1, 1.0)), draw(st.floats(0.5, 3.0)), draw(counts)),
+            (0.0, math.pi, draw(st.integers(2, 4))),
+            (draw(st.one_of(st.just(-0.0), st.floats(-3.0, 3.0))),
+             draw(st.floats(-3.0, 3.0)), draw(counts)))
+    return np.array(points, dtype=float).reshape(-1, 3), axes
+
+
+# 1.3 y1^2 sin(2 y2) - 0.4 y1 y3 + 0.7 y3^3 and (1.3 y1^2, 0.5 y1 cos y2, 0.2 y2 y3)
+SCALAR_FIELD = {"r": 0, "s": 0, "components": [[
+    {"coeff": 1.3, "powers": [2, 0, 0], "trig": [None, {"fn": "sin", "freq": 2.0}, None]},
+    {"coeff": -0.4, "powers": [1, 0, 1]}, {"coeff": 0.7, "powers": [0, 0, 3]}]]}
+VECTOR_FIELD = {"r": 1, "s": 0, "components": [
+    [{"coeff": 1.3, "powers": [2, 0, 0]}],
+    [{"coeff": 0.5, "powers": [1, 0, 0], "trig": [None, {"fn": "cos", "freq": 1.0}, None]}],
+    [{"coeff": 0.2, "powers": [0, 1, 1]}]]}
+_OPERATORS = {  # field-op name: library operator, field, component labels
+    "grad": (curvilinear.gradient_vector_in_chart, SCALAR_FIELD, ["^1,", "^2,", "^3,"]),
+    "div": (curvilinear.divergence_in_chart, VECTOR_FIELD, ["scalar,"]),
+    "rot": (curvilinear.rotor_in_chart, VECTOR_FIELD, ["^1,", "^2,", "^3,"]),
+    "laplace": (curvilinear.laplacian_in_chart, SCALAR_FIELD, ["scalar,"]),
+}
+
+
+class TestPointsBeforeAGrid:
+    """christoffel and field-op on --point rows followed by a grid: each
+    printed row is the per-row CSV of the library's own value there."""
+
+    @staticmethod
+    def _run(argv, points, axes):
+        argv = list(argv) + ["--chart", "spherical"]
+        for a, b, c in points.tolist():
+            argv.append(f"--point={a!r},{b!r},{c!r}")
+        for axis, (lo, hi, count) in enumerate(axes, start=1):
+            argv += ["--grid", f"y{axis}={lo!r}:{hi!r}:{count}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        mesh = np.meshgrid(*[np.linspace(*axis) for axis in axes], indexing="ij")
+        grid = np.stack([m.ravel() for m in mesh], axis=1)
+        return code, out.getvalue(), err.getvalue(), np.concatenate((points, grid))
+
+    @staticmethod
+    def _check(code, out, err, header, kept, table, keep, labels, failed):
+        assert err.count("warning: skipping") == failed
+        if len(kept):
+            assert (code, out) == (0, _csv_per_row(header, kept, table, keep, labels))
+        else:
+            assert (code, out) == (4, "")
+
+    @settings(max_examples=30, deadline=None)
+    @given(sample=_points_then_pole_grid())
+    def test_christoffel(self, sample):
+        code, out, err, points = self._run(["christoffel"], *sample)
+        state = curvilinear.ChartPoints(curvilinear.builtin_chart("spherical"), points,
+                                        christoffel=True)
+        table = state.gamma.reshape(len(state.index), 27)
+        labels = [f"{k},{i},{j}," for k in (1, 2, 3) for i in (1, 2, 3) for j in (1, 2, 3)]
+        self._check(code, out, err, "y1,y2,y3,k,i,j,gamma", state.points, table,
+                    np.abs(table) > 1e-12, labels, len(state.failures))
+
+    @settings(max_examples=30, deadline=None)
+    @given(sample=_points_then_pole_grid(), op=st.sampled_from(sorted(_OPERATORS)))
+    def test_field_op(self, sample, op):
+        operator, field, labels = _OPERATORS[op]
+        code, out, err, points = self._run(["field-op", op, "--field", json.dumps(field)],
+                                           *sample)
+        values, failures = operator(curvilinear.builtin_chart("spherical"),
+                                    curvilinear.load_field(field)).evaluate_batch(points)
+        kept = np.delete(points, list(failures), axis=0)
+        table = np.delete(values, list(failures), axis=0).reshape(len(kept), len(labels))
+        self._check(code, out, err, "x1,x2,x3,component-path,value", kept, table,
+                    np.ones(table.shape, dtype=bool), labels, len(failures))
+
+
+class TestImpossibleGrid:
+    # 10^15 points: numpy refuses the 21 PiB points array at once
+    GRID = ["--grid", "y1=0.5:1:100000", "--grid", "y2=0.5:1:100000",
+            "--grid", "y3=0:1:100000"]
+
+    @pytest.mark.parametrize("command", [
+        ["christoffel"], ["field-op", "laplace", "--field", json.dumps(SCALAR_FIELD)]],
+        ids=["christoffel", "field-op"])
+    def test_is_a_usage_error_that_names_the_point_count(self, capsys, command):
+        code, out, err = run(capsys, *command, "--chart", "spherical", *self.GRID)
+        assert (code, out) == (2, "")
+        assert err == "error: grid of 1000000000000000 points does not fit in memory\n"
 
 
 class TestNonFiniteFieldValues:

@@ -26,7 +26,11 @@ the maps' entries include signed zeros; field-op grad, div, rot and
 laplace at the spherical pole [1, 0, 0.3], where every row fails the
 domain stage (exit 4), div with --slot 2 on a vector field, and laplace with
 --step, which field-op does not take (exit 2); and christoffel on a table
-chart whose Christoffel symbols overflow (the point is skipped, exit 4).
+chart whose Christoffel symbols overflow (the point is skipped, exit 4);
+and christoffel and field-op grad on spherical --point rows (one printed,
+two skipped) before a grid, once a grid through the poles whose axis
+starts at -0.0, so skipped pole rows fall between printed rows, and once
+a grid with a count-1 axis, for the CSV row prefixes of both sources.
 Then come fixed notation jobs (NOTATION_JOBS): check --explicit on one
 input per ParseError branch of the tokenizer and the parser, and on
 expressions written with tabs, newlines, U+00A0, the typographic minus and
@@ -162,6 +166,21 @@ _STEEP_CHART = json.dumps({
                 _table((1.0, [0, 1, 0], None)), _table((1.0, [0, 0, 1], None))]})
 FIXED_JOBS += [("christoffel steep", ["christoffel", "--chart-file", _STEEP_CHART,
                                       "--point", "0.1,0.5,0.2"])]
+# --point rows before a grid, whose CSV row prefixes come from two places:
+# a point inside the domain, one at r < 0 and one on the pole (both
+# skipped), then a grid whose theta axis runs from pole to pole over two
+# radii, so pole rows are skipped between printed rows, and whose phi axis
+# starts at -0.0 (linspace gives 0.0 there); then a grid with a count-1
+# axis and an axis from -0.0 to -0.0 (linspace gives 0.0, -0.0)
+_POINTS = ["--point", "1.5,0.7,-0.3", "--point", "-1,0.5,0.5", "--point", "2,0,1"]
+_POLE_GRID = ["--grid", "y1=1:2:2", "--grid", f"y2=0:{math.pi!r}:4", "--grid", "y3=-0.0:1:3"]
+_THIN_GRID = ["--grid", "y1=1.5:1.5:1", "--grid", "y2=0.5:1:2", "--grid", "y3=-0.0:-0.0:2"]
+FIXED_JOBS += [(f"{command} spherical {what}",
+                [*command.split(), "--chart", "spherical", *field, *_POINTS, *grid])
+               for what, grid in (("points then pole grid", _POLE_GRID),
+                                  ("points then count-1 axis", _THIN_GRID))
+               for command, field in (("christoffel", []),
+                                      ("field-op grad", ["--field", _SCALAR]))]
 # x1 = 5.5e153 y1: the chart metric g11 ~ 3e307 is finite, but central4's
 # stencil weight 8 overflows it in the concordance check, whose NaN
 # residual is a BREACH (exit 5). audit has no --format: AUDIT_JOBS run once
