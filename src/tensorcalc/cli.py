@@ -72,10 +72,8 @@ import numpy as np
 from . import curvilinear
 from .curvilinear import load_field
 from .errors import (
+    _POINT_ERRORS,
     BindingError,
-    DegenerateMetric,
-    DegenerateTransition,
-    DomainError,
     ParameterError,
     ParseError,
     ShapeError,
@@ -94,8 +92,7 @@ EXIT_DOMAIN = 4
 EXIT_AUDIT = 5
 
 # exit code of an error that reaches main; any other error exits EXIT_PARSE
-_EXIT_CODES = ((BindingError, EXIT_BINDING),
-               ((DomainError, DegenerateTransition, DegenerateMetric), EXIT_DOMAIN))
+_EXIT_CODES = ((BindingError, EXIT_BINDING), (_POINT_ERRORS, EXIT_DOMAIN))
 
 _AXIS_NAMES = {"y1": 0, "y2": 1, "y3": 2, "x1": 0, "x2": 1, "x3": 2,
                "1": 0, "2": 1, "3": 2}
@@ -393,7 +390,7 @@ def cmd_audit(ns: argparse.Namespace) -> int:
         points = chart.sample_points(ns.points, rng)
         scheme = DifferentiationScheme(4 if ns.scheme == "central4" else 2, ns.step)
         checks = _audit_checks(chart, points, scheme)
-    except (DomainError, DegenerateTransition, DegenerateMetric, ShapeError) as exc:
+    except (*_POINT_ERRORS, ShapeError) as exc:
         lines.append(f"check aborted: {exc}")
         lines.append("verdict: FAIL")
         _emit(ns, "\n".join(lines) + "\n")

@@ -81,7 +81,6 @@ from .fields import (
     _points,
     _raise_first,
     _row_texts,
-    _scheme,
 )
 from .metric import _LAST, _NEXT, Metric, _dual_gram, _frame_volume, _gram
 from .tensors import (
@@ -425,10 +424,9 @@ def _fd_jacobian(mapping: Callable, points: np.ndarray, shape: tuple | None = No
     Returns ``(values, failures)``, the derivative index last: values[n,
     ..., j] = d mapping(p)[...] / d p^j. mapping returns ``shape`` values
     per point, by default a vector of the point's dimension, so that [n, i,
-    j] is the Jacobian; the step is cbrt(eps) * max(1, |p_j|). When second,
-    values[n, q, i, j] = d^2 mapping(p)[q] / d p^i d p^j of a vector map,
-    with the step eps^(1/4) * max(1, |p|) on both axes. A point fails at
-    its first failing probe.
+    j] is the Jacobian. When second, values[n, q, i, j] = d^2 mapping(p)[q]
+    / d p^i d p^j of a vector map. The scheme is DEFAULT_SCHEME (see
+    DifferentiationScheme). A point fails at its first failing probe.
     """
     shape = points.shape[1:] if shape is None else shape
 
@@ -465,8 +463,9 @@ def _second_partials(chart: Chart, y: np.ndarray):
     dim = chart.dim
     if chart.jac_forward_partials is not None:
         return _map_rows(chart.jac_forward_partials, y, (dim,) * 3, "jac_forward_partials")
-    if chart.jac_forward is not None:
-        return _fd_jacobian(chart.jac_forward, y, (dim, dim), "jac_forward")
+    if chart.jac_forward is not None:  # symmetrised in (i, j), as _partials does
+        dS, failures = _fd_jacobian(chart.jac_forward, y, (dim, dim), "jac_forward")
+        return (dS + np.swapaxes(dS, 2, 3)) / 2.0, failures
     return _fd_jacobian(chart.forward, y, what="forward", second=True)
 
 
@@ -627,9 +626,9 @@ def jacobian_derivative(chart: Chart, y) -> np.ndarray:
     """dS[q, i, j] = second partial d^2 x^q / dy^i dy^j of the forward map.
 
     Uses analytic second partials when supplied; otherwise central FD on
-    the analytic Jacobian with step cbrt(eps) * max(1, |y_j|); otherwise
-    central second differences of the forward map, pure and mixed, with
-    step eps^(1/4) * max(1, |y_j|) along every axis.
+    the analytic Jacobian, symmetrised in (i, j); otherwise central second
+    differences of the forward map. Both FD routes use DEFAULT_SCHEME (see
+    DifferentiationScheme) and give a dS exactly symmetric in (i, j).
     """
     return _first_row(*_second_partials(chart, _at(chart, y).points))
 
@@ -684,9 +683,9 @@ def christoffel(chart: Chart, y) -> ChristoffelArray:
 def christoffel_alt(chart: Chart, y) -> np.ndarray:
     """Alternative route: Gamma^k_ij = -sum_q S^q_i dT^k_q/dy^j.
 
-    dT/dy is taken by central FD on the inverse Jacobian with step
-    cbrt(eps) * max(1, |y_j|); kept as a raw array for cross-checking the
-    main construction.
+    dT/dy is taken by central FD on the inverse Jacobian with
+    DEFAULT_SCHEME (see DifferentiationScheme); kept as a raw array for
+    cross-checking the main construction.
     """
     y = _at(chart, y).points
     dim = chart.dim
@@ -716,7 +715,7 @@ def _gamma_corrections(gamma: np.ndarray, arr: np.ndarray, r: int, s: int) -> np
 
 
 def _covariant(state: ChartPoints, field: TensorField, t,
-               scheme: DifferentiationScheme):
+               scheme: DifferentiationScheme | None):
     """nabla_p X at the rows of a ChartPoints: ``([n, p, slots...], failures)``.
 
     The state needs the Christoffel symbols unless the field is a scalar.
@@ -758,7 +757,6 @@ def covariant_derivative(chart: Chart, field: TensorField,
     -Gamma X; on a flat chart all corrections vanish, leaving the plain
     partial derivative (nabla).
     """
-    scheme = _scheme(scheme)
     r, s = field.valency.r, field.valency.s
 
     def body(state, t):
@@ -832,7 +830,6 @@ def gradient_vector_in_chart(chart: Chart, phi: TensorField,
     """Gradient with the index raised by the chart metric."""
     if phi.valency.order != 0:
         raise ShapeError("gradient needs a scalar field")
-    scheme = _scheme(scheme)
 
     def body(state, t):
         covector, failures = _covariant(state, phi, t, scheme)
@@ -849,7 +846,6 @@ def divergence_in_chart(chart: Chart, field: TensorField, slot: int = 1,
     if r < 1:
         raise ShapeError("divergence needs at least one upper slot")
     _check_slot("upper", slot, r)
-    scheme = _scheme(scheme)
 
     def body(state, t):
         table, failures = _covariant(state, field, t, scheme)  # [n, p, slots...]
@@ -868,7 +864,6 @@ def laplacian_in_chart(chart: Chart, phi: TensorField,
     """
     if phi.valency.order != 0:
         raise ShapeError("laplacian needs a scalar field")
-    scheme = _scheme(scheme)
 
     def body(state, t):
         first, hess, failures = _partials(phi, state.points, t, scheme, second=True)
@@ -889,7 +884,6 @@ def rotor_in_chart(chart: Chart, field: TensorField,
         raise ShapeError("rotor needs a vector field")
     if field.dim != 3:
         raise ShapeError("rotor is defined for dimension 3")
-    scheme = _scheme(scheme)
 
     def body(state, t):
         table, failures = _covariant(state, field, t, scheme)  # [n, m, k] = nabla_m X^k
@@ -964,7 +958,6 @@ def dalembert(c: float, phi: TensorField,
     """
     if not c > 0:
         raise ParameterError(f"wave speed must be positive, got {c}")
-    scheme = _scheme(scheme)
     spatial = laplacian(Metric.euclidean(phi.dim), phi, scheme)
 
     @_batched

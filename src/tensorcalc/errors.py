@@ -70,3 +70,7 @@ class BindingError(TensorCalcError):
 
 class ValidationError(TensorCalcError):
     """An index expression violates the free/summation index rules."""
+
+
+# Errors of one point: a batch fails that point only, and the CLI exits 4.
+_POINT_ERRORS = (DomainError, DegenerateTransition, DegenerateMetric)

@@ -6,10 +6,11 @@ the field supplies its partial derivatives: first partials, and second
 partials with them. Otherwise it takes central finite differences: of the
 analytic first partials for second partials, of the field itself when it
 has none. One stencil table covers first, pure second and mixed partials,
-and a whole point array is differenced with one call of the field. Fields
-built from coefficient tables (curvilinear.load_field, from a dict, a JSON
-text or a path) carry both, so the operators take no finite differences
-of them.
+and a whole point array is differenced with one call of the field; so is
+d/dt, with t as a one-column coordinate. DifferentiationScheme states the
+steps and the default. Fields built from coefficient tables
+(curvilinear.load_field, from a dict, a JSON text or a path) carry both,
+so the operators take no finite differences of them.
 
 The vector-calculus operators live in the curvilinear module: the Cartesian
 ones (nabla, gradient, divergence, laplacian, rotor, dalembert) are the
@@ -22,13 +23,7 @@ import functools
 
 import numpy as np
 
-from .errors import (
-    DegenerateMetric,
-    DegenerateTransition,
-    DomainError,
-    ParameterError,
-    ShapeError,
-)
+from .errors import _POINT_ERRORS, DomainError, ParameterError, ShapeError
 from .tensors import DEFAULT_DIM, DenseTensor, Valency, _Frozen, _as_valency
 
 __all__ = ["DifferentiationScheme", "TensorField", "derivative_table",
@@ -38,8 +33,6 @@ _EPS = float(np.finfo(float).eps)
 _FIRST_STEP = _EPS ** (1.0 / 3.0)
 _SECOND_STEP = _EPS ** 0.25
 
-# Errors that belong to one point: in a batch they fail that point only.
-_POINT_ERRORS = (DomainError, DegenerateTransition, DegenerateMetric)
 _BATCHED = "_tensorcalc_batched"
 
 
@@ -163,13 +156,16 @@ def _row_texts(points: np.ndarray) -> list:
 
 
 class DifferentiationScheme(_Frozen):
-    """Central finite-difference configuration.
+    """Central finite-difference configuration; the one statement of its rules.
 
     order 2 uses the two-point central stencils, order 4 the four-point
-    ones. When ``step`` is None the step is chosen per coordinate:
-    cbrt(eps) * max(1, |x|) for first derivatives and eps**(1/4) *
-    max(1, |x|) for second derivatives, the usual truncation/round-off
-    compromise.
+    ones. When ``step`` is None the step is chosen per coordinate, t
+    included: cbrt(eps) * max(1, |x|) for first derivatives and eps**(1/4)
+    * max(1, |x|) for pure and mixed second ones, the usual
+    truncation/round-off compromise. A scheme of None means DEFAULT_SCHEME
+    (order 2, automatic steps). Chart maps without analytic Jacobians are
+    always differenced with DEFAULT_SCHEME: an operator's scheme applies to
+    its field.
     """
 
     __slots__ = ("order", "step")
@@ -199,10 +195,6 @@ class DifferentiationScheme(_Frozen):
 
 
 DEFAULT_SCHEME = DifferentiationScheme()
-
-
-def _scheme(scheme) -> DifferentiationScheme:
-    return DEFAULT_SCHEME if scheme is None else scheme
 
 
 class TensorField(_Frozen):
@@ -383,7 +375,7 @@ def _stencil_table(dim: int, order: int, first: bool, second: bool, fixed: bool)
     return len(probes), moves, index, weight, denom, ca, cb, second_rows
 
 
-def _differences(rows, points: np.ndarray, scheme: DifferentiationScheme,
+def _differences(rows, points: np.ndarray, scheme: DifferentiationScheme | None,
                  first: bool = True, second: bool = False):
     """Central-difference partials of a function at every row of points.
 
@@ -391,10 +383,11 @@ def _differences(rows, points: np.ndarray, scheme: DifferentiationScheme,
     returns ``(values, failures)`` as TensorField.evaluate_batch does; it
     is called once, on every distinct probe of every point, probe-major
     (row p * N + m is probe p of point m). Returns ``(d1, d2, failures)``:
-    d1[n, q] the partials along q, d2[n, i, j] the second partials (None
-    when not asked for), and failures mapping a point's row to the error at
-    its first failing probe.
+    d1[n, q] the partials along q, d2[n, i, j] the second partials, each
+    None when not asked for, and failures mapping a point's row to the
+    error at its first failing probe. A scheme of None is DEFAULT_SCHEME.
     """
+    scheme = DEFAULT_SCHEME if scheme is None else scheme
     n, dim = points.shape
     count, (probe, axis, mult, col), index, weight, denom, ca, cb, second_rows = (
         _stencil_table(dim, scheme.order, first, second, scheme.step is not None))
@@ -421,8 +414,8 @@ def _differences(rows, points: np.ndarray, scheme: DifferentiationScheme,
     return d1, d2, failures
 
 
-def _partials(field: TensorField, points: np.ndarray, t, scheme: DifferentiationScheme,
-              first: bool = True, second: bool = False):
+def _partials(field: TensorField, points: np.ndarray, t,
+              scheme: DifferentiationScheme | None, second: bool = False):
     """First partials [n, q, ...] and second partials [n, i, j, ...] of a field.
 
     Analytic when the field carries partials. Second partials are then its
@@ -435,12 +428,11 @@ def _partials(field: TensorField, points: np.ndarray, t, scheme: Differentiation
         def rows(probes):
             return _map_rows(field._func, probes, field._shape, "field", args,
                              probing=True, valency=field.valency)
-        return _differences(rows, points, scheme, first, second)
+        return _differences(rows, points, scheme, second=second)
     table_shape = (field.dim,) + field._shape
-    d1, d2, failures = None, None, {}
-    if first:
-        d1, failures = _map_rows(field._partials, points, table_shape, "partials", args,
-                                 valency=field.valency)
+    d1, failures = _map_rows(field._partials, points, table_shape, "partials", args,
+                             valency=field.valency)
+    d2 = None
     if second:
         if field._second_partials is not None:
             d2, more = _map_rows(field._second_partials, points, (field.dim,) + table_shape,
@@ -462,47 +454,48 @@ def derivative_table(field: TensorField, point, t=None,
 
     Analytic when the field carries partials, otherwise central FD.
     """
-    d1, _, failures = _partials(field, _point(point, field.dim)[None], t, _scheme(scheme))
+    d1, _, failures = _partials(field, _point(point, field.dim)[None], t, scheme)
     _raise_first(failures)
     return d1[0]
 
 
 def _hessian(phi: TensorField, point: np.ndarray, t,
-             scheme: DifferentiationScheme) -> np.ndarray:
+             scheme: DifferentiationScheme | None) -> np.ndarray:
     """Symmetric table of second partials of a scalar field."""
-    _, d2, failures = _partials(phi, _point(point, phi.dim)[None], t, scheme,
-                                first=False, second=True)
+    _, d2, failures = _partials(phi, _point(point, phi.dim)[None], t, scheme, second=True)
     _raise_first(failures)
     return d2[0]
 
 
 def _parameter_partial(field: TensorField, points: np.ndarray, t: float,
-                       scheme: DifferentiationScheme, second: bool = False):
+                       scheme: DifferentiationScheme | None, second: bool = False):
     """d/dt of a field (d2/dt2 when second) at t, at every row of points.
 
-    Each probe t + offset * h of the stencil evaluates the field over all
-    points, and the weighted values are added in stencil order. Returns
-    ``(values, failures)`` as TensorField.evaluate_batch does, a point
-    failing at its first failing probe.
+    t is differenced as a one-column coordinate, one row per point; each
+    t-probe evaluates the field once over all points. Returns ``(values,
+    failures)`` as TensorField.evaluate_batch does, a point failing at its
+    first failing probe.
     """
-    t = float(t)
-    denom, stencil = (_PURE_STENCIL if second else _FIRST_STENCIL)[scheme.order]
-    h = np.float64(scheme.second_step(t) if second else scheme.first_step(t))
-    terms, failures = [], {}
-    for offset, weight in stencil:
-        value, more = _map_rows(field._func, points, field._shape, "field",
-                                (t + offset * h,), probing=True, valency=field.valency)
-        terms.append(weight * value)
-        for row, exc in more.items():
-            failures.setdefault(row, exc)
-    total = functools.reduce(np.add, terms)
-    return total / (denom * h * h if second else denom * h), dict(sorted(failures.items()))
+    n = len(points)
+
+    def rows(probes):  # probe-major: each run of n rows holds one t
+        values = np.empty((len(probes),) + field._shape)
+        failures = {}
+        for start in range(0, len(probes), max(n, 1)):
+            values[start:start + n], more = _map_rows(
+                field._func, points, field._shape, "field", (probes[start, 0],),
+                probing=True, valency=field.valency)
+            failures.update((start + row, exc) for row, exc in more.items())
+        return values, failures
+
+    d1, d2, failures = _differences(rows, np.full((n, 1), float(t)), scheme,
+                                    not second, second)
+    return (d2[:, 0, 0] if second else d1[:, 0]), failures
 
 
 def parameter_derivative(field: TensorField, t0: float,
                          scheme: DifferentiationScheme | None = None) -> TensorField:
     """d(field)/dt at t = t0, a parameter-free field of the same valency."""
-    scheme = _scheme(scheme)
     if not field.has_parameter:
         zero = DenseTensor.zeros(field.valency, field.dim)
         return TensorField.constant(zero)

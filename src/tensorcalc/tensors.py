@@ -364,12 +364,17 @@ def _invert_stack(matrices: np.ndarray):
     Returns ``(inverses, failures)``; failures maps the index of every
     singular matrix to its DegenerateTransition, and its inverse is left NaN.
     """
-    det = np.linalg.det(matrices)
-    scale = np.prod(np.linalg.norm(matrices, axis=2), axis=1)
-    singular = (scale == 0.0) | (np.abs(det) <= SINGULAR_REL * scale)
-    failures = {int(n): DegenerateTransition(
-        f"matrix is singular within tolerance (det={float(det[n])!r})")
-        for n in np.flatnonzero(singular)}
+    # on rows divided by their largest |entry| no norm overflows or underflows;
+    # a non-finite entry makes its row NaN, and so its matrix singular
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.abs(matrices).max(axis=2, keepdims=True)
+        unit = matrices / np.where(top > 0.0, top, 1.0)
+        scale = np.multiply.reduce(np.sqrt(np.add.reduce(unit * unit, axis=2)), axis=1)
+        singular = ~(np.abs(np.linalg.det(unit)) > SINGULAR_REL * scale)
+        # the message gives the matrix's own det, inf or NaN included
+        det = np.linalg.det(matrices[singular]).tolist() if singular.any() else []
+    failures = {n: DegenerateTransition(f"matrix is singular within tolerance (det={d!r})")
+                for n, d in zip(np.flatnonzero(singular).tolist(), det)}
     inverses = np.full_like(matrices, np.nan)
     inverses[~singular] = np.linalg.inv(matrices[~singular])
     return inverses, failures
@@ -393,7 +398,8 @@ def invert_matrix(matrix: np.ndarray) -> np.ndarray:
 
     Raises DegenerateTransition when |det| falls below 1e-12 of the Hadamard
     bound (product of the row norms), which makes the test invariant under
-    uniform rescaling of the matrix.
+    rescaling the matrix or any of its rows, at any finite scale. A matrix
+    with a non-finite entry is singular.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:

@@ -1,9 +1,12 @@
 """Dense tensor storage, algebra, and the basis-change transformation law."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tensorcalc as tc
 from tensorcalc import (
@@ -323,6 +326,71 @@ class TestTransitionPair:
         for _ in range(5):
             c = compose_transitions(random_pair(rng), random_pair(rng))
             assert np.max(np.abs(c.T @ c.S - np.eye(3))) < 1e-9
+
+
+def _regular(matrix) -> bool:
+    try:
+        tc.invert_matrix(matrix)
+    except DegenerateTransition:
+        return False
+    return True
+
+
+def _entries():
+    """Matrix entries that no scaling by 2^+-500 overflows or underflows."""
+    return st.one_of(st.just(0.0), st.floats(1e-100, 1.0), st.floats(-1.0, -1e-100))
+
+
+class TestSingularityTest:
+    """The Hadamard ratio |det| / prod of row norms, at any finite scale."""
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 1e-170, 1e-300])
+    def test_a_scaled_regular_matrix_is_regular_and_raises_no_warning(self, scale):
+        matrix = np.diag([scale, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(tc.invert_matrix(matrix), np.diag([1.0 / scale, 1.0, 1.0]))
+            assert np.array_equal(tc.Basis(matrix).columns, matrix)
+            assert np.array_equal(TransitionPair.from_direct(matrix).S, matrix)
+
+    @pytest.mark.parametrize("bad, det", [(np.nan, "nan"), (np.inf, "inf")])
+    def test_a_matrix_with_a_non_finite_entry_is_singular(self, bad, det):
+        matrix = np.diag([bad, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateTransition, match=f"det={det}"):
+                tc.invert_matrix(matrix)
+            with pytest.raises(DegenerateTransition, match=f"det={det}"):
+                TransitionPair.from_direct(matrix)
+            with pytest.raises(DegenerateTransition, match="do not form a basis"):
+                tc.Basis(matrix)
+            matrix[0, 1] = bad  # a NaN det
+            with pytest.raises(DegenerateTransition, match="det=nan"):
+                tc.invert_matrix(matrix)
+
+    def test_the_message_gives_the_matrix_own_det(self):
+        matrix = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-14, 0.0], [0.0, 0.0, 1.0]])
+        for scaled in (matrix, 2.0 ** 500 * matrix):
+            with pytest.raises(DegenerateTransition) as info:
+                tc.invert_matrix(scaled)
+            with np.errstate(over="ignore"):  # 2^1500 det(matrix) is inf
+                det = float(np.linalg.det(scaled))
+            assert str(info.value) == f"matrix is singular within tolerance (det={det!r})"
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(_entries(), min_size=9, max_size=9),
+           row=st.sampled_from([None, 0, 1, 2]), power=st.sampled_from([-500, 500]))
+    def test_scaling_the_matrix_or_a_row_never_changes_the_verdict(self, entries, row,
+                                                                   power):
+        matrix = np.array(entries).reshape(3, 3)
+        scaled = matrix.copy()
+        if row is None:
+            scaled *= 2.0 ** power
+        else:
+            scaled[row] *= 2.0 ** power
+        assert _regular(scaled) == _regular(matrix)
+        if np.linalg.cond(matrix) <= 20.0:
+            assert _regular(scaled)
 
 
 class TestTransform:
