@@ -14,6 +14,10 @@ every sample point failed (christoffel, field-op), and a DomainError,
 DegenerateTransition or DegenerateMetric from any command; 5 audit
 tolerance breach.
 
+--dim and audit --points must be at least 1, and a --grid axis may be
+given once: anything else is a usage error (exit 2), checked before any
+other work, as a malformed --grid or --point is.
+
 A --point value may start with a minus sign (--point -1.5,0.2,0.3): main
 attaches such a value to its flag before argparse, which would otherwise
 read it as an option. main then parses argv once, with the parser of the
@@ -142,6 +146,17 @@ def _sample_points(ns: argparse.Namespace) -> tuple:
     if not len(points):
         raise ParameterError("no evaluation points; pass --point or --grid")
     return points, prefixes
+
+
+def _parse_grid(specs: list) -> dict:
+    """axis -> (min, max, count) of the --grid specs, each axis once."""
+    grid = {}
+    for text in specs:
+        axis, span = _parse_grid_spec(text)
+        if axis in grid:
+            raise ParameterError(f"grid axis {axis + 1} given twice; give each axis once")
+        grid[axis] = span
+    return grid
 
 
 def _parse_grid_spec(text: str):
@@ -524,9 +539,13 @@ def main(argv=None) -> int:
         "audit": cmd_audit,
     }
     try:
-        if "grid" in ns:  # sampling specs are checked before any other work
-            ns.grid = dict(_parse_grid_spec(spec) for spec in ns.grid)
+        # sampling specs and counts are checked before any other work
+        if "grid" in ns:
+            ns.grid = _parse_grid(ns.grid)
             ns.point = [_parse_point(text) for text in ns.point]
+        for name in ("dim", "points"):
+            if getattr(ns, name, 1) < 1:
+                raise ParameterError(f"--{name} must be at least 1, got {getattr(ns, name)}")
         with np.errstate(all="ignore"):  # audit differences outside the chart layer
             return handlers[ns.command](ns)
     except (TensorCalcError, OSError) as exc:

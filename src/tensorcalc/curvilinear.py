@@ -29,7 +29,15 @@ point array at once. Singular points (cylindrical axis, spherical poles)
 are excluded by domain predicates and fail fast with DomainError.
 
 ChartPoints computes S, T and the Christoffel symbols of a point array
-once. The metric is arithmetic on S and T that fails no point: the Gram
+once. For a built-in curvilinear chart, S, T and dS come from one call of
+its frame function (_frame_chart), and an operator takes a loaded field's
+values and first partials, or first and second partials, from one
+evaluation of its concatenated tables (_Tables.jet): one column set per
+call, not a cache. Table charts are evaluated map by map: with their maps
+fused, ChartPoints (the load included) was no faster at N = 1 and slower
+at N = 1,000. So are charts and fields built from Python callables, or rebuilt
+from a library chart's or field's public callables, with the same bits.
+The metric is arithmetic on S and T that fails no point: the Gram
 matrix S^T S of the moving frame and its inverse the Gram matrix T T^T of
 the dual frame, both formed by the metric module, as is the volume |det S|
 (metric._gram, _dual_gram, _frame_volume). The chart operators,
@@ -128,10 +136,13 @@ class Chart(_Frozen):
     domain : callable y -> bool, optional (default: everywhere)
     sample_bounds : three (lo, hi) pairs used when drawing random domain
         points for audits and demos, optional
+
+    _frames is the frame function of a built-in chart (_frame_chart), else
+    None; Chart leaves it None.
     """
 
     __slots__ = ("name", "forward", "inverse", "jac_forward", "jac_inverse",
-                 "jac_forward_partials", "domain", "sample_bounds", "dim")
+                 "jac_forward_partials", "domain", "sample_bounds", "dim", "_frames")
 
     def __init__(self, name: str, forward: Callable, inverse: Callable,
                  jac_forward: Optional[Callable] = None,
@@ -152,6 +163,7 @@ class Chart(_Frozen):
         object.__setattr__(self, "sample_bounds",
                            tuple((float(lo), float(hi)) for lo, hi in sample_bounds))
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_frames", None)
 
     @property
     def analytic(self) -> bool:
@@ -252,6 +264,21 @@ def _stack(entries, like: np.ndarray, shape: tuple) -> np.ndarray:
 # ((-r)*s)*c, and (-r)*s is -(r*s) bit for bit, so it is taken as nrs*c.
 
 
+def _frame_chart(name: str, frame: Callable, forward: Callable, inverse: Callable,
+                 domain: Callable, sample_bounds: Sequence) -> Chart:
+    """A chart whose jac_forward, jac_inverse and jac_forward_partials are
+    selections of frame(y, direct, inverse, partials) -> (S, T, dS), None
+    where not asked for. frame computes a product they share once, and one
+    asked for alone what it alone needs; ChartPoints asks for all three."""
+    chart = Chart(name, forward, inverse,
+                  _batched(lambda y: frame(y, direct=True)[0]),
+                  _batched(lambda y: frame(y, inverse=True)[1]),
+                  _batched(lambda y: frame(y, partials=True)[2]),
+                  domain=domain, sample_bounds=sample_bounds)
+    object.__setattr__(chart, "_frames", frame)
+    return chart
+
+
 def _cylindrical() -> Chart:
     @_batched
     def forward(y):
@@ -263,42 +290,37 @@ def _cylindrical() -> Chart:
         x1, x2, x3 = _coords(x)
         return _stack([np.hypot(x1, x2), np.arctan2(x2, x1), x3], x1, (3,))
 
-    @_batched
-    def jac_forward(y):
+    def frame(y, direct=False, inverse=False, partials=False):
         r, th, _ = _coords(y)
         c, s = np.cos(th), np.sin(th)
-        return _stack([c, -r * s, None,
-                       s, r * c, None,
-                       None, None, 1.0], r, (3, 3))
-
-    @_batched
-    def jac_inverse(y):
-        r, th, _ = _coords(y)
-        c, s = np.cos(th), np.sin(th)
-        return _stack([c, s, None,
-                       -s / r, c / r, None,
-                       None, None, 1.0], r, (3, 3))
-
-    @_batched
-    def jac_forward_partials(y):
-        r, th, _ = _coords(y)
-        c, s = np.cos(th), np.sin(th)
-        ns, nr = -s, -r
-        # dS[q, i, j] with the derivative index j last; d/dz is zero
-        return _stack([None, ns, None,      ns, nr * c, None,      None, None, None,
-                       None, c, None,       c, nr * s, None,       None, None, None,
-                       None, None, None,    None, None, None,      None, None, None],
-                      r, (3, 3, 3))
+        S = T = dS = None
+        if direct or partials:
+            nr = -r
+            nrs = nr * s
+        if inverse or partials:
+            ns = -s
+        if direct:
+            S = _stack([c, nrs, None,
+                        s, r * c, None,
+                        None, None, 1.0], r, (3, 3))
+        if inverse:
+            T = _stack([c, s, None,
+                        ns / r, c / r, None,
+                        None, None, 1.0], r, (3, 3))
+        if partials:
+            # dS[q, i, j] with the derivative index j last; d/dz is zero
+            dS = _stack([None, ns, None,      ns, nr * c, None,      None, None, None,
+                         None, c, None,       c, nrs, None,          None, None, None,
+                         None, None, None,    None, None, None,      None, None, None],
+                        r, (3, 3, 3))
+        return S, T, dS
 
     @_batched
     def domain(y):
         return _coords(y)[0] > 0.0
 
-    return Chart(
-        "cylindrical", forward, inverse, jac_forward, jac_inverse,
-        jac_forward_partials, domain=domain,
-        sample_bounds=((0.5, 3.0), (-math.pi, math.pi), (-2.0, 2.0)),
-    )
+    return _frame_chart("cylindrical", frame, forward, inverse, domain,
+                        ((0.5, 3.0), (-math.pi, math.pi), (-2.0, 2.0)))
 
 
 def _spherical() -> Chart:
@@ -322,46 +344,42 @@ def _spherical() -> Chart:
         return _stack([r, np.arccos(np.clip(x3 / r, -1.0, 1.0)), np.arctan2(x2, x1)],
                       r, (3,))
 
-    @_batched
-    def jac_forward(y):
+    def frame(y, direct=False, inverse=False, partials=False):
         r, st, ct, cp, sp = angles(y)
-        rs, rc = r * st, r * ct
-        nrs = -rs
-        return _stack([st * cp, rc * cp, nrs * sp,
-                       st * sp, rc * sp, rs * cp,
-                       ct, nrs, None], r, (3, 3))
-
-    @_batched
-    def jac_inverse(y):
-        r, st, ct, cp, sp = angles(y)
-        rs = r * st
-        return _stack([st * cp, st * sp, ct,
-                       ct * cp / r, ct * sp / r, -st / r,
-                       -sp / rs, cp / rs, None], r, (3, 3))
-
-    @_batched
-    def jac_forward_partials(y):
-        r, st, ct, cp, sp = angles(y)
-        rc = r * ct
-        nst, nrs, nrc = -st, -(r * st), -rc
-        ctcp, ctsp, stcp, nstsp = ct * cp, ct * sp, st * cp, nst * sp
-        nrscp, nrssp, nrcsp, rccp = nrs * cp, nrs * sp, nrc * sp, rc * cp
-        # dS[q, i, j] with the derivative index j last (r, theta, phi)
-        return _stack([None, ctcp, nstsp,   ctcp, nrscp, nrcsp,    nstsp, nrcsp, nrscp,
-                       None, ctsp, stcp,    ctsp, nrssp, rccp,     stcp, rccp, nrssp,
-                       None, nst, None,     nst, nrc, None,        None, None, None],
-                      r, (3, 3, 3))
+        rs, stcp = r * st, st * cp
+        S = T = dS = None
+        if direct or inverse:
+            stsp = st * sp
+        if direct or partials:
+            rc, nrs = r * ct, -rs
+            nrssp, rccp = nrs * sp, rc * cp
+        if inverse or partials:
+            nst, ctcp, ctsp = -st, ct * cp, ct * sp
+        if direct:
+            S = _stack([stcp, rccp, nrssp,
+                        stsp, rc * sp, rs * cp,
+                        ct, nrs, None], r, (3, 3))
+        if inverse:
+            T = _stack([stcp, stsp, ct,
+                        ctcp / r, ctsp / r, nst / r,
+                        -sp / rs, cp / rs, None], r, (3, 3))
+        if partials:
+            nrc = -rc
+            nstsp, nrscp, nrcsp = nst * sp, nrs * cp, nrc * sp
+            # dS[q, i, j] with the derivative index j last (r, theta, phi)
+            dS = _stack([None, ctcp, nstsp,   ctcp, nrscp, nrcsp,    nstsp, nrcsp, nrscp,
+                         None, ctsp, stcp,    ctsp, nrssp, rccp,     stcp, rccp, nrssp,
+                         None, nst, None,     nst, nrc, None,        None, None, None],
+                        r, (3, 3, 3))
+        return S, T, dS
 
     @_batched
     def domain(y):
         r, th, _ = _coords(y)
         return (r > 0.0) & (0.0 < th) & (th < math.pi)
 
-    return Chart(
-        "spherical", forward, inverse, jac_forward, jac_inverse,
-        jac_forward_partials, domain=domain,
-        sample_bounds=((0.5, 3.0), (0.3, math.pi - 0.3), (-math.pi, math.pi)),
-    )
+    return _frame_chart("spherical", frame, forward, inverse, domain,
+                        ((0.5, 3.0), (0.3, math.pi - 0.3), (-math.pi, math.pi)))
 
 
 def _flat_chart(g: Metric, name: str = "cartesian",
@@ -494,10 +512,14 @@ class ChartPoints:
     metric._dual_gram(T), which fail no row. gamma is one stacked matmul on
     C-contiguous operands, so a row gets the same bits alone as in any
     batch.
+
+    With a frame function (Chart._frames), S, T and the Christoffel stage's
+    dS come from one call on the domain rows, and dS drops the rows the
+    transition stage drops.
     """
 
-    _ROWS = ("index", "points", "S", "T", "residual", "gamma")
-    S = T = residual = gamma = None
+    _ROWS = ("index", "points", "S", "T", "residual", "_dS", "gamma")
+    S = T = residual = _dS = gamma = None
 
     def __init__(self, chart: Chart, points, transition: bool = False,
                  christoffel: bool = False):
@@ -515,9 +537,11 @@ class ChartPoints:
         if not (transition or christoffel):
             return
         with np.errstate(all="ignore"):  # a non-finite entry fails its row, not a warning
-            self._transition()
+            self._transition(christoffel)
             if christoffel:
-                dS, failures = _second_partials(chart, self.points)
+                dS, failures = ((self._dS, {}) if chart._frames is not None
+                                else _second_partials(chart, self.points))
+                self._dS = None
                 n, d = dS.shape[:2]
                 T = np.ascontiguousarray(self.T)
                 # one (d, d) @ (d, d*d) product per point
@@ -548,11 +572,15 @@ class ChartPoints:
             self._drop(failures)
         return self.S
 
-    def _transition(self):
+    def _transition(self, partials: bool = False):
+        """The transition stage; with a frame function, also dS when partials."""
         chart = self.chart
-        self._frame()
-        self.T, failures = _inverse(chart, self.points)
-        self._drop(failures)
+        if chart._frames is not None:
+            self.S, self.T, self._dS = chart._frames(self.points, True, True, partials)
+        else:
+            self._frame()
+            self.T, failures = _inverse(chart, self.points)
+            self._drop(failures)
         self.residual, failures = _pair_test(self.S, self.T)
         if not failures:  # every T as the chart gives it
             return
@@ -719,15 +747,21 @@ def _covariant(state: ChartPoints, field: TensorField, t,
     """nabla_p X at the rows of a ChartPoints: ``([n, p, slots...], failures)``.
 
     The state needs the Christoffel symbols unless the field is a scalar.
+    A loaded field gives its values and partials from one call of its jet.
     """
     r, s = field.valency.r, field.valency.s
-    table, _, failures = _partials(field, state.points, t, scheme)
-    if r + s:
+    if not r + s:
+        table, _, failures = _partials(field, state.points, t, scheme)
+        return table, failures
+    if field._jet is not None:
+        arr, table, _ = field._jet(state.points, values=True, first=True)
+        failures = {}
+    else:
+        table, _, failures = _partials(field, state.points, t, scheme)
         arr, more = field.evaluate_batch(state.points, t)
-        table = table + _gamma_corrections(state.gamma, arr, r, s)
         for row, exc in more.items():
             failures.setdefault(row, exc)
-    return table, failures
+    return table + _gamma_corrections(state.gamma, arr, r, s), failures
 
 
 def _chart_field(chart: Chart, field: TensorField, valency: Valency, body: Callable,
@@ -1129,11 +1163,14 @@ def _differentiate(terms: list, low: int = 0) -> list:
 class _Tables:
     """Batched evaluators of parsed tables and of their partials.
 
-    values(y)[..., e] is table e, first(y)[..., e, q] its partial along y_q
-    and second(y)[..., e, i, j] along y_i and y_j, (j, i) read from (i, j)
-    of i <= j so that it is symmetric bit for bit; all summed by _evaluate.
-    The partial tables are built on first use and kept: table 3 e + q of
-    first_tables() and 6 e + u of second_tables(), u-th pair i <= j.
+    jet(y, values, first, second) gives, for each one asked for, values
+    [..., e] of table e, first [..., e, q] its partial along y_q and second
+    [..., e, i, j] along y_i and y_j, (j, i) read from (i, j) of i <= j so
+    that it is symmetric bit for bit, from one _evaluate over the tables
+    asked for, so that each factor column is computed once per call;
+    values(y), first(y) and second(y) each select one. The partial tables
+    are built on first use and kept: table 3 e + q of first_tables() and
+    6 e + u of second_tables(), u-th pair i <= j.
     """
 
     __slots__ = ("tables", "_first", "_second")
@@ -1152,21 +1189,32 @@ class _Tables:
                             for table in _differentiate(terms, k % 3)[k % 3:]]
         return self._second
 
+    def jet(self, y, values=False, first=False, second=False):
+        e = len(self.tables)
+        out = _evaluate((self.tables if values else [])
+                        + (self.first_tables() if first else [])
+                        + (self.second_tables() if second else []), y)
+        lead = out.shape[:-1]
+        v = d1 = d2 = None
+        if values:
+            v, out = out[..., :e], out[..., e:]
+        if first:
+            d1, out = out[..., :3 * e].reshape(lead + (e, 3)), out[..., 3 * e:]
+        if second:
+            d2 = out.reshape(lead + (e, 6))[..., _SYMMETRIC].reshape(lead + (e, 3, 3))
+        return v, d1, d2
+
     @_batched
     def values(self, y):
-        return _evaluate(self.tables, y)
+        return self.jet(y, values=True)[0]
 
     @_batched
     def first(self, y):
-        out = _evaluate(self.first_tables(), y)
-        return out.reshape(out.shape[:-1] + (len(self.tables), 3))
+        return self.jet(y, first=True)[1]
 
     @_batched
     def second(self, y):
-        out = _evaluate(self.second_tables(), y)
-        lead = out.shape[:-1]
-        return out.reshape(lead + (len(self.tables), 6))[..., _SYMMETRIC].reshape(
-            lead + (len(self.tables), 3, 3))
+        return self.jet(y, second=True)[2]
 
 
 def _compile_map(spec: list, where: str) -> tuple:
@@ -1308,16 +1356,20 @@ def load_field(source) -> TensorField:
     tables = _Tables([_compile_component(terms, f"field component {n}")
                       for n, terms in enumerate(component_tables)])
 
-    @_batched
-    def func(y):
-        return tables.values(y).reshape((len(y),) + shape)
+    def jet(y, values=False, first=False, second=False):
+        """(values, first partials, second partials) at an (N, 3) array,
+        None for each not asked for, from one evaluation of the tables;
+        C-contiguous, so that no result depends on which were asked for."""
+        n = len(y)
+        v, d1, d2 = tables.jet(y, values, first, second)
+        return (None if v is None else np.ascontiguousarray(v.reshape((n,) + shape)),
+                None if d1 is None else np.ascontiguousarray(
+                    d1.swapaxes(1, 2).reshape((n, 3) + shape)),
+                None if d2 is None else np.ascontiguousarray(
+                    d2.transpose(0, 2, 3, 1).reshape((n, 3, 3) + shape)))
 
-    @_batched
-    def partials(y):
-        return tables.first(y).swapaxes(1, 2).reshape((len(y), 3) + shape)
-
-    @_batched
-    def second_partials(y):
-        return tables.second(y).transpose(0, 2, 3, 1).reshape((len(y), 3, 3) + shape)
-
-    return TensorField(valency, func, 3, partials=partials, second_partials=second_partials)
+    field = TensorField(valency, _batched(lambda y: jet(y, values=True)[0]), 3,
+                        partials=_batched(lambda y: jet(y, first=True)[1]),
+                        second_partials=_batched(lambda y: jet(y, second=True)[2]))
+    object.__setattr__(field, "_jet", jet)
+    return field

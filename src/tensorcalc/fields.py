@@ -222,10 +222,14 @@ class TensorField(_Frozen):
         coordinates i and j (symmetric in i, j). Without it, second
         partials are central differences of ``partials``. Given without
         ``partials`` it raises ParameterError: it would never be called.
+
+    _jet is the function a loaded field's func, partials and second_partials
+    select from (curvilinear.load_field), else None; TensorField leaves it
+    None.
     """
 
     __slots__ = ("valency", "dim", "has_parameter", "_func", "_partials",
-                 "_second_partials")
+                 "_second_partials", "_jet")
 
     def __init__(self, valency, func, dim: int = DEFAULT_DIM,
                  partials=None, has_parameter: bool = False, second_partials=None):
@@ -237,6 +241,7 @@ class TensorField(_Frozen):
         object.__setattr__(self, "_func", func)
         object.__setattr__(self, "_partials", partials)
         object.__setattr__(self, "_second_partials", second_partials)
+        object.__setattr__(self, "_jet", None)
 
     # -- constructors ----------------------------------------------------------
 
@@ -421,8 +426,12 @@ def _partials(field: TensorField, points: np.ndarray, t,
     Analytic when the field carries partials. Second partials are then its
     analytic second partials, or else the partials differenced once and
     symmetrised. A field without partials is differenced by central
-    differences. Returns ``(d1, d2, failures)`` as _differences does.
+    differences. Returns ``(d1, d2, failures)`` as _differences does. A
+    loaded field gives both from one call of its jet.
     """
+    if field._jet is not None:
+        _, d1, d2 = field._jet(points, first=True, second=second)
+        return d1, d2, {}
     args = field._args(t)
     if field._partials is None:
         def rows(probes):

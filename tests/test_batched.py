@@ -596,3 +596,143 @@ def test_chart_transform_fails_an_overflowing_row_without_a_numpy_warning():
     assert {k: (type(e), str(e)) for k, e in failures.items()} == {
         0: (DomainError, "tensor components must all be finite")}
     assert np.isnan(values[0]).all() and np.isfinite(values[1]).all()
+
+
+# -- one evaluation per call: fused and staged paths ---------------------------------
+#
+# ChartPoints takes a built-in chart's S, T and dS from one call of its frame
+# function, and an operator takes a loaded field's values and partials from
+# one evaluation of its tables. A chart or field rebuilt from the public
+# callables is evaluated callable by callable; both paths give the same bits.
+
+
+def _rebuilt_chart(chart):
+    return Chart(chart.name, chart.forward, chart.inverse, chart.jac_forward,
+                 chart.jac_inverse, chart.jac_forward_partials, domain=chart.domain,
+                 sample_bounds=chart.sample_bounds, dim=chart.dim)
+
+
+def _rebuilt_field(field):
+    return TensorField(field.valency, field._func, field.dim, partials=field._partials,
+                       has_parameter=field.has_parameter,
+                       second_partials=field._second_partials)
+
+
+# T^i_j with every kind of table term, so that nabla and div see nine components
+MIXED = load_field({"r": 1, "s": 1, "components": [
+    [{"coeff": 0.5 * (k + 1), "powers": [k % 3, (k + 1) % 2, k // 4],
+      "trig": [None, {"fn": ("sin", "cos")[k % 2], "freq": 1.0 + k / 3}, None]},
+     {"coeff": -0.25, "powers": [1, 0, k % 2]}] if k != 4 else [] for k in range(9)]})
+PARITY_FIELDS = {"scalar": SCALAR, "vector": VECTOR, "mixed": MIXED}
+PARITY_OPERATORS = {
+    "laplace": lambda chart, other, f: laplacian_in_chart(chart, f["scalar"]),
+    "grad": lambda chart, other, f: gradient_vector_in_chart(chart, f["scalar"]),
+    "div": lambda chart, other, f: divergence_in_chart(chart, f["vector"]),
+    "div-mixed": lambda chart, other, f: divergence_in_chart(chart, f["mixed"]),
+    "rot": lambda chart, other, f: rotor_in_chart(chart, f["vector"]),
+    "nabla-scalar": lambda chart, other, f: covariant_derivative(chart, f["scalar"]),
+    "nabla-vector": lambda chart, other, f: covariant_derivative(chart, f["vector"]),
+    "nabla-mixed": lambda chart, other, f: covariant_derivative(chart, f["mixed"]),
+    "nabla-g": lambda chart, other, f: covariant_derivative(chart, metric_field(chart)),
+    "transform": lambda chart, other, f: tc.chart_to_chart_transform(f["mixed"], other, chart),
+}
+FUSED = {name: CHARTS[name] for name in ("cylindrical", "spherical")}
+OTHER = {"cylindrical": "spherical", "spherical": "cylindrical"}
+
+# rows on and next to the poles and the axis, outside every domain, and not finite
+EDGE_ROWS = [(1.0, 0.0, 0.3), (1.0, math.pi, 0.2), (1.0, 5e-324, 0.0), (5e-324, 1.0, 0.0),
+             (2.0, 1e-9, 1.0), (1e-9, 0.3, 1.0), (0.0, 1.0, 1.0), (-1.0, 1.0, 0.5),
+             (-0.0, -0.0, -0.0), (math.nan, 1.0, 1.0), (1.0, math.inf, 0.0),
+             (1.0, 1.0, -math.inf)]
+COORDINATE = st.one_of(st.floats(-3.5, 3.5), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, math.pi, -math.pi, math.pi / 2, math.nan, math.inf]))
+
+
+@st.composite
+def parity_points(draw):
+    """0, 1 or up to 30 rows: regular, edge and arbitrary coordinates."""
+    row = st.one_of(st.tuples(st.floats(0.4, 2.5), st.floats(0.2, 2.9), st.floats(-3.1, 3.1)),
+                    st.sampled_from(EDGE_ROWS), st.tuples(COORDINATE, COORDINATE, COORDINATE))
+    size = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 30)))
+    rows = draw(st.lists(row, min_size=size, max_size=size))
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
+def _same_bits(got, want):
+    if want is None:
+        return got is None
+    return (got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+def _same_failures(got, want):
+    return ({k: (type(e), str(e)) for k, e in got.items()}
+            == {k: (type(e), str(e)) for k, e in want.items()})
+
+
+def test_only_the_library_builders_set_a_one_call_evaluator():
+    for chart in FUSED.values():
+        assert chart._frames is not None and _rebuilt_chart(chart)._frames is None
+    for name in ("identity", "table"):
+        assert CHARTS[name]._frames is None
+    for field in PARITY_FIELDS.values():
+        assert field._jet is not None and _rebuilt_field(field)._jet is None
+    assert PLAIN_SCALAR._jet is None and metric_field(FUSED["spherical"])._jet is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=parity_points(), name=st.sampled_from(sorted(FUSED)),
+       stages=st.sampled_from([{}, {"transition": True}, {"christoffel": True}]))
+def test_chart_points_of_a_frame_function_equal_the_staged_maps(points, name, stages):
+    fused = ChartPoints(FUSED[name], points, **stages)
+    staged = ChartPoints(_rebuilt_chart(FUSED[name]), points, **stages)
+    for attr in ChartPoints._ROWS:
+        assert _same_bits(getattr(fused, attr), getattr(staged, attr)), attr
+    assert _same_failures(fused.failures, staged.failures)
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=parity_points(), name=st.sampled_from(sorted(FUSED)),
+       op=st.sampled_from(sorted(PARITY_OPERATORS)))
+def test_operators_of_one_call_evaluators_equal_the_staged_callables(points, name, op):
+    rebuilt = {key: _rebuilt_field(field) for key, field in PARITY_FIELDS.items()}
+    fused = PARITY_OPERATORS[op](FUSED[name], FUSED[OTHER[name]], PARITY_FIELDS)
+    staged = PARITY_OPERATORS[op](_rebuilt_chart(FUSED[name]),
+                                  _rebuilt_chart(FUSED[OTHER[name]]), rebuilt)
+    values, failures = fused.evaluate_batch(points)
+    want, want_failures = staged.evaluate_batch(points)
+    assert _same_bits(values, want)
+    assert _same_failures(failures, want_failures)
+
+
+def _counted(fn, calls, key):
+    @functools.wraps(fn)  # keeps the batch mark
+    def counted(*args, **kwargs):
+        calls[key] = calls.get(key, 0) + 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_one_frame_call_per_chart_points_and_one_jet_call_per_operator():
+    sph, calls = FUSED["spherical"], {}
+    chart = _rebuilt_chart(sph)
+    object.__setattr__(chart, "_frames", _counted(sph._frames, calls, "frame"))
+    field = load_field({"r": 1, "s": 0, "components": [[{"coeff": 1.0, "powers": [1, 0, 0]}]] * 3})
+    object.__setattr__(field, "_jet", _counted(field._jet, calls, "jet"))
+    points = np.array([[1.0, 0.5, 0.2], [1.0, 0.0, 0.2], [2.0, 1.5, -1.0]])
+    ChartPoints(chart, points, christoffel=True)
+    assert calls == {"frame": 1}
+    divergence_in_chart(chart, field).evaluate_batch(points)
+    assert calls == {"frame": 2, "jet": 1}
+    # rebuilt from their public callables, the chart and the field go map by map
+    calls.clear()
+    staged = Chart("staged", sph.forward, sph.inverse,
+                   *(_counted(getattr(sph, attr), calls, attr)
+                     for attr in ("jac_forward", "jac_inverse", "jac_forward_partials")),
+                   domain=sph.domain)
+    values = _counted(field._func, calls, "func")
+    partials = _counted(field._partials, calls, "partials")
+    divergence_in_chart(staged, TensorField((1, 0), values, partials=partials)
+                        ).evaluate_batch(points)
+    assert calls == {"jac_forward": 1, "jac_inverse": 1, "jac_forward_partials": 1,
+                     "func": 1, "partials": 1}

@@ -1227,3 +1227,36 @@ class TestUnreadableInput:
                              "--out", str(tmp_path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestCountsAndRepeatedAxes:
+    """A count below 1 and a grid axis given twice are usage errors (exit 2),
+    never a silent empty success or a spec that silently loses."""
+
+    _AXES = ["--grid", "y2=1:2:1", "--grid", "y3=0:1:1"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["audit", "--chart", "spherical", "--points", "0"], "--points must be at least 1, got 0"),
+        (["audit", "--chart", "spherical", "--points", "-3"],
+         "--points must be at least 1, got -3"),
+        (["christoffel", "--chart", "spherical", "--grid", "y1=1:2:2", "--grid", "y1=5:6:1",
+          *_AXES], "grid axis 1 given twice; give each axis once"),
+        (["field-op", "grad", "--chart", "spherical", "--field", '{"r": 0, "s": 0, '
+          '"components": [[]]}', "--grid", "y1=1:2:2", *_AXES, "--grid", "x3=0:1:2"],
+         "grid axis 3 given twice; give each axis once"),
+        (["check", "T^i = A^i_j B^j", "--dim", "0", "--explicit"],
+         "--dim must be at least 1, got 0"),
+        (["check", "T^i = A^i_j B^j", "--dim", "-1"], "--dim must be at least 1, got -1"),
+        (["eval", "T^i = A^i_j B^j", "--dim", "0", "--bindings", "{}"],
+         "--dim must be at least 1, got 0"),
+    ], ids=["audit-zero-points", "audit-negative-points", "christoffel-axis-twice",
+            "field-op-axis-twice-by-another-name", "check-dim-zero", "check-dim-negative",
+            "eval-dim-zero"])
+    def test_usage_error(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_one_point_and_one_dimension_still_run(self, capsys):
+        code, out, _ = run(capsys, "audit", "--chart", "spherical", "--points", "1")
+        assert code == 0 and "at 1 points" in out and out.endswith("verdict: PASS\n")
+        code, out, _ = run(capsys, "check", "y^i = F^i_j x^j", "--dim", "1", "--explicit")
+        assert code == 0 and out.endswith("y^{i} = sum_{j=1..1} F^{i}_{j} x^{j}\n")

@@ -30,14 +30,18 @@ chart whose Christoffel symbols overflow (the point is skipped, exit 4);
 and christoffel and field-op grad on spherical --point rows (one printed,
 two skipped) before a grid, once a grid through the poles whose axis
 starts at -0.0, so skipped pole rows fall between printed rows, and once
-a grid with a count-1 axis, for the CSV row prefixes of both sources.
+a grid with a count-1 axis, for the CSV row prefixes of both sources;
+and christoffel with the y1 axis given twice in --grid (exit 2).
 Then come fixed notation jobs (NOTATION_JOBS): check --explicit on one
 input per ParseError branch of the tokenizer and the parser, and on
 expressions written with tabs, newlines, U+00A0, the typographic minus and
 no spaces, then one eval of such an expression, so that every tokenizer
-branch and offset reaches the output. Last comes a fixed audit job
-(AUDIT_JOBS): a table chart whose metric overflows in central4's stencil,
-so the concordance residual is NaN (BREACH, exit 5). Each christoffel and
+branch and offset reaches the output, and check --explicit with --dim 0
+(exit 2). Last come fixed audit jobs (AUDIT_JOBS): a table chart whose
+metric overflows in central4's stencil, so the concordance residual is
+NaN (BREACH, exit 5), and --points 0 (exit 2). The three exit-2 jobs are
+usage errors, appended to their lists so that every earlier line keeps
+its number. Each christoffel and
 field-op job runs once with CSV and once with JSON output; audit, check
 and eval have one format. One line per run:
 workload, cycle, job, format, exit code, and the sha256 digests of stdout
@@ -181,6 +185,10 @@ FIXED_JOBS += [(f"{command} spherical {what}",
                                   ("points then count-1 axis", _THIN_GRID))
                for command, field in (("christoffel", []),
                                       ("field-op grad", ["--field", _SCALAR]))]
+# a grid axis given twice is a usage error that names it (exit 2)
+FIXED_JOBS += [("christoffel grid axis twice",
+                ["christoffel", "--chart", "spherical", "--grid", "y1=1:2:2",
+                 "--grid", "y1=5:6:1", "--grid", "y2=1:2:1", "--grid", "y3=0:1:1"])]
 # x1 = 5.5e153 y1: the chart metric g11 ~ 3e307 is finite, but central4's
 # stencil weight 8 overflows it in the concordance check, whose NaN
 # residual is a BREACH (exit 5). audit has no --format: AUDIT_JOBS run once
@@ -191,7 +199,8 @@ _STRETCH_CHART = json.dumps({
     "inverse": [_table((1.818181818181818e-154, [1, 0, 0], None)),
                 _table((1.0, [0, 1, 0], None)), _table((1.0, [0, 0, 1], None))]})
 AUDIT_JOBS = [("audit stretch central4", ["audit", "--chart-file", _STRETCH_CHART,
-                                          "--points", "5", "--scheme", "central4"])]
+                                          "--points", "5", "--scheme", "central4"]),
+              ("audit no points", ["audit", "--chart", "spherical", "--points", "0"])]
 
 
 # one input per ParseError branch, in the order the parser raises them,
@@ -214,6 +223,7 @@ _BINDINGS = {"g": {"r": 0, "s": 2, "dim": 3, "components": [2, 1, 0, 1, 3, 1, 0,
 NOTATION_JOBS = [("check", ["check", text, "--explicit"])
                  for text in _PARSE_ERRORS + _WRITTEN]
 NOTATION_JOBS.append(("eval", ["eval", _EVAL, "--bindings", json.dumps(_BINDINGS)]))
+NOTATION_JOBS.append(("check dim 0", ["check", "T^i = A^i_j B^j", "--dim", "0", "--explicit"]))
 
 
 def _digest(text: str) -> str:
